@@ -9,7 +9,6 @@ against a brute-force time-evolution simulator.
 
 from .asymptotics import (
     AsymptoticResult,
-    cpe,
     eigenvalues_distributed_example,
     eigenvalues_entangled_example,
     eigenvalues_local_general,
@@ -37,6 +36,7 @@ from .errors import (
     DegenerateDispersion,
     DimensionMismatch,
     FormatError,
+    InvalidArgument,
     NonUnitaryInput,
     NormalizationError,
     NotSquareDimension,
@@ -54,6 +54,7 @@ from .linalg import (
     DensityMatrix,
     EigenSystem,
     eig_unitary,
+    eig_unitary_batch,
     is_hermitian,
     is_psd,
     is_unitary,

@@ -1,11 +1,13 @@
 """Asymptotic reduced coin state and entanglement observables.
 
-The long-time coin state is ``rho = integral dk/(2pi)^d Tr_1(P0(k) (x) I C(k))``.
+The long-time coin state is the k-average of the dephased initial projector,
+``rho_ad = integral dk/(2pi)^d sum_bc C_(a,c),(b,d)(k) P0_bc(k)``, that is
+``sum_w P_w P0 P_w`` averaged over k: right for eigenspaces of any rank,
+where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1.
 This module evaluates it by Brillouin-zone quadrature for any walk/state and
 provides the known closed forms for the U(2) line walk: the local-state
 density matrix, the general local eigenvalue pair, and the reference
-eigenvalues for the two worked non-local examples.
-"""
+eigenvalues for the two worked non-local examples."""
 
 from __future__ import annotations
 
@@ -16,13 +18,12 @@ import numpy as np
 from .characteristic import (
     CharacteristicMatrix,
     QuadratureGrid,
-    _batch_kron,
     _require_nondegenerate_coin,
     c_local_u2,
     characteristic_stack,
 )
 from .errors import DimensionMismatch, NumericalFailure
-from .linalg import Array, DensityMatrix, kron, partial_trace, von_neumann_entropy
+from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import BlochCoin, InitialState, coin_dim, lattice_dim, psi_k_many
 from .walk import U2Params, WalkSpec
 
@@ -52,10 +53,10 @@ def rho_asymptotic(
 ) -> AsymptoticResult:
     """Asymptotic reduced coin state via Brillouin-zone quadrature.
 
-    At every node both contraction forms ``Tr_1(P0 (x) I C)`` and
-    ``Tr_2(I (x) P0 C)`` are evaluated; they must agree to 1e-10 (swap
-    symmetry of C), which guards the projector construction. The quadrature
-    sum runs in a fixed node order, so results are bit-stable across runs.
+    At every node ``C(k)`` from :func:`characteristic_stack` is contracted
+    with ``P0(k) = |psi_k><psi_k|`` to ``sum_w P_w P0 P_w``; the nodes are
+    then averaged. The quadrature sum runs in a fixed node order, so results
+    are bit-stable across runs.
     """
     _require_nondegenerate_coin(spec)
     if coin_dim(state) != spec.coin_dim:
@@ -63,39 +64,29 @@ def rho_asymptotic(
     if lattice_dim(state) != spec.lattice_dim:
         raise DimensionMismatch("state lattice dimension does not match the walk")
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    n = spec.coin_dim
     nodes = grid.nodes
 
     cstack = characteristic_stack(spec, nodes)
     psi = psi_k_many(state, nodes)
     p0 = psi[:, :, None] * psi.conj()[:, None, :]
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), p0.shape)
-
-    m1 = _batch_kron(np.ascontiguousarray(p0), np.ascontiguousarray(eye)) @ cstack
-    m2 = _batch_kron(np.ascontiguousarray(eye), np.ascontiguousarray(p0)) @ cstack
-    b1 = m1.reshape(-1, n, n, n, n)
-    b2 = m2.reshape(-1, n, n, n, n)
-    tr1 = np.einsum("miaib->mab", b1)
-    tr2 = np.einsum("miaja->mij", b2)
-    mismatch = float(np.max(np.abs(tr1 - tr2)))
-    if mismatch > 1e-10:
-        raise NumericalFailure(
-            f"Tr_1/Tr_2 contraction forms disagree by {mismatch:.3e} (> 1e-10)"
-        )
-
-    raw = tr1.mean(axis=0)
+    raw = _dephase(cstack, p0).mean(axis=0)
     asym = float(np.max(np.abs(raw - raw.conj().T)))
     if asym > 1e-10:
         raise NumericalFailure(f"quadrature result non-Hermitian by {asym:.3e}")
     return _result(raw, "numeric_quadrature")
 
 
+def _dephase(c: Array, p0: Array) -> Array:
+    """``rho_ad = sum_bc C_(a,c),(b,d) P0_bc`` over stacks (M, n^2, n^2) and (M, n, n)."""
+    n = p0.shape[-1]
+    return np.einsum("macbd,mbc->mad", c.reshape(-1, n, n, n, n), p0)
+
+
 def rho_from_characteristic(chi: Array, c: CharacteristicMatrix, method: str) -> AsymptoticResult:
-    """Contract a constant characteristic matrix with a coin projector."""
+    """Contract a constant characteristic matrix with the coin projector of ``chi``."""
     chi = np.asarray(chi, dtype=np.complex128).reshape(-1)
     p0 = np.outer(chi, chi.conj())
-    raw = partial_trace(kron(p0, np.eye(len(chi))) @ c.matrix, "first")
-    return _result(raw, method)
+    return _result(_dephase(c.matrix, p0[None])[0], method)
 
 
 def rho_local_closed(p: U2Params, chi) -> AsymptoticResult:
@@ -173,7 +164,3 @@ def entropy_of_pair(lam1: float, lam2: float) -> float:
             e -= lam * np.log2(lam)
     return float(e)
 
-
-def cpe(result: AsymptoticResult) -> float:
-    """Coin-position entanglement: von Neumann entropy of the coin state."""
-    return von_neumann_entropy(result.rho)

@@ -2,12 +2,14 @@
 
 For each wavenumber k the characteristic matrix is
 ``C(k) = sum_w P_w (x) P_w`` over eigenspace projectors of the step operator
-U_k. Contracting C(k) with any initial projector gives the long-time coin
-state, so its k-integrals (uniform for local states, |Q(k)|^2-weighted for
+U_k. Its entries are ``C_(a,c),(b,d) = sum_w P_w[a,b] P_w[c,d]``, so the
+contraction ``rho_ad = sum_bc C_(a,c),(b,d) P0_bc = sum_w P_w P0 P_w`` with
+any initial projector P0 gives the long-time coin state, for eigenspaces of
+any rank. Its k-integrals (uniform for local states, |Q(k)|^2-weighted for
 distributed ones) are constant matrices that fully characterize the walk.
 
 Summing over eigenspace projectors (rather than individual eigenvectors)
-makes C basis-independent also at isolated degenerate k-points.
+makes C basis-independent also at degenerate k-points and on flat bands.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateCoin, DegenerateDispersion, NormalizationError
-from .linalg import DEGENERACY_TOL, Array, eig_unitary
-from .walk import U2Params, WalkSpec, as_kpoint, build_uk, dispersion_gamma
+from .errors import DegenerateCoin, DegenerateDispersion, InvalidArgument, NormalizationError
+from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
+from .walk import U2Params, WalkSpec, build_uk, dispersion_gamma
 
 #: sin^2(gamma) below this is treated as a degenerate dispersion point
 DEGENERATE_SIN2 = 1e-14
@@ -41,7 +43,7 @@ class QuadratureGrid:
 
     def __post_init__(self):
         if self.points_per_axis < 1 or self.dim < 1:
-            raise ValueError("points_per_axis and dim must be >= 1")
+            raise InvalidArgument("points_per_axis and dim must be >= 1")
 
     @classmethod
     def default(cls, dim: int) -> "QuadratureGrid":
@@ -82,10 +84,15 @@ def swap_matrix(n: int) -> Array:
     return s
 
 
-def _batch_kron(a: Array, b: Array) -> Array:
-    """Kronecker product over a leading batch axis: (M,n,n) x (M,n,n)."""
-    m, n = a.shape[0], a.shape[1]
-    return np.einsum("mij,mab->miajb", a, b).reshape(m, n * b.shape[1], n * b.shape[1])
+def _uk_stack(spec: WalkSpec, ks: Array) -> Array:
+    """U_k for every row of a (M, d) k-array, as (M, n, n)."""
+    return np.exp(-1j * (ks @ spec.shifts.T))[:, :, None] * spec.coin
+
+
+def _sum_kron(a: Array, b: Array) -> Array:
+    """``sum_j a_j (x) b_j`` over stacks (M, J, n, n), returned as (M, n^2, n^2)."""
+    m, _, n, _ = a.shape
+    return np.einsum("mjac,mjbd->mabcd", a, b).reshape(m, n * n, n * n)
 
 
 def is_pauli_type(spec: WalkSpec) -> bool:
@@ -126,29 +133,31 @@ def characteristic_stack(spec: WalkSpec, ks: Array, degeneracy_tol: float = DEGE
     """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2).
 
     For two-dimensional coins the eigenproblem is solved in closed form for
-    the whole batch at once; other coin dimensions fall back to a per-node
-    eigendecomposition.
+    the whole batch at once; other coin dimensions take one batched
+    eigensolve. There C is assembled as ``sum_j |v_j><v_j| (x) P_w(j)``: each
+    eigenvector's projector paired with the projector of its eigenspace.
     """
     if spec.coin_dim == 2:
         return _characteristic_stack_2(spec, ks)
-    return np.stack([characteristic_at_k(spec, k, degeneracy_tol).matrix for k in ks])
+    _, vectors, labels = eig_unitary_batch(_uk_stack(spec, ks), degeneracy_tol)
+    proj = np.einsum("maj,mcj->mjac", vectors, vectors.conj())
+    same = (labels[:, :, None] == labels[:, None, :]).astype(np.float64)
+    return _sum_kron(proj, np.einsum("mjl,mlbd->mjbd", same, proj))
 
 
 def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
-    phases = np.exp(-1j * (ks @ spec.shifts.T))  # (M, 2)
-    u = phases[:, :, None] * spec.coin[None, :, :]
+    u = _uk_stack(spec, ks)
     tr = u[:, 0, 0] + u[:, 1, 1]
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     root = np.sqrt(tr * tr - 4.0 * det)
     lam1 = 0.5 * (tr + root)
     lam2 = 0.5 * (tr - root)
-    gap = np.abs(lam1 - lam2)
-    degenerate = gap < 1e-12
+    degenerate = np.abs(lam1 - lam2) < 1e-12
     denom = np.where(degenerate, 1.0, lam1 - lam2)
     eye2 = np.eye(2, dtype=np.complex128)
     p1 = (u - lam2[:, None, None] * eye2) / denom[:, None, None]
-    p2 = eye2 - p1
-    c = _batch_kron(p1, p1) + _batch_kron(p2, p2)
+    p = np.stack([p1, eye2 - p1], axis=1)
+    c = _sum_kron(p, p)
     # a degenerate 2x2 unitary is scalar: single eigenspace projector I
     c[degenerate] = np.eye(4, dtype=np.complex128)
     return c

@@ -11,8 +11,9 @@ Figure commands emit data, not images. All floats are written with 17
 significant digits and every reduction runs in a fixed order, so identical
 configurations produce byte-identical output files.
 
-Exit codes: 0 ok, 1 verify failure, 2 parse error, 3 degenerate coin,
-4 numeric failure.
+Exit codes: 0 ok, 1 verify failure, 2 bad input (parse error, argument out
+of range, unreadable or unwritable file), 3 degenerate coin, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .errors import (
     CoinWalkError,
     DegenerateCoin,
     DegenerateDispersion,
     FormatError,
+    InvalidArgument,
 )
 
 _THREAD_ENV = "COINWALK_THREADS"
@@ -45,22 +48,35 @@ def _angle(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _open_out(path: str):
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+@contextmanager
+def _output(path: str):
+    """Yield stdout for '-' or '', else the file at ``path``, closed on exit."""
     if path in ("-", ""):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _write_csv(path: str, cfg: str, header: list[str], rows) -> None:
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(f"# cfg: {cfg}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _walk_and_params(args):
@@ -104,13 +120,9 @@ def cmd_rho(args) -> int:
         }
         if params is not None:
             doc.update(theta=params.theta, alpha=params.alpha, beta=params.beta)
-        out, close = _open_out(args.output)
-        try:
+        with _output(args.output) as out:
             json.dump(doc, out, sort_keys=True, indent=2)
             out.write("\n")
-        finally:
-            if close:
-                out.close()
     else:
         n = rho.shape[0]
         rows = [("cpe", result.cpe)]
@@ -118,15 +130,11 @@ def cmd_rho(args) -> int:
         rows += [(f"rho_re_{i}_{j}", rho[i, j].real) for i in range(n) for j in range(n)]
         rows += [(f"rho_im_{i}_{j}", rho[i, j].imag) for i in range(n) for j in range(n)]
         cfg = f"rho state={args.state!r} grid_n={args.grid_n} method={result.method}"
-        out, close = _open_out(args.output)
-        try:
+        with _output(args.output) as out:
             out.write(f"# cfg: {cfg}\n")
             out.write("name,value\n")
             for name, value in rows:
                 out.write(f"{name},{_fmt(value)}\n")
-        finally:
-            if close:
-                out.close()
     return 0
 
 
@@ -277,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     rho = sub.add_parser("rho", help="asymptotic coin state for a walk and initial state")
     _add_walk_args(rho)
     rho.add_argument("--state", required=True, help='initial state, e.g. \'local v=0 chi=(1,0)\'')
-    rho.add_argument("--grid-n", type=int, default=4096, help="quadrature points per axis")
+    rho.add_argument(
+        "--grid-n", type=_int_at_least(1), default=4096, help="quadrature points per axis"
+    )
     rho.add_argument(
         "--closed-form", action="store_true", help="use the exact U(2) local-state formula"
     )
@@ -287,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("fig", help="CSV data for the standard entanglement figures")
     fig.add_argument("which", choices=("cpe-compare", "cpe-3d", "cpe-entangled"))
-    fig.add_argument("--theta-points", type=int, default=None)
-    fig.add_argument("--alpha-points", type=int, default=33)
+    fig.add_argument("--theta-points", type=_int_at_least(1), default=None)
+    fig.add_argument("--alpha-points", type=_int_at_least(2), default=33)
     fig.add_argument("--output", default="-")
     fig.set_defaults(func=cmd_fig)
 
     verify = sub.add_parser("verify", help="run the cross-check suite")
-    verify.add_argument("--draws", type=int, default=100)
-    verify.add_argument("--grid-n", type=int, default=4096)
-    verify.add_argument("--t-max", type=int, default=2000)
-    verify.add_argument("--burn-in", type=int, default=None)
+    verify.add_argument("--draws", type=_int_at_least(0), default=100)
+    verify.add_argument("--grid-n", type=_int_at_least(1), default=4096)
+    verify.add_argument("--t-max", type=_int_at_least(1), default=2000)
+    verify.add_argument("--burn-in", type=_int_at_least(0), default=None)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--inject-f-sign-error",
@@ -308,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="finite-time coin-state series as CSV")
     _add_walk_args(sim)
     sim.add_argument("--state", required=True)
-    sim.add_argument("--t-max", type=int, required=True)
-    sim.add_argument("--stride", type=int, default=1)
+    sim.add_argument("--t-max", type=_int_at_least(0), required=True)
+    sim.add_argument("--stride", type=_int_at_least(1), default=1)
     sim.add_argument("--output", default="-")
     sim.set_defaults(func=cmd_simulate)
     return parser
@@ -326,7 +336,7 @@ def main(argv=None) -> int:
         args.theta_points = 399 if args.which == "cpe-entangled" else 99
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, InvalidArgument, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateCoin, DegenerateDispersion) as exc:

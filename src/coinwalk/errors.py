@@ -37,5 +37,9 @@ class NumericalFailure(CoinWalkError):
     """An internal numerical consistency check failed."""
 
 
+class InvalidArgument(CoinWalkError):
+    """A size, count or time-window argument is outside its valid range."""
+
+
 class FormatError(CoinWalkError):
     """A text input (walk config, state grammar, angle literal) did not parse."""

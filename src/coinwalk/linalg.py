@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small matrices.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``. The matrices
-here are tiny (n <= 64), so the implementations favour exact contracts and
-readability over scale: closed-form eigensolve for 2x2 unitaries, complex
-Schur reduction otherwise, explicit partial traces over tensor factors.
+here are tiny (n <= 64) but come in stacks of one per Brillouin-zone node, so
+the eigensolver works on a whole (M, n, n) stack at once: ``numpy.linalg.eig``,
+phase grouping by vectorised gap tests and one batched QR, with the residual
+and orthonormality checked on the whole batch.
 """
 
 from __future__ import annotations
@@ -11,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceFailure, NonUnitaryInput, NotSquareDimension
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    InvalidArgument,
+    NonUnitaryInput,
+    NotSquareDimension,
+    NumericalFailure,
+)
 
 Array = np.ndarray
 
@@ -25,7 +32,7 @@ def as_matrix(m) -> Array:
     """Coerce input to a 2-d complex128 array."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
     return a
 
 
@@ -87,66 +94,63 @@ class EigenSystem:
         return (self.vectors * np.exp(1j * self.phases)) @ self.vectors.conj().T
 
 
-def _principal_phase(values: Array) -> Array:
-    """Arguments of complex values mapped into (-pi, pi]."""
-    ph = np.angle(values)
-    return np.where(ph <= -np.pi, ph + 2 * np.pi, ph)
+def eig_unitary_batch(u, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[Array, Array, Array]:
+    """Eigendecompose a stack of unitary matrices (M, n, n) with one batched solve.
 
+    Returns ``(phases, vectors, labels)``: eigenphases (M, n) in ``(-pi, pi]``,
+    ascending per node; orthonormal eigenvectors (M, n, n), column ``j``
+    paired with ``phases[:, j]``; and int labels (M, n), shared by the columns
+    of one eigenspace. Ascending phases whose gaps are within
+    ``degeneracy_tol`` form one eigenspace, also across the wrap at +/-pi.
 
-def _eig_unitary_2x2(u: Array) -> tuple[Array, Array]:
-    # closed-form quadratic; a unitary 2x2 with a double eigenvalue is a
-    # scalar multiple of I, so the standard basis is a valid eigenbasis there
-    tr = u[0, 0] + u[1, 1]
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    root = np.sqrt(tr * tr - 4.0 * det)
-    lam1 = 0.5 * (tr + root)
-    lam2 = 0.5 * (tr - root)
-    if abs(lam1 - lam2) < 1e-13:
-        lam = 0.5 * tr
-        lam = lam / abs(lam)
-        return np.array([lam, lam]), np.eye(2, dtype=np.complex128)
-    cols = []
-    for lam, other in ((lam1, lam2), (lam2, lam1)):
-        p = (u - other * np.eye(2)) / (lam - other)
-        col = p[:, int(np.argmax(np.abs(p).sum(axis=0)))]
-        cols.append(col / np.linalg.norm(col))
-    v1, v2 = cols
-    v2 = v2 - (v1.conj() @ v2) * v1
-    v2 = v2 / np.linalg.norm(v2)
-    return np.array([lam1, lam2]), np.column_stack([v1, v2])
+    One batched QR of the sorted eigenvectors makes them orthonormal. As
+    eigenspaces of a unitary are orthogonal, it only mixes columns within an
+    eigenspace, which leaves the eigenspace projectors unchanged.
 
+    Raises
+    ------
+    NonUnitaryInput
+        If some matrix is not unitary within 1e-10.
+    ConvergenceFailure
+        If the solver fails, or the eigenvector residual or the deviation of
+        ``V^dag V`` from the identity exceeds 1e-12 at some node.
+    """
+    a = np.asarray(u, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NonUnitaryInput(f"expected a stack of square matrices, got shape {a.shape}")
+    eye = np.eye(a.shape[1])
+    if not np.max(np.abs(a.conj().swapaxes(1, 2) @ a - eye)) <= 1e-10:
+        raise NonUnitaryInput("input matrix is not unitary within 1e-10")
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
 
-def _group_sorted_phases(phases: Array, tol: float) -> list[list[int]]:
-    """Cluster ascending phases, merging the wrap-around at +/-pi."""
-    groups: list[list[int]] = [[0]]
-    for j in range(1, len(phases)):
-        if phases[j] - phases[groups[-1][-1]] <= tol:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
-    if len(groups) > 1 and (phases[groups[0][0]] + 2 * np.pi - phases[groups[-1][-1]]) <= tol:
-        groups[0] = groups.pop() + groups[0]
-    return groups
+    phases = np.angle(values)
+    phases = np.where(phases <= -np.pi, phases + 2 * np.pi, phases)  # into (-pi, pi]
+    order = np.argsort(phases, axis=1, kind="stable")
+    phases = np.take_along_axis(phases, order, axis=1)
+    vectors, _ = np.linalg.qr(np.take_along_axis(vectors, order[:, None, :], axis=2))
 
+    labels = np.zeros(phases.shape, dtype=np.int64)
+    labels[:, 1:] = np.cumsum(np.diff(phases, axis=1) > degeneracy_tol, axis=1)
+    wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= degeneracy_tol
+    labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
 
-def _mgs(cols: Array) -> Array:
-    """Modified Gram-Schmidt on the columns of ``cols``."""
-    q = cols.astype(np.complex128, copy=True)
-    for j in range(q.shape[1]):
-        for i in range(j):
-            q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
-        q[:, j] /= np.linalg.norm(q[:, j])
-    return q
+    residual = np.max(np.abs(a @ vectors - vectors * np.exp(1j * phases)[:, None, :]))
+    gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - eye))
+    if not (residual <= 1e-12 and gram <= 1e-12):
+        raise ConvergenceFailure(
+            f"eigenvector residual {residual:.3e} or orthonormality error {gram:.3e} exceeds 1e-12"
+        )
+    return phases, vectors, labels
 
 
 def eig_unitary(u, degeneracy_tol: float = DEGENERACY_TOL) -> EigenSystem:
-    """Eigendecompose a unitary matrix.
+    """Eigendecompose one unitary matrix: :func:`eig_unitary_batch` with M = 1.
 
-    Uses the closed-form quadratic for 2x2 input and a complex Schur
-    reduction otherwise (unitaries are normal, so the Schur form is diagonal
-    and its basis orthonormal). Phases within ``degeneracy_tol`` of each
-    other are grouped into one eigenspace and re-orthonormalized so that
-    eigenspace projectors are basis-independent.
+    Phases within ``degeneracy_tol`` of each other are grouped into one
+    eigenspace, so eigenspace projectors are basis-independent.
 
     Raises
     ------
@@ -155,33 +159,9 @@ def eig_unitary(u, degeneracy_tol: float = DEGENERACY_TOL) -> EigenSystem:
     ConvergenceFailure
         If the decomposition fails or violates the residual contract.
     """
-    a = as_matrix(u)
-    if not is_unitary(a, 1e-10):
-        raise NonUnitaryInput("input matrix is not unitary within 1e-10")
-    n = a.shape[0]
-    if n == 2:
-        values, vectors = _eig_unitary_2x2(a)
-    else:
-        try:
-            t, z = scipy.linalg.schur(a, output="complex")
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise ConvergenceFailure(f"Schur reduction failed: {exc}") from exc
-        values, vectors = np.diag(t), z
-
-    phases = _principal_phase(values)
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    vectors = vectors[:, order]
-
-    groups = _group_sorted_phases(phases, degeneracy_tol)
-    for g in groups:
-        if len(g) > 1:
-            vectors[:, g] = _mgs(vectors[:, g])
-
-    residual = np.max(np.abs(a @ vectors - vectors * np.exp(1j * phases)))
-    if residual > 1e-12:
-        raise ConvergenceFailure(f"eigenvector residual {residual:.3e} exceeds 1e-12")
-    return EigenSystem(phases=phases, vectors=vectors, groups=tuple(tuple(g) for g in groups))
+    phases, vectors, labels = eig_unitary_batch(as_matrix(u)[None], degeneracy_tol)
+    groups = tuple(tuple(np.flatnonzero(labels[0] == g).tolist()) for g in np.unique(labels[0]))
+    return EigenSystem(phases=phases[0], vectors=vectors[0], groups=groups)
 
 
 def kron(a, b) -> Array:
@@ -207,12 +187,16 @@ def partial_trace(m, which: str = "first") -> Array:
         return np.einsum("iaib->ab", blocks)
     if which == "second":
         return np.einsum("iaja->ij", blocks)
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    raise InvalidArgument(f"which must be 'first' or 'second', got {which!r}")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Hermitian, unit-trace, positive-semidefinite matrix.
+
+    Construction raises :class:`NumericalFailure` when any of the three
+    properties fails by more than 1e-10.
+    """
 
     matrix: Array
 
@@ -220,11 +204,11 @@ class DensityMatrix:
         a = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", a)
         if not is_hermitian(a, 1e-10):
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+            raise NumericalFailure("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
-            raise ValueError("density matrix trace differs from 1 by more than 1e-10")
+            raise NumericalFailure("density matrix trace differs from 1 by more than 1e-10")
         if np.min(np.linalg.eigvalsh(a)) < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+            raise NumericalFailure("density matrix has an eigenvalue below -1e-10")
 
     @property
     def dim(self) -> int:

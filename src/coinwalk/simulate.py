@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .linalg import Array, DensityMatrix
 from .states import InitialState, site_table
 from .walk import WalkSpec
@@ -111,7 +112,7 @@ def cesaro_rho(
     if burn_in is None:
         burn_in = t_max // 20
     if not (t_max > burn_in >= 0):
-        raise ValueError("need t_max > burn_in >= 0")
+        raise InvalidArgument(f"need t_max > burn_in >= 0, got t_max={t_max}, burn_in={burn_in}")
     rhos = rho_series(spec, state, t_max)
     avg = rhos[burn_in + 1 :].mean(axis=0)
     return DensityMatrix((avg + avg.conj().T) / 2)

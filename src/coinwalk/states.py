@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NormalizationError
 from .linalg import Array
 from .walk import as_kpoint
 
@@ -30,7 +30,7 @@ def _as_position(pos) -> tuple[int, ...]:
 def _as_vector(v) -> Array:
     arr = np.asarray(v, dtype=np.complex128).reshape(-1)
     if arr.size < 1:
-        raise ValueError("coin vector must have at least one component")
+        raise DimensionMismatch("coin vector must have at least one component")
     return arr
 
 
@@ -45,7 +45,7 @@ class LocalState:
         object.__setattr__(self, "position", _as_position(self.position))
         chi = _as_vector(self.chi)
         if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-            raise ValueError("local coin state is not normalized within 1e-12")
+            raise NormalizationError("local coin state is not normalized within 1e-12")
         object.__setattr__(self, "chi", chi)
 
 
@@ -59,11 +59,11 @@ class DistributedState:
     def __post_init__(self):
         amps = {_as_position(r): complex(a) for r, a in self.amplitudes.items()}
         if abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) > 1e-12:
-            raise ValueError("position amplitudes are not normalized within 1e-12")
+            raise NormalizationError("position amplitudes are not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
         chi = _as_vector(self.chi)
         if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-            raise ValueError("coin state is not normalized within 1e-12")
+            raise NormalizationError("coin state is not normalized within 1e-12")
         object.__setattr__(self, "chi", chi)
 
 
@@ -79,7 +79,7 @@ class GeneralState:
         if len(dims) != 1:
             raise DimensionMismatch("all coin vectors must have the same dimension")
         if abs(sum(np.linalg.norm(c) ** 2 for c in amps.values()) - 1.0) > 1e-12:
-            raise ValueError("total amplitude is not normalized within 1e-12")
+            raise NormalizationError("total amplitude is not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitaryInput
+from .errors import DimensionMismatch, InvalidArgument, NonUnitaryInput
 from .linalg import Array, as_matrix, is_unitary
 
 
@@ -69,12 +69,15 @@ class WalkSpec:
 
     def __post_init__(self):
         if self.lattice_dim < 1 or self.coin_dim < 1:
-            raise ValueError("lattice_dim and coin_dim must be >= 1")
-        shifts = np.asarray(self.shifts, dtype=np.int64).reshape(self.coin_dim, self.lattice_dim)
-        object.__setattr__(self, "shifts", shifts)
+            raise InvalidArgument("lattice_dim and coin_dim must be >= 1")
+        n, d = self.coin_dim, self.lattice_dim
+        shifts = np.asarray(self.shifts, dtype=np.int64)
+        if shifts.size != n * d:
+            raise DimensionMismatch(f"expected one {d}-component shift per coin state ({n})")
+        object.__setattr__(self, "shifts", shifts.reshape(n, d))
         coin = as_matrix(self.coin)
-        if coin.shape != (self.coin_dim, self.coin_dim):
-            raise ValueError(f"coin shape {coin.shape} != ({self.coin_dim}, {self.coin_dim})")
+        if coin.shape != (n, n):
+            raise DimensionMismatch(f"coin shape {coin.shape} != ({n}, {n})")
         if not is_unitary(coin, 1e-10):
             raise NonUnitaryInput("coin is not unitary within 1e-10")
         object.__setattr__(self, "coin", coin)

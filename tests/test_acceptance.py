@@ -225,7 +225,6 @@ def test_07_structural_invariants(capsys, rng):
         )
         if i % 20 == 0:
             # the asymptotic state itself: Hermitian, trace one, PSD
-            # (the Tr1/Tr2 equivalence is enforced inside rho_asymptotic)
             rho = rho_asymptotic(
                 line_walk(p), LocalState(position=0, chi=[1, 0]), grid
             ).rho.matrix

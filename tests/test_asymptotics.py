@@ -11,8 +11,10 @@ from coinwalk import (
     LocalState,
     QuadratureGrid,
     U2Params,
+    WalkSpec,
     bloch_coin,
-    cpe,
+    c_local,
+    cesaro_rho,
     eigenvalues_distributed_example,
     eigenvalues_entangled_example,
     eigenvalues_local_general,
@@ -20,6 +22,7 @@ from coinwalk import (
     line_walk,
     rho_asymptotic,
     rho_distributed_example_closed,
+    rho_from_characteristic,
     rho_local_closed,
 )
 from conftest import random_interior_params
@@ -186,15 +189,34 @@ class TestEntanglementEntropy:
             0.8724, abs=1e-4
         )
 
-    def test_cpe_accessor_matches_field(self):
-        res = rho_local_closed(HADAMARD_PARAMS, [1, 0])
-        assert cpe(res) == res.cpe
-
     def test_entangled_cpe_stays_high(self):
         # the maximally entangled start keeps the coin nearly maximally mixed
         for theta in np.linspace(0.1, PI - 0.1, 15):
             e = entropy_of_pair(*eigenvalues_entangled_example(theta))
             assert e >= 0.98
+
+
+class TestRankTwoEigenspaces:
+    def test_repro_walk_keeps_the_initial_coin_state(self):
+        # U_k = diag(e^-ik, e^-ik, e^ik): chi lies in one rank-2 eigenspace at
+        # every k, so the time average is P0 itself
+        spec = WalkSpec(1, 3, [[1], [1], [-1]], np.eye(3))
+        chi = np.array([1, 1, 0]) / np.sqrt(2)
+        p0 = np.outer(chi, chi)
+        pipeline = rho_asymptotic(spec, LocalState(position=0, chi=chi)).rho.matrix
+        constant = rho_from_characteristic(chi, c_local(spec), "numeric_quadrature").rho.matrix
+        assert np.max(np.abs(pipeline - p0)) <= 1e-12
+        assert np.max(np.abs(constant - p0)) <= 1e-12
+
+    def test_planar_grover_walk_matches_simulator(self):
+        # flat bands of the 2-d Grover walk (Inui, Konishi & Segawa 2004)
+        coin = np.full((4, 4), 0.5) - np.eye(4)
+        spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], coin)
+        state = LocalState(position=(0, 0), chi=[1, 0, 0, 0])
+        t_max = 60
+        quadrature = rho_asymptotic(spec, state, QuadratureGrid(16, 2)).rho.matrix
+        averaged = cesaro_rho(spec, state, t_max).matrix
+        assert np.max(np.abs(quadrature - averaged)) <= 2 / t_max
 
 
 class TestQuadraturePipeline:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from coinwalk import (
     DegenerateCoin,
     DegenerateDispersion,
+    InvalidArgument,
     NormalizationError,
     QuadratureGrid,
     U2Params,
@@ -18,7 +19,8 @@ from coinwalk import (
     line_walk,
     swap_matrix,
 )
-from conftest import random_interior_params
+from coinwalk.characteristic import characteristic_stack
+from conftest import random_interior_params, random_unitary
 from test_linalg import HADAMARD_C_AT_HALF_PI
 
 PI = np.pi
@@ -43,6 +45,10 @@ class TestQuadratureGrid:
     def test_defaults(self):
         assert QuadratureGrid.default(1).points_per_axis == 4096
         assert QuadratureGrid.default(2).points_per_axis == 256
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(InvalidArgument):
+            QuadratureGrid(0, 1)
 
 
 class TestPointwise:
@@ -101,6 +107,25 @@ class TestPointwise:
         assert np.max(np.abs(s @ c @ s - c)) <= 1e-10
         assert np.max(np.abs(c)) <= 1 + 1e-12
         assert np.trace(c).real == pytest.approx(2.0, abs=1e-8)
+
+
+class TestBatchedStack:
+    @pytest.mark.parametrize("walk", ["grover-2d", "haar-3", "haar-6-3d"])
+    def test_matches_per_node_route(self, walk, rng):
+        # the 2-d Grover walk has flat bands and merged eigenspaces at many nodes
+        if walk == "grover-2d":
+            coin = np.full((4, 4), 0.5) - np.eye(4)
+            spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], coin)
+            ks = QuadratureGrid(8, 2).nodes
+        elif walk == "haar-3":
+            spec = WalkSpec(1, 3, [[1], [0], [-1]], random_unitary(rng, 3))
+            ks = QuadratureGrid(32, 1).nodes
+        else:
+            shifts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+            spec = WalkSpec(3, 6, shifts, random_unitary(rng, 6))
+            ks = QuadratureGrid(4, 3).nodes
+        want = np.stack([characteristic_at_k(spec, k).matrix for k in ks])
+        assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
 
 
 class TestIntegratedLocal:

@@ -1,12 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coinwalk
 from coinwalk import U2Params, format_walk_config, line_walk
 from coinwalk.cli import main
 
 PI = np.pi
+LOCAL = "local v=0 chi=(1,0)"
+
+
+def run_process(*argv):
+    """Run ``python *argv`` in a fresh interpreter that imports this coinwalk."""
+    src = str(Path(coinwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def run(capsys, *argv):
@@ -200,3 +214,35 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--theta", "pi/4", "--grid-n", "0", "--state", LOCAL],
+            ["simulate", "--state", LOCAL, "--t-max", "4", "--stride", "0"],
+            ["simulate", "--state", LOCAL, "--t-max", "-1"],
+            ["verify", "--t-max", "5", "--burn-in", "10"],
+            ["rho", "--walk-file", "{tmp}/missing.cfg", "--state", LOCAL],
+            ["rho", "--walk-file", "{tmp}/latin1.cfg", "--state", LOCAL],
+            ["rho", "--theta", "pi/4", "--state", LOCAL, "--output", "{tmp}/missing/rho.json"],
+            ["fig", "cpe-3d", "--alpha-points", "1"],
+        ],
+        ids=[
+            "grid-n-zero", "stride-zero", "negative-t-max", "burn-in-past-t-max",
+            "missing-walk-file", "non-utf8-walk-file", "unwritable-output", "one-alpha-point",
+        ],
+    )
+    def test_exit_code_without_traceback(self, argv, tmp_path):
+        (tmp_path / "latin1.cfg").write_bytes(b"dim 1 # \xe9\n")
+        proc = run_process("-m", "coinwalk.cli", *(a.format(tmp=tmp_path) for a in argv))
+        assert proc.returncode in (2, 3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error" in proc.stderr
+
+
+def test_import_does_not_load_scipy():
+    proc = run_process("-c", "import sys, coinwalk.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

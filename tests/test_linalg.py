@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     DensityMatrix,
+    NumericalFailure,
     NonUnitaryInput,
     NotSquareDimension,
     eig_unitary,
+    eig_unitary_batch,
     is_hermitian,
     is_psd,
     is_unitary,
@@ -97,6 +99,42 @@ class TestEigUnitary:
         assert all(-np.pi < w <= np.pi for w in es.phases)
 
 
+class TestEigUnitaryBatch:
+    def test_mixed_stack_matches_per_node_solves(self, rng):
+        delta = 1e-11
+        spectra = [
+            [0.3, -1.2, 2.0, 2.9],  # non-degenerate
+            [0.4, 0.4, -1.1, 1.7],  # one rank-2 eigenspace
+            [np.pi - delta, -np.pi + delta, 0.5, -0.8],  # a pair across the wrap
+            [np.pi, np.pi, -np.pi + delta, 1.0],  # a rank-3 eigenspace at the wrap
+        ]
+        bases = [random_unitary(rng, 4) for _ in spectra]
+        stack = np.stack(
+            [v @ np.diag(np.exp(1j * np.array(w))) @ v.conj().T for v, w in zip(bases, spectra)]
+        )
+        phases, vectors, labels = eig_unitary_batch(stack)
+        sizes = []
+        for m, (v, w) in enumerate(zip(bases, spectra)):
+            single = eig_unitary(stack[m])
+            assert np.array_equal(phases[m], single.phases)
+            groups = [tuple(np.flatnonzero(labels[m] == g)) for g in np.unique(labels[m])]
+            assert sorted(groups) == sorted(single.groups)
+            sizes.append(sorted(len(g) for g in groups))
+            for g in groups:
+                got = vectors[m][:, g] @ vectors[m][:, g].conj().T
+                # eigenspace projector built from the eigenvalues put in
+                members = np.abs(np.exp(1j * np.array(w)) - np.exp(1j * phases[m, g[0]])) < 1e-6
+                want = v[:, members] @ v[:, members].conj().T
+                assert np.max(np.abs(got - want)) <= 1e-10
+                assert np.max(np.abs(single.projector(g) - want)) <= 1e-10
+        assert sizes == [[1, 1, 1, 1], [1, 1, 2], [1, 1, 2], [1, 3]]
+
+    def test_rejects_non_unitary_node(self, rng):
+        stack = np.stack([random_unitary(rng, 3), np.diag([1.0, 1.0, 2.0])])
+        with pytest.raises(NonUnitaryInput):
+            eig_unitary_batch(stack)
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -179,15 +217,15 @@ class TestEntropy:
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailure):
             DensityMatrix([[0.5, 0.5], [0.0, 0.5]])
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailure):
             DensityMatrix(np.eye(2))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailure):
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_eigenvalues_descending(self):

@@ -4,6 +4,7 @@ import pytest
 from coinwalk import (
     DistributedState,
     GeneralState,
+    InvalidArgument,
     LocalState,
     U2Params,
     WalkSpec,
@@ -125,5 +126,5 @@ class TestCesaroAverage:
         assert np.max(np.abs(got - target)) <= 0.02
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 100, 100)

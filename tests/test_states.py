@@ -9,6 +9,7 @@ from coinwalk import (
     DistributedState,
     GeneralState,
     LocalState,
+    NormalizationError,
     QuadratureGrid,
     bloch_coin,
     coin_dim,
@@ -36,11 +37,11 @@ class TestConstruction:
         assert coin_dim(s) == 2 and lattice_dim(s) == 1
 
     def test_local_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NormalizationError):
             LocalState(position=0, chi=[1, 1])
 
     def test_distributed_rejects_unnormalized_amplitudes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NormalizationError):
             DistributedState(amplitudes={(0,): 1.0, (1,): 1.0}, chi=[1, 0])
 
     def test_general_rejects_mixed_coin_dims(self):
@@ -48,7 +49,7 @@ class TestConstruction:
             GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 0, 0]})
 
     def test_general_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NormalizationError):
             GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 1]})
 
     def test_bloch_coin(self):

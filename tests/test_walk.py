@@ -58,6 +58,13 @@ def test_walkspec_rejects_non_unitary_coin():
         WalkSpec(lattice_dim=1, coin_dim=2, shifts=[[1], [-1]], coin=[[1, 0], [0, 2]])
 
 
+def test_walkspec_rejects_wrong_shapes():
+    with pytest.raises(DimensionMismatch):
+        WalkSpec(lattice_dim=1, coin_dim=2, shifts=[[1], [-1]], coin=np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        WalkSpec(lattice_dim=2, coin_dim=2, shifts=[[1], [-1]], coin=np.eye(2))
+
+
 def test_build_uk_at_zero_is_the_coin():
     spec = line_walk(U2Params(0.3, 0.1, -0.7))
     assert np.allclose(build_uk(spec, 0.0), spec.coin)
