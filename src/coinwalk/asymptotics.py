@@ -22,9 +22,9 @@ from .characteristic import (
     c_local_u2,
     characteristic_stack,
 )
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import NumericalFailure
 from .linalg import Array, DensityMatrix, von_neumann_entropy
-from .states import BlochCoin, InitialState, coin_dim, lattice_dim, psi_k_many
+from .states import BlochCoin, InitialState, psi_k_many, require_state_fits
 from .walk import U2Params, WalkSpec
 
 
@@ -59,10 +59,7 @@ def rho_asymptotic(
     are bit-stable across runs.
     """
     _require_nondegenerate_coin(spec)
-    if coin_dim(state) != spec.coin_dim:
-        raise DimensionMismatch("state coin dimension does not match the walk")
-    if lattice_dim(state) != spec.lattice_dim:
-        raise DimensionMismatch("state lattice dimension does not match the walk")
+    require_state_fits(spec, state)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
     nodes = grid.nodes
 

@@ -5,19 +5,21 @@ step, reduce to the coin, and average over time. The instantaneous coin
 state oscillates forever; its running (Cesaro) average is what converges to
 the asymptotic quadrature result.
 
-One-dimensional walks run on a dense array sized to the light cone; other
-dimensions use the sparse map representation directly.
+Every lattice dimension runs on one dense stepper over the box the walker
+can have reached (:func:`rho_series`). The per-site map stepper
+(:func:`step`, :func:`rho_c_at_t`) is kept as its independent reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
 from .linalg import Array, DensityMatrix
-from .states import InitialState, site_table
+from .states import InitialState, require_state_fits, site_table
 from .walk import WalkSpec
 
 
@@ -66,40 +68,70 @@ def rho_c_at_t(s: LatticeState) -> DensityMatrix:
     return DensityMatrix((rho + rho.conj().T) / 2)
 
 
-def _dense_rho_series_1d(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
-    # dense evolution on an array sized to the light cone; returns the
-    # (t_max+1, n, n) stack of instantaneous coin states
-    positions, coeffs = site_table(state)
-    pos = positions[:, 0]
-    reach = int(np.max(np.abs(spec.shifts))) * t_max
-    lo = int(pos.min()) - reach
-    hi = int(pos.max()) + reach
-    size = hi - lo + 1
-    amp = np.zeros((size, spec.coin_dim), dtype=np.complex128)
-    amp[pos - lo] = coeffs
-    shifts = [int(x) for x in spec.shifts[:, 0]]
+def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
+    """Instantaneous reduced coin states rho_c(t) for t = 0..t_max, stacked.
 
-    rhos = np.empty((t_max + 1, spec.coin_dim, spec.coin_dim), dtype=np.complex128)
-    rhos[0] = amp.T @ amp.conj()
+    One dense stepper serves every lattice dimension. The walker at step t
+    is a contiguous coin-major array ``(n, *box_t)`` over the box it can have
+    reached: the bounding box of the initial support, widened on each axis
+    by ``reach = max_j s_j - min_j s_j`` per step. A step applies the coin to
+    that box with one matrix product, then writes coin component j into the
+    step-t box at offset ``s_j - min_j s_j`` by slice assignment; nothing
+    wraps. ``rho_c(t) = W W^dag`` is taken over the reached box only.
+
+    Memory is allocated once, up front: two buffers of
+    ``n * prod_axis(span + reach * t_max)`` complex amplitudes, that is
+    ``2 n prod_axis(span + reach t_max) 16`` bytes. One holds the walker, the
+    other the coin-mixed amplitudes and then their conjugate. Far-apart
+    supports therefore cost their whole bounding box; a box too large to
+    allocate raises :class:`InvalidArgument`.
+
+    :func:`step` and :func:`rho_c_at_t` stay as the independent per-site
+    reference that the tests compare this stepper against.
+    """
+    require_state_fits(spec, state)
+    if t_max < 0:
+        raise InvalidArgument(f"need t_max >= 0, got {t_max}")
+    n = spec.coin_dim
+    positions, coeffs = site_table(state)
+    low = spec.shifts.min(axis=0)
+    reach = [int(r) for r in spec.shifts.max(axis=0) - low]
+    origin = positions.min(axis=0)
+    shape = tuple(int(s) for s in positions.max(axis=0) - origin + 1)
+    size = n * math.prod(s + r * t_max for s, r in zip(shape, reach))
+    try:
+        walker, scratch = np.zeros((2, size), dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgument(
+            f"the light cone of {size} amplitudes up to t_max={t_max} does not fit in memory"
+        ) from exc
+    offsets = [[int(o) for o in row] for row in spec.shifts - low]
+
+    psi = walker[: n * math.prod(shape)].reshape(n, *shape)
+    psi[(slice(None), *(positions - origin).T)] = coeffs.T
+    rhos = np.empty((t_max + 1, n, n), dtype=np.complex128)
+    _coin_state(psi, scratch, rhos[0])
     for t in range(1, t_max + 1):
-        amp = amp @ spec.coin.T
-        for j, sj in enumerate(shifts):
-            if sj:
-                amp[:, j] = np.roll(amp[:, j], sj)
-        rhos[t] = amp.T @ amp.conj()
+        flat = psi.reshape(n, -1)
+        mixed = scratch[: flat.size].reshape(flat.shape)
+        np.matmul(spec.coin, flat, out=mixed)
+        mixed = mixed.reshape(n, *shape)
+        new_shape = tuple(s + r for s, r in zip(shape, reach))
+        psi = walker[: n * math.prod(new_shape)].reshape(n, *new_shape)
+        psi[...] = 0
+        for j, off in enumerate(offsets):
+            psi[(j, *(slice(o, o + s) for o, s in zip(off, shape)))] = mixed[j]
+        shape = new_shape
+        _coin_state(psi, scratch, rhos[t])
     return rhos
 
 
-def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
-    """Instantaneous reduced coin states rho_c(t) for t = 0..t_max, stacked."""
-    if spec.lattice_dim == 1:
-        return _dense_rho_series_1d(spec, state, t_max)
-    s = initial_lattice_state(state)
-    out = [rho_c_at_t(s).matrix]
-    for _ in range(t_max):
-        s = step(spec, s)
-        out.append(rho_c_at_t(s).matrix)
-    return np.stack(out)
+def _coin_state(psi: Array, scratch: Array, out: Array) -> None:
+    # out = W W^dag for the (n, *box) walker W, conjugating into scratch
+    flat = psi.reshape(psi.shape[0], -1)
+    conj = scratch[: flat.size].reshape(flat.shape)
+    np.conjugate(flat, out=conj)
+    np.matmul(flat, conj.T, out=out)
 
 
 def cesaro_rho(

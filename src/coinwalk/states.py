@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormalizationError
 from .linalg import Array
-from .walk import as_kpoint
+from .walk import WalkSpec, as_kpoint
 
 
 def _as_position(pos) -> tuple[int, ...]:
@@ -112,6 +112,14 @@ def lattice_dim(state: InitialState) -> int:
     if isinstance(state, LocalState):
         return len(state.position)
     return len(next(iter(state.amplitudes.keys())))
+
+
+def require_state_fits(spec: WalkSpec, state: InitialState) -> None:
+    """Raise :class:`DimensionMismatch` unless the state lives on the walk's spaces."""
+    if coin_dim(state) != spec.coin_dim:
+        raise DimensionMismatch("state coin dimension does not match the walk")
+    if lattice_dim(state) != spec.lattice_dim:
+        raise DimensionMismatch("state lattice dimension does not match the walk")
 
 
 def site_table(state: InitialState) -> tuple[Array, Array]:

@@ -195,6 +195,13 @@ class TestSimulate:
         rows = out.splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["0", "5", "10"]
 
+    @pytest.mark.parametrize("state", ["local v=0 chi=(1,0,0)", "local v=0,0 chi=(1,0)"])
+    def test_state_that_does_not_fit_the_walk_exits_4(self, capsys, state):
+        code, out, err = run(capsys, "simulate", "--theta", "0.3", "--state", state, "--t-max", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_passes_with_small_budget(self, capsys):
@@ -228,10 +235,13 @@ class TestBadInput:
             ["rho", "--walk-file", "{tmp}/latin1.cfg", "--state", LOCAL],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--output", "{tmp}/missing/rho.json"],
             ["fig", "cpe-3d", "--alpha-points", "1"],
+            ["simulate", "--theta", "0.3", "--state", "local v=0 chi=(1,0,0)", "--t-max", "3"],
+            ["simulate", "--theta", "0.3", "--state", "local v=0,0 chi=(1,0)", "--t-max", "2"],
         ],
         ids=[
             "grid-n-zero", "stride-zero", "negative-t-max", "burn-in-past-t-max",
             "missing-walk-file", "non-utf8-walk-file", "unwritable-output", "one-alpha-point",
+            "simulate-coin-dim-mismatch", "simulate-lattice-dim-mismatch",
         ],
     )
     def test_exit_code_without_traceback(self, argv, tmp_path):

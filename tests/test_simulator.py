@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from conftest import random_unitary
+
 from coinwalk import (
+    DimensionMismatch,
     DistributedState,
     GeneralState,
     InvalidArgument,
     LocalState,
+    QuadratureGrid,
     U2Params,
     WalkSpec,
     cesaro_rho,
     initial_lattice_state,
     line_walk,
+    rho_asymptotic,
     rho_c_at_t,
     rho_local_closed,
     rho_series,
@@ -20,10 +25,52 @@ from coinwalk import (
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
 HADAMARD_PARAMS = U2Params(PI / 4, PI / 2, PI / 2)
+E2 = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 
 
 def local_zero() -> LocalState:
     return LocalState(position=0, chi=[1, 0])
+
+
+def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def sparse_series(spec: WalkSpec, state, t_max: int) -> list[np.ndarray]:
+    """rho_c(t) for t = 0..t_max from the per-site reference stepper."""
+    s = initial_lattice_state(state)
+    out = [rho_c_at_t(s).matrix]
+    for _ in range(t_max):
+        s = step(spec, s)
+        out.append(rho_c_at_t(s).matrix)
+    return out
+
+
+def walk_case(name: str, rng: np.random.Generator):
+    """A walk and an initial state that exercise one corner of the dense stepper."""
+    if name == "2d-e2-haar-two-sites":
+        spec = WalkSpec(2, 4, E2, random_unitary(rng, 4))
+        chi_a, chi_b = unit_vector(rng, 4), unit_vector(rng, 4)
+        return spec, GeneralState(amplitudes={(0, 0): 0.6 * chi_a, (3, -2): 0.8 * chi_b})
+    if name == "3d-tetra":
+        tetra = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        return WalkSpec(3, 4, tetra, random_unitary(rng, 4)), LocalState((0, 0, 0), unit_vector(rng, 4))
+    if name == "2d-hex":
+        hexa = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]
+        return WalkSpec(2, 6, hexa, random_unitary(rng, 6)), LocalState((0, 0), unit_vector(rng, 6))
+    if name == "2d-tri":
+        tri = [[1, 0], [0, 1], [-1, -1]]
+        return WalkSpec(2, 3, tri, random_unitary(rng, 3)), LocalState((1, -1), unit_vector(rng, 3))
+    if name == "1d-lazy":
+        lazy = [[1], [0], [-1]]
+        return WalkSpec(1, 3, lazy, random_unitary(rng, 3)), LocalState(0, unit_vector(rng, 3))
+    # asymmetric long shifts: the box grows by 3 a step, and far-apart sites
+    spec = WalkSpec(1, 2, [[2], [-1]], random_unitary(rng, 2))
+    return spec, DistributedState(amplitudes={(-40,): 0.6, (37,): 0.8j}, chi=unit_vector(rng, 2))
+
+
+WALK_CASES = ["2d-e2-haar-two-sites", "3d-tetra", "2d-hex", "2d-tri", "1d-lazy", "1d-long-shift"]
 
 
 class TestStep:
@@ -94,6 +141,52 @@ class TestDenseSeries:
         traces = np.einsum("tii->t", stack).real
         assert np.max(np.abs(traces - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_matches_sparse_stepper_at_every_step(self, case, rng):
+        spec, state = walk_case(case, rng)
+        stack = rho_series(spec, state, 20)
+        assert stack.shape == (21, spec.coin_dim, spec.coin_dim)
+        for t, reference in enumerate(sparse_series(spec, state, 20)):
+            assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
+
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_zero_horizon_is_the_initial_coin_state(self, case, rng):
+        spec, state = walk_case(case, rng)
+        stack = rho_series(spec, state, 0)
+        assert stack.shape == (1, spec.coin_dim, spec.coin_dim)
+        assert np.max(np.abs(stack[0] - sparse_series(spec, state, 0)[0])) <= 1e-12
+
+    def test_traces_stay_one_in_two_dimensions(self, rng):
+        spec, state = walk_case("2d-e2-haar-two-sites", rng)
+        stack = rho_series(spec, state, 200)
+        traces = np.einsum("tii->t", stack).real
+        assert np.max(np.abs(traces - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("t_max", [-1, 10**7], ids=["negative", "box-too-large"])
+    def test_rejects_horizon(self, t_max):
+        # at 10**7 steps the 3-d box holds ~6e22 amplitudes: numpy refuses
+        # the size before it allocates anything
+        spec = WalkSpec(3, 2, [[1, 1, 1], [-1, -1, -1]], np.eye(2))
+        with pytest.raises(InvalidArgument):
+            rho_series(spec, LocalState((0, 0, 0), [1, 0]), t_max)
+
+
+class TestStateMustFitTheWalk:
+    @pytest.mark.parametrize(
+        "state",
+        [LocalState(position=(0, 0), chi=[1, 0]), LocalState(position=0, chi=[1, 0, 0])],
+        ids=["lattice-dim", "coin-dim"],
+    )
+    @pytest.mark.parametrize("run", [rho_series, cesaro_rho])
+    def test_line_walk_rejects(self, run, state):
+        with pytest.raises(DimensionMismatch):
+            run(line_walk(HADAMARD_PARAMS), state, 10)
+
+    def test_planar_walk_rejects_a_line_state(self, rng):
+        spec = WalkSpec(2, 4, E2, random_unitary(rng, 4))
+        with pytest.raises(DimensionMismatch):
+            cesaro_rho(spec, LocalState(position=0, chi=[1, 0, 0, 0]), 10)
+
 
 class TestCesaroAverage:
     def test_converges_to_closed_form(self):
@@ -124,6 +217,16 @@ class TestCesaroAverage:
         target = rho_asymptotic(spec, state, QuadratureGrid(4096, 1)).rho.matrix
         got = cesaro_rho(spec, state, 1500).matrix
         assert np.max(np.abs(got - target)) <= 0.02
+
+    def test_planar_haar_walk_matches_quadrature(self, rng):
+        # ROADMAP item 5 gate: a 2-d walk checked against the oracle at a
+        # horizon where 2/t is a tight budget
+        spec = WalkSpec(2, 4, E2, random_unitary(rng, 4))
+        state = LocalState(position=(0, 0), chi=unit_vector(rng, 4))
+        t_max = 150
+        quadrature = rho_asymptotic(spec, state, QuadratureGrid(64, 2)).rho.matrix
+        averaged = cesaro_rho(spec, state, t_max).matrix
+        assert np.max(np.abs(quadrature - averaged)) <= 2 / t_max
 
     def test_rejects_bad_window(self):
         with pytest.raises(InvalidArgument):
