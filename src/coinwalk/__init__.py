@@ -19,12 +19,10 @@ from .asymptotics import (
     rho_local_closed,
 )
 from .characteristic import (
-    CharacteristicMatrix,
     QuadratureGrid,
     c_local,
     c_local_u2,
     c_of_k_u2,
-    c_separable,
     characteristic_at_k,
     is_pauli_type,
     swap_matrix,
@@ -58,7 +56,6 @@ from .linalg import (
     is_hermitian,
     is_psd,
     is_unitary,
-    kron,
     partial_trace,
     von_neumann_entropy,
 )
@@ -72,8 +69,6 @@ from .states import (
     bloch_coin,
     coin_dim,
     lattice_dim,
-    projector_k,
-    psi_k,
     psi_k_many,
     site_table,
 )

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristic import (
-    CharacteristicMatrix,
     QuadratureGrid,
+    _grid_too_large,
     _require_nondegenerate_coin,
     c_local_u2,
     characteristic_stack,
@@ -56,15 +56,18 @@ def rho_asymptotic(
     At every node ``C(k)`` from :func:`characteristic_stack` is contracted
     with ``P0(k) = |psi_k><psi_k|`` to ``sum_w P_w P0 P_w``; the nodes are
     then averaged. The quadrature sum runs in a fixed node order, so results
-    are bit-stable across runs.
+    are bit-stable across runs. A grid whose nodes or ``C(k)`` stack numpy
+    cannot allocate raises :class:`InvalidArgument`.
     """
     _require_nondegenerate_coin(spec)
     require_state_fits(spec, state)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    nodes = grid.nodes
-
-    cstack = characteristic_stack(spec, nodes)
-    psi = psi_k_many(state, nodes)
+    try:
+        nodes = grid.nodes
+        cstack = characteristic_stack(spec, nodes)
+        psi = psi_k_many(state, nodes)
+    except MemoryError as exc:
+        raise _grid_too_large(grid) from exc
     p0 = psi[:, :, None] * psi.conj()[:, None, :]
     raw = _dephase(cstack, p0).mean(axis=0)
     asym = float(np.max(np.abs(raw - raw.conj().T)))
@@ -79,11 +82,11 @@ def _dephase(c: Array, p0: Array) -> Array:
     return np.einsum("macbd,mbc->mad", c.reshape(-1, n, n, n, n), p0)
 
 
-def rho_from_characteristic(chi: Array, c: CharacteristicMatrix, method: str) -> AsymptoticResult:
-    """Contract a constant characteristic matrix with the coin projector of ``chi``."""
+def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResult:
+    """Contract a constant (n^2, n^2) characteristic matrix with the coin projector of ``chi``."""
     chi = np.asarray(chi, dtype=np.complex128).reshape(-1)
     p0 = np.outer(chi, chi.conj())
-    return _result(_dephase(c.matrix, p0[None])[0], method)
+    return _result(_dephase(c, p0[None])[0], method)
 
 
 def rho_local_closed(p: U2Params, chi) -> AsymptoticResult:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateCoin, DegenerateDispersion, InvalidArgument, NormalizationError
+from .errors import DegenerateCoin, DegenerateDispersion, InvalidArgument
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
 from .walk import U2Params, WalkSpec, build_uk, dispersion_gamma
 
@@ -67,15 +66,6 @@ class QuadratureGrid:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@dataclass(frozen=True)
-class CharacteristicMatrix:
-    """An n^2 x n^2 characteristic matrix and how it was obtained."""
-
-    coin_dim: int
-    matrix: Array
-    kind: str  # "pointwise" | "integrated_local" | "integrated_separable"
-
-
 def swap_matrix(n: int) -> Array:
     """Permutation exchanging the two tensor factors of C^n (x) C^n."""
     s = np.zeros((n * n, n * n))
@@ -116,17 +106,21 @@ def _require_nondegenerate_coin(spec: WalkSpec) -> None:
         )
 
 
-def characteristic_at_k(
-    spec: WalkSpec, k, degeneracy_tol: float = DEGENERACY_TOL
-) -> CharacteristicMatrix:
-    """Pointwise ``C(k) = sum_w P_w (x) P_w`` from the spectrum of U_k."""
+def _grid_too_large(grid: QuadratureGrid) -> InvalidArgument:
+    return InvalidArgument(
+        f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
+    )
+
+
+def characteristic_at_k(spec: WalkSpec, k, degeneracy_tol: float = DEGENERACY_TOL) -> Array:
+    """Pointwise ``C(k) = sum_w P_w (x) P_w`` (n^2, n^2) from the spectrum of U_k."""
     es = eig_unitary(build_uk(spec, k), degeneracy_tol)
     n = spec.coin_dim
     c = np.zeros((n * n, n * n), dtype=np.complex128)
     for g in es.groups:
         p = es.projector(g)
         c += np.kron(p, p)
-    return CharacteristicMatrix(coin_dim=n, matrix=c, kind="pointwise")
+    return c
 
 
 def characteristic_stack(spec: WalkSpec, ks: Array, degeneracy_tol: float = DEGENERACY_TOL) -> Array:
@@ -163,7 +157,21 @@ def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
     return c
 
 
-def _c_of_k_u2_entries(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
+def c_of_k_u2(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
+    """Closed-form C(k) for the line walk with a general 2x2 coin.
+
+    Valid wherever the dispersion is nondegenerate (theta strictly inside
+    (0, pi/2), or k != alpha mod pi). Agrees with the numeric
+    :func:`characteristic_at_k` route to ~1e-12; the agreement without any
+    eigenvector phase fixing is itself a regression check, since the closed
+    form is built from gauge-invariant projectors. ``f_sign = -1`` flips the
+    sign of the off-diagonal entry F, a negative control for that check.
+
+    Raises
+    ------
+    DegenerateDispersion
+        When ``sin^2(gamma) < 1e-14`` at this (theta, alpha, k).
+    """
     gamma = dispersion_gamma(p, k)
     sin2 = np.sin(gamma) ** 2
     if sin2 < DEGENERATE_SIN2:
@@ -193,71 +201,25 @@ def _c_of_k_u2_entries(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
     )
 
 
-def c_of_k_u2(p: U2Params, k: float) -> CharacteristicMatrix:
-    """Closed-form C(k) for the line walk with a general 2x2 coin.
-
-    Valid wherever the dispersion is nondegenerate (theta strictly inside
-    (0, pi/2), or k != alpha mod pi). Agrees with the numeric
-    :func:`characteristic_at_k` route to ~1e-12; the agreement without any
-    eigenvector phase fixing is itself a regression check, since the closed
-    form is built from gauge-invariant projectors.
-
-    Raises
-    ------
-    DegenerateDispersion
-        When ``sin^2(gamma) < 1e-14`` at this (theta, alpha, k).
-    """
-    return CharacteristicMatrix(coin_dim=2, matrix=_c_of_k_u2_entries(p, k), kind="pointwise")
-
-
 def c_local(
     spec: WalkSpec, grid: QuadratureGrid | None = None, degeneracy_tol: float = DEGENERACY_TOL
-) -> CharacteristicMatrix:
-    """Uniform k-integral of C(k): the constant matrix for local states."""
-    _require_nondegenerate_coin(spec)
-    grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    stack = characteristic_stack(spec, grid.nodes, degeneracy_tol)
-    return CharacteristicMatrix(
-        coin_dim=spec.coin_dim, matrix=stack.mean(axis=0), kind="integrated_local"
-    )
-
-
-def c_separable(
-    spec: WalkSpec,
-    q2: Callable[[float | Array], float],
-    grid: QuadratureGrid | None = None,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> CharacteristicMatrix:
-    """|Q(k)|^2-weighted k-integral of C(k) for separable distributed states.
-
-    ``q2`` maps a k-point (scalar for 1-d walks, vector otherwise) to the
-    nonnegative weight |Q(k)|^2; its grid average must equal 1.
+) -> Array:
+    """Uniform k-integral of C(k): the constant (n^2, n^2) matrix for local states.
 
     Raises
     ------
-    NormalizationError
-        If the weight integral deviates from 1 by more than 1e-6.
+    InvalidArgument
+        If the grid nodes or the C(k) stack do not fit in memory.
     """
     _require_nondegenerate_coin(spec)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    nodes = grid.nodes
-    if spec.lattice_dim == 1:
-        weights = np.array([float(q2(float(k[0]))) for k in nodes])
-    else:
-        weights = np.array([float(q2(k)) for k in nodes])
-    if np.min(weights) < -1e-12:
-        raise NormalizationError("|Q(k)|^2 weight function takes negative values")
-    total = weights.mean()
-    if abs(total - 1.0) > 1e-6:
-        raise NormalizationError(
-            f"weight integral is {total!r}, deviates from 1 by more than 1e-6"
-        )
-    stack = characteristic_stack(spec, nodes, degeneracy_tol)
-    matrix = (weights[:, None, None] * stack).mean(axis=0)
-    return CharacteristicMatrix(coin_dim=spec.coin_dim, matrix=matrix, kind="integrated_separable")
+    try:
+        return characteristic_stack(spec, grid.nodes, degeneracy_tol).mean(axis=0)
+    except MemoryError as exc:
+        raise _grid_too_large(grid) from exc
 
 
-def c_local_u2(p: U2Params) -> CharacteristicMatrix:
+def c_local_u2(p: U2Params) -> Array:
     """Closed-form k-integrated characteristic matrix of the U(2) line walk.
 
     Total formula; the quoted derivation regime is theta in (0, pi/2).
@@ -267,7 +229,7 @@ def c_local_u2(p: U2Params) -> CharacteristicMatrix:
     f = s * np.cos(p.theta) / (s + 1) * np.exp(1j * (p.alpha - p.beta))
     g = s * (s - 1) / (s + 1) * np.exp(2j * (p.alpha - p.beta))
     fc, gc = np.conj(f), np.conj(g)
-    matrix = 0.5 * np.array(
+    return 0.5 * np.array(
         [
             [2 - s, fc, fc, gc],
             [f, s, s, -fc],
@@ -276,4 +238,3 @@ def c_local_u2(p: U2Params) -> CharacteristicMatrix:
         ],
         dtype=np.complex128,
     )
-    return CharacteristicMatrix(coin_dim=2, matrix=matrix, kind="integrated_local")

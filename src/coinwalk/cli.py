@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 
@@ -31,8 +30,6 @@ from .errors import (
     FormatError,
     InvalidArgument,
 )
-
-_THREAD_ENV = "COINWALK_THREADS"
 
 
 def _fmt(x: float) -> str:
@@ -194,13 +191,7 @@ def cmd_verify(args) -> int:
     import numpy as np
 
     from .asymptotics import rho_local_closed
-    from .characteristic import (
-        QuadratureGrid,
-        _c_of_k_u2_entries,
-        c_local,
-        c_local_u2,
-        characteristic_at_k,
-    )
+    from .characteristic import QuadratureGrid, c_local, c_local_u2, c_of_k_u2, characteristic_at_k
     from .simulate import cesaro_rho
     from .states import LocalState
     from .walk import U2Params, line_walk
@@ -217,14 +208,12 @@ def cmd_verify(args) -> int:
             beta=rng.uniform(-np.pi, np.pi),
         )
         k = rng.uniform(-np.pi, np.pi)
-        closed = _c_of_k_u2_entries(p, k, f_sign=f_sign)
-        numeric = characteristic_at_k(line_walk(p), k).matrix
+        closed = c_of_k_u2(p, k, f_sign=f_sign)
+        numeric = characteristic_at_k(line_walk(p), k)
         residual_ck = max(residual_ck, float(np.max(np.abs(closed - numeric))))
 
     grid = QuadratureGrid(points_per_axis=args.grid_n, dim=1)
-    residual_cl = float(
-        np.max(np.abs(c_local(line_walk(hadamard), grid).matrix - c_local_u2(hadamard).matrix))
-    )
+    residual_cl = float(np.max(np.abs(c_local(line_walk(hadamard), grid) - c_local_u2(hadamard))))
 
     state = LocalState(position=0, chi=[1.0, 0.0])
     reference = rho_local_closed(hadamard, state.chi).rho.matrix
@@ -326,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get(_THREAD_ENV)
-    if threads:
-        # cap BLAS pools before numpy is first imported by a subcommand
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     if args.command == "fig" and args.theta_points is None:
         args.theta_points = 399 if args.which == "cpe-entangled" else 99

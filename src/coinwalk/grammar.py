@@ -84,11 +84,14 @@ def parse_angle(text: str) -> float:
     return -value if m.group("sign") == "-" else value
 
 
-def _parse_int_vector(text: str) -> tuple[int, ...]:
+def _parse_int_vector(text: str, separators: str = r"[,\s]+") -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in re.split(r"[,\s]+", text.strip()) if p)
+        vector = tuple(int(p) for p in re.split(separators, text.strip()) if p)
     except ValueError as exc:
         raise FormatError(f"bad integer vector {text!r}") from exc
+    if not vector:
+        raise FormatError("empty integer vector")
+    return vector
 
 
 def parse_walk_config(text: str) -> WalkSpec:
@@ -100,10 +103,7 @@ def parse_walk_config(text: str) -> WalkSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            key, _, rest = line.partition(" ")
-        except ValueError:
-            raise FormatError(f"line {lineno}: expected 'key value'")
+        key, _, rest = line.partition(" ")
         if key == "dim":
             try:
                 dim = int(rest)
@@ -178,8 +178,7 @@ def _split_map_entries(body: str) -> list[tuple[tuple[int, ...], str]]:
         pos_s, sep, val_s = part.partition(":")
         if not sep:
             raise FormatError(f"bad map entry {part!r}")
-        pos = tuple(int(p) for p in re.split(r"[;\s]+", pos_s.strip()) if p)
-        entries.append((pos, val_s.strip()))
+        entries.append((_parse_int_vector(pos_s, r"[;\s]+"), val_s.strip()))
     return entries
 
 

@@ -164,11 +164,6 @@ def eig_unitary(u, degeneracy_tol: float = DEGENERACY_TOL) -> EigenSystem:
     return EigenSystem(phases=phases[0], vectors=vectors[0], groups=groups)
 
 
-def kron(a, b) -> Array:
-    """Tensor product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace(m, which: str = "first") -> Array:
     """Trace out one tensor factor of an (n^2 x n^2) matrix.
 

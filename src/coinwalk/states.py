@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormalizationError
 from .linalg import Array
-from .walk import WalkSpec, as_kpoint
+from .walk import WalkSpec
 
 
 def _as_position(pos) -> tuple[int, ...]:
@@ -139,26 +139,9 @@ def site_table(state: InitialState) -> tuple[Array, Array]:
     return positions, coeffs
 
 
-def psi_k(state: InitialState, k) -> Array:
-    """Momentum component ``sum_r exp(-1j k.r) c_r`` of the state."""
-    kv = as_kpoint(k, lattice_dim(state))
-    positions, coeffs = site_table(state)
-    return np.exp(-1j * (positions @ kv)) @ coeffs
-
-
 def psi_k_many(state: InitialState, ks: Array) -> Array:
-    """Vectorized :func:`psi_k` over a (M, d) array of k-points."""
+    """Momentum components ``sum_r exp(-1j k.r) c_r``, (M, n), at the rows of a (M, d) k-array."""
     positions, coeffs = site_table(state)
     if ks.shape[1] != positions.shape[1]:
         raise DimensionMismatch("k-grid dimension does not match the state")
     return np.exp(-1j * (ks @ positions.T)) @ coeffs
-
-
-def projector_k(state: InitialState, k) -> Array:
-    """Rank-<=1 projector ``|psi_k><psi_k|`` of the initial state at k.
-
-    Constant in k for :class:`LocalState`; proportional to ``|Q(k)|^2`` times
-    the coin projector for :class:`DistributedState`.
-    """
-    v = psi_k(state, k)
-    return np.outer(v, v.conj())

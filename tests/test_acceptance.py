@@ -79,7 +79,7 @@ def test_02_closed_form_pointwise_equivalence(capsys, rng):
     for _ in range(100):
         p = random_interior_params(rng)
         k = rng.uniform(-PI, PI)
-        diff = c_of_k_u2(p, k).matrix - characteristic_at_k(line_walk(p), k).matrix
+        diff = c_of_k_u2(p, k) - characteristic_at_k(line_walk(p), k)
         worst = max(worst, float(np.max(np.abs(diff))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 2.0
@@ -93,7 +93,7 @@ def test_03_local_constant_quadrature(capsys, rng):
     worst = 0.0
     for _ in range(20):
         p = random_interior_params(rng)
-        diff = c_local(line_walk(p), grid).matrix - c_local_u2(p).matrix
+        diff = c_local(line_walk(p), grid) - c_local_u2(p)
         worst = max(worst, float(np.max(np.abs(diff))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 30.0
@@ -155,7 +155,7 @@ def test_05_phase_difference_invariance(capsys, rng):
         shifted = U2Params(p.theta, p.alpha + delta, p.beta + delta)
         worst_closed = max(
             worst_closed,
-            float(np.max(np.abs(c_local_u2(p).matrix - c_local_u2(shifted).matrix))),
+            float(np.max(np.abs(c_local_u2(p) - c_local_u2(shifted)))),
             float(
                 np.max(
                     np.abs(
@@ -215,7 +215,7 @@ def test_07_structural_invariants(capsys, rng):
     for i in range(200):
         p = random_interior_params(rng)
         k = rng.uniform(-PI, PI)
-        c = characteristic_at_k(line_walk(p), k).matrix
+        c = characteristic_at_k(line_walk(p), k)
         worst_struct = max(
             worst_struct,
             float(np.max(np.abs(c - c.conj().T))),

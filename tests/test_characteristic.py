@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 from coinwalk import (
     DegenerateCoin,
     DegenerateDispersion,
+    DistributedState,
     InvalidArgument,
-    NormalizationError,
     QuadratureGrid,
     U2Params,
     WalkSpec,
     c_local,
     c_local_u2,
     c_of_k_u2,
-    c_separable,
     characteristic_at_k,
     line_walk,
+    rho_asymptotic,
+    rho_distributed_example_closed,
+    rho_from_characteristic,
     swap_matrix,
 )
 from coinwalk.characteristic import characteristic_stack
@@ -24,6 +26,7 @@ from conftest import random_interior_params, random_unitary
 from test_linalg import HADAMARD_C_AT_HALF_PI
 
 PI = np.pi
+INV2 = 1 / np.sqrt(2)
 HADAMARD_PARAMS = U2Params(PI / 4, PI / 2, PI / 2)
 
 interior_theta = st.floats(min_value=0.05, max_value=PI / 2 - 0.05)
@@ -54,11 +57,11 @@ class TestQuadratureGrid:
 class TestPointwise:
     def test_hadamard_at_half_pi_closed(self):
         c = c_of_k_u2(HADAMARD_PARAMS, PI / 2)
-        assert np.max(np.abs(c.matrix - HADAMARD_C_AT_HALF_PI)) <= 1e-14
+        assert np.max(np.abs(c - HADAMARD_C_AT_HALF_PI)) <= 1e-14
 
     def test_hadamard_at_half_pi_numeric(self):
         c = characteristic_at_k(line_walk(HADAMARD_PARAMS), PI / 2)
-        assert np.max(np.abs(c.matrix - HADAMARD_C_AT_HALF_PI)) <= 1e-12
+        assert np.max(np.abs(c - HADAMARD_C_AT_HALF_PI)) <= 1e-12
 
     def test_diagonal_coin(self):
         coin = np.diag([np.exp(0.3j), np.exp(-0.9j)])
@@ -67,14 +70,14 @@ class TestPointwise:
         expected[0, 0] = expected[3, 3] = 1.0
         for k in (0.123, -2.5):
             c = characteristic_at_k(spec, k)
-            assert np.max(np.abs(c.matrix - expected)) <= 1e-12
+            assert np.max(np.abs(c - expected)) <= 1e-12
 
     def test_partial_traces_are_identity(self, rng):
         from coinwalk import partial_trace
 
         for _ in range(10):
             p = random_interior_params(rng)
-            c = characteristic_at_k(line_walk(p), rng.uniform(-PI, PI)).matrix
+            c = characteristic_at_k(line_walk(p), rng.uniform(-PI, PI))
             assert np.max(np.abs(partial_trace(c, "first") - np.eye(2))) <= 1e-10
             assert np.max(np.abs(partial_trace(c, "second") - np.eye(2))) <= 1e-10
 
@@ -83,13 +86,13 @@ class TestPointwise:
         for _ in range(100):
             p = random_interior_params(rng)
             k = rng.uniform(-PI, PI)
-            diff = c_of_k_u2(p, k).matrix - characteristic_at_k(line_walk(p), k).matrix
+            diff = c_of_k_u2(p, k) - characteristic_at_k(line_walk(p), k)
             worst = max(worst, float(np.max(np.abs(diff))))
         assert worst <= 1e-10
 
     def test_closed_form_at_k_equals_alpha(self):
         p = U2Params(0.7, 0.4, -1.0)
-        c = c_of_k_u2(p, p.alpha).matrix
+        c = c_of_k_u2(p, p.alpha)
         ell = c[1, 1].real
         assert ell == pytest.approx(0.5)
         assert c[1, 0] == pytest.approx(0.0)  # F vanishes at k = alpha
@@ -101,7 +104,7 @@ class TestPointwise:
 
     @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
     def test_structural_invariants(self, theta, alpha, beta, k):
-        c = characteristic_at_k(line_walk(U2Params(theta, alpha, beta)), k).matrix
+        c = characteristic_at_k(line_walk(U2Params(theta, alpha, beta)), k)
         assert np.max(np.abs(c - c.conj().T)) <= 1e-10
         s = swap_matrix(2)
         assert np.max(np.abs(s @ c @ s - c)) <= 1e-10
@@ -124,14 +127,14 @@ class TestBatchedStack:
             shifts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
             spec = WalkSpec(3, 6, shifts, random_unitary(rng, 6))
             ks = QuadratureGrid(4, 3).nodes
-        want = np.stack([characteristic_at_k(spec, k).matrix for k in ks])
+        want = np.stack([characteristic_at_k(spec, k) for k in ks])
         assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
 
 
 class TestIntegratedLocal:
     def test_closed_form_frozen_values(self):
         # theta = pi/4, alpha = beta: f and g evaluated by direct substitution
-        c = c_local_u2(U2Params(PI / 4, 0.3, 0.3)).matrix
+        c = c_local_u2(U2Params(PI / 4, 0.3, 0.3))
         assert c[1, 0] == pytest.approx(0.29289321881345254 / 2)
         assert c[3, 0] == pytest.approx(-0.12132034355964258 / 2)
         assert np.allclose(
@@ -141,37 +144,37 @@ class TestIntegratedLocal:
 
     def test_quadrature_matches_closed_form(self):
         grid = QuadratureGrid(4096, 1)
-        diff = c_local(line_walk(HADAMARD_PARAMS), grid).matrix - c_local_u2(HADAMARD_PARAMS).matrix
+        diff = c_local(line_walk(HADAMARD_PARAMS), grid) - c_local_u2(HADAMARD_PARAMS)
         assert np.max(np.abs(diff)) <= 1e-8
 
     def test_first_diagonal_entry(self, rng):
         grid = QuadratureGrid(2048, 1)
         for _ in range(5):
             p = random_interior_params(rng)
-            c = c_local(line_walk(p), grid).matrix
+            c = c_local(line_walk(p), grid)
             assert c[0, 0].real == pytest.approx(1 - np.sin(p.theta) / 2, abs=1e-8)
 
     def test_trace_is_coin_dim(self, rng):
         grid = QuadratureGrid(1024, 1)
         p = random_interior_params(rng)
-        c = c_local(line_walk(p), grid).matrix
+        c = c_local(line_walk(p), grid)
         assert np.trace(c).real == pytest.approx(2.0, abs=1e-8)
 
     def test_depends_on_phase_difference_only(self, rng):
         p = random_interior_params(rng)
         delta = 0.83
         shifted = U2Params(p.theta, p.alpha + delta, p.beta + delta)
-        closed = c_local_u2(p).matrix - c_local_u2(shifted).matrix
+        closed = c_local_u2(p) - c_local_u2(shifted)
         assert np.max(np.abs(closed)) <= 1e-12
         grid = QuadratureGrid(2048, 1)
-        numeric = c_local(line_walk(p), grid).matrix - c_local(line_walk(shifted), grid).matrix
+        numeric = c_local(line_walk(p), grid) - c_local(line_walk(shifted), grid)
         assert np.max(np.abs(numeric)) <= 1e-8
 
     def test_quadrature_converges(self):
         p = U2Params(0.3, 0.5, -0.2)
-        target = c_local_u2(p).matrix
+        target = c_local_u2(p)
         residuals = [
-            float(np.max(np.abs(c_local(line_walk(p), QuadratureGrid(n, 1)).matrix - target)))
+            float(np.max(np.abs(c_local(line_walk(p), QuadratureGrid(n, 1)) - target)))
             for n in (4, 8, 16, 32, 64)
         ]
         for coarse, fine in zip(residuals, residuals[1:]):
@@ -184,42 +187,34 @@ class TestIntegratedLocal:
 
 
 class TestIntegratedSeparable:
+    """The |Q(k)|^2-weighted integral that rho_asymptotic takes for distributed states."""
+
     def test_uniform_weight_reduces_to_local(self):
+        # one site: |Q(k)|^2 = 1, so the state sees the local constant c_local
         grid = QuadratureGrid(512, 1)
         spec = line_walk(HADAMARD_PARAMS)
-        a = c_separable(spec, lambda k: 1.0, grid).matrix
-        b = c_local(spec, grid).matrix
-        assert np.max(np.abs(a - b)) == 0.0
+        chi = [0.6, 0.8j]
+        got = rho_asymptotic(spec, DistributedState({3: 1.0}, chi), grid).rho.matrix
+        want = rho_from_characteristic(chi, c_local(spec, grid), "numeric_quadrature").rho.matrix
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_cosine_weight_reproduces_reference_state(self):
-        from coinwalk import rho_distributed_example_closed, rho_from_characteristic
-
         grid = QuadratureGrid(4096, 1)
-        cs = c_separable(line_walk(HADAMARD_PARAMS), lambda k: 2 * np.cos(k) ** 2, grid)
-        got = rho_from_characteristic([1, 0], cs, "numeric_quadrature").rho.matrix
+        state = DistributedState({-1: INV2, 1: INV2}, [1, 0])
+        got = rho_asymptotic(line_walk(HADAMARD_PARAMS), state, grid).rho.matrix
         want = rho_distributed_example_closed(HADAMARD_PARAMS).rho.matrix
         assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_sine_weight_against_direct_integration(self):
-        # independent oracle: Riemann sum of q2(k) * closed-form C(k)
+        # independent oracle: Riemann sum of |Q(k)|^2 = 2 sin^2 k times the
+        # closed-form C(k), dephasing the coin projector of chi
         p = U2Params(0.8, 0.25, -0.6)
+        chi = np.array([0.6, 0.8j])
         n = 4096
         grid = QuadratureGrid(n, 1)
-        got = c_separable(line_walk(p), lambda k: 2 * np.sin(k) ** 2, grid).matrix
+        state = DistributedState({-1: INV2, 1: -INV2}, chi)
+        got = rho_asymptotic(line_walk(p), state, grid).rho.matrix
         ks = grid.nodes[:, 0]
-        want = sum(2 * np.sin(k) ** 2 * c_of_k_u2(p, k).matrix for k in ks) / n
+        c = sum(2 * np.sin(k) ** 2 * c_of_k_u2(p, k) for k in ks) / n
+        want = rho_from_characteristic(chi, c, "numeric_quadrature").rho.matrix
         assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_bad_normalization_rejected(self):
-        grid = QuadratureGrid(256, 1)
-        with pytest.raises(NormalizationError):
-            c_separable(line_walk(HADAMARD_PARAMS), lambda k: 2.0, grid)
-        with pytest.raises(NormalizationError):
-            c_separable(line_walk(HADAMARD_PARAMS), lambda k: np.cos(k), grid)
-
-    def test_kind_tags(self):
-        grid = QuadratureGrid(64, 1)
-        spec = line_walk(HADAMARD_PARAMS)
-        assert c_local(spec, grid).kind == "integrated_local"
-        assert c_separable(spec, lambda k: 1.0, grid).kind == "integrated_separable"
-        assert characteristic_at_k(spec, 0.1).kind == "pointwise"

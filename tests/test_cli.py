@@ -13,6 +13,16 @@ from coinwalk.cli import main
 
 PI = np.pi
 LOCAL = "local v=0 chi=(1,0)"
+GROVER_CFG = """dim 2
+coin -0.5, 0.5, 0.5, 0.5
+coin 0.5, -0.5, 0.5, 0.5
+coin 0.5, 0.5, -0.5, 0.5
+coin 0.5, 0.5, 0.5, -0.5
+shift 1 0
+shift -1 0
+shift 0 1
+shift 0 -1
+"""
 
 
 def run_process(*argv):
@@ -250,6 +260,27 @@ class TestBadInput:
         assert proc.returncode in (2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
+
+    # The grids are sizes numpy refuses to allocate outright (7.3 TiB of 2-d
+    # nodes, 730 TiB of 1-d nodes), so these runs allocate nothing large.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--walk-file", "{tmp}/grover.cfg", "--state", "local v=0,0 chi=(1,0,0,0)",
+             "--grid-n", "1000000"],
+            ["verify", "--draws", "0", "--grid-n", "100000000000000"],
+            ["rho", "--theta", "pi/4", "--state", "local v=, chi=(1,0)"],
+            ["rho", "--theta", "pi/4", "--state", "dist {:1} chi=(1,0)"],
+        ],
+        ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
+             "dist-empty-position"],
+    )
+    def test_exits_2_with_one_error_line(self, argv, tmp_path):
+        (tmp_path / "grover.cfg").write_text(GROVER_CFG)
+        proc = run_process("-m", "coinwalk.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_import_does_not_load_scipy():

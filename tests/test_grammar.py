@@ -142,6 +142,8 @@ class TestStateGrammar:
             "general {-1:(1,0), 1:(1,0)}",  # total norm sqrt(2)
             "ring v=0 chi=(1,0)",  # unknown kind
             "dist {-1 0.7071} chi=(1,0)",  # missing colon
+            "local v=, chi=(1,0)",  # empty position
+            "dist {:1} chi=(1,0)",  # empty map-entry position
         ],
     )
     def test_rejects(self, text):

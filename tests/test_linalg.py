@@ -13,7 +13,6 @@ from coinwalk import (
     is_hermitian,
     is_psd,
     is_unitary,
-    kron,
     partial_trace,
     von_neumann_entropy,
 )
@@ -135,29 +134,12 @@ class TestEigUnitaryBatch:
             eig_unitary_batch(stack)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diag(self):
-        a, b = 2.0 + 1j, -0.5
-        assert np.allclose(kron(np.diag([a, b]), np.eye(2)), np.diag([a, a, b, b]))
-
-    def test_basis_bookkeeping(self):
-        p0 = np.array([[1, 0], [0, 0]])
-        p1 = np.array([[0, 0], [0, 1]])
-        out = kron(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1
-        assert np.array_equal(out, expected)
-
-
 class TestPartialTrace:
     def test_defining_properties(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(partial_trace(kron(a, b), "first"), np.trace(a) * b)
-        assert np.allclose(partial_trace(kron(a, b), "second"), np.trace(b) * a)
+        assert np.allclose(partial_trace(np.kron(a, b), "first"), np.trace(a) * b)
+        assert np.allclose(partial_trace(np.kron(a, b), "second"), np.trace(b) * a)
 
     def test_linearity_and_trace(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

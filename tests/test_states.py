@@ -14,8 +14,6 @@ from coinwalk import (
     bloch_coin,
     coin_dim,
     lattice_dim,
-    projector_k,
-    psi_k,
     psi_k_many,
     site_table,
 )
@@ -65,33 +63,42 @@ class TestConstruction:
         assert np.allclose(coeffs, [[0, INV2], [0, INV2]])
 
 
+KS = np.array([[0.0], [0.35], [1.3], [-2.2]])
+
+
+def projectors(state) -> np.ndarray:
+    """``|psi_k><psi_k|`` at every row of KS, as the quadrature pipeline forms it."""
+    psi = psi_k_many(state, KS)
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
 class TestMomentumComponent:
     def test_local_at_origin_is_k_independent(self):
         s = LocalState(position=0, chi=[0.6, 0.8])
-        for k in (0.0, 1.3, -2.2):
-            assert np.allclose(psi_k(s, k), [0.6, 0.8])
+        assert np.allclose(psi_k_many(s, KS), [[0.6, 0.8]] * len(KS))
 
     def test_local_off_origin_phase(self):
         s = LocalState(position=2, chi=[1, 0])
-        k = 0.7
-        assert np.allclose(psi_k(s, k), [np.exp(-2j * k), 0])
+        want = [[np.exp(-2j * k), 0] for k in KS[:, 0]]
+        assert np.allclose(psi_k_many(s, KS), want)
 
     def test_entangled_component(self):
-        k = 0.9
-        v = psi_k(entangled_state(), k)
-        assert np.allclose(v, [INV2 * np.exp(1j * k), INV2 * np.exp(-1j * k)])
+        want = [[INV2 * np.exp(1j * k), INV2 * np.exp(-1j * k)] for k in KS[:, 0]]
+        assert np.allclose(psi_k_many(entangled_state(), KS), want)
 
     def test_distributed_cosine_profile(self):
         s = DistributedState(amplitudes={(-1,): INV2, (1,): INV2}, chi=[1, 0])
-        k = 0.35
-        assert np.allclose(psi_k(s, k), [np.sqrt(2) * np.cos(k), 0])
+        want = [[np.sqrt(2) * np.cos(k), 0] for k in KS[:, 0]]
+        assert np.allclose(psi_k_many(s, KS), want)
 
     def test_many_matches_scalar(self, rng):
-        s = entangled_state()
-        ks = rng.uniform(-PI, PI, size=(17, 1))
+        # each row is the site sum sum_r exp(-1j k.r) c_r taken one k at a time
+        s = GeneralState(amplitudes={(0, 0): [0.6, 0], (2, -1): [0, 0.8j]})
+        ks = rng.uniform(-PI, PI, size=(17, 2))
         batch = psi_k_many(s, ks)
         for row, k in zip(batch, ks):
-            assert np.allclose(row, psi_k(s, k))
+            want = 0.6 * np.array([1, 0]) + np.exp(-1j * (2 * k[0] - k[1])) * np.array([0, 0.8j])
+            assert np.allclose(row, want)
 
     def test_many_rejects_wrong_dim(self):
         with pytest.raises(DimensionMismatch):
@@ -101,28 +108,22 @@ class TestMomentumComponent:
 class TestProjector:
     def test_local_projector_constant(self):
         s = LocalState(position=5, chi=[1, 0])
-        for k in (0.0, 0.4, -1.9):
-            assert np.allclose(projector_k(s, k), [[1, 0], [0, 0]])
+        assert np.allclose(projectors(s), [[[1, 0], [0, 0]]] * len(KS))
 
     def test_entangled_projector(self):
-        k = 1.1
-        p = projector_k(entangled_state(), k)
-        expected = 0.5 * np.array(
-            [[1, np.exp(2j * k)], [np.exp(-2j * k), 1]], dtype=complex
-        )
-        assert np.allclose(p, expected)
+        want = [0.5 * np.array([[1, np.exp(2j * k)], [np.exp(-2j * k), 1]]) for k in KS[:, 0]]
+        assert np.allclose(projectors(entangled_state()), want)
 
     def test_distributed_projector_is_weight_times_coin_projector(self):
         chi = bloch_coin(BlochCoin(0.7, -0.3))
         s = DistributedState(amplitudes={(-1,): INV2, (1,): INV2}, chi=chi)
-        k = 0.55
-        expected = 2 * np.cos(k) ** 2 * np.outer(chi, chi.conj())
-        assert np.allclose(projector_k(s, k), expected)
+        want = [2 * np.cos(k) ** 2 * np.outer(chi, chi.conj()) for k in KS[:, 0]]
+        assert np.allclose(projectors(s), want)
 
     @given(k=phase)
     def test_rank_at_most_one(self, k):
-        p = projector_k(entangled_state(), k)
-        eigs = np.sort(np.linalg.eigvalsh(p))
+        psi = psi_k_many(entangled_state(), np.array([[k]]))[0]
+        eigs = np.sort(np.linalg.eigvalsh(np.outer(psi, psi.conj())))
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_parseval(self, rng):
