@@ -24,8 +24,6 @@ from .characteristic import (
     c_local_u2,
     c_of_k_u2,
     characteristic_at_k,
-    is_pauli_type,
-    swap_matrix,
 )
 from .errors import (
     CoinWalkError,
@@ -54,7 +52,6 @@ from .linalg import (
     eig_unitary,
     eig_unitary_batch,
     is_hermitian,
-    is_psd,
     is_unitary,
     partial_trace,
     von_neumann_entropy,

@@ -14,7 +14,6 @@ makes C basis-independent also at degenerate k-points and on flat bands.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +65,6 @@ class QuadratureGrid:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def swap_matrix(n: int) -> Array:
-    """Permutation exchanging the two tensor factors of C^n (x) C^n."""
-    s = np.zeros((n * n, n * n))
-    for i, j in itertools.product(range(n), range(n)):
-        s[i * n + j, j * n + i] = 1.0
-    return s
-
-
 def _uk_stack(spec: WalkSpec, ks: Array) -> Array:
     """U_k for every row of a (M, d) k-array, as (M, n, n)."""
     return np.exp(-1j * (ks @ spec.shifts.T))[:, :, None] * spec.coin
@@ -85,21 +76,17 @@ def _sum_kron(a: Array, b: Array) -> Array:
     return np.einsum("mjac,mjbd->mabcd", a, b).reshape(m, n * n, n * n)
 
 
-def is_pauli_type(spec: WalkSpec) -> bool:
-    """True for 2x2 coins with vanishing diagonal or off-diagonal.
+def _require_nondegenerate_coin(spec: WalkSpec) -> None:
+    """Reject 2x2 coins with vanishing diagonal or off-diagonal.
 
     These are the theta in {0, pi/2} coins (up to phases), for which the
     stationary-phase asymptotics behind the k-integrated pipeline is not
     guaranteed (localization / purely ballistic regimes).
     """
-    if spec.coin_dim != 2:
-        return False
     c = spec.coin
-    return bool(min(abs(c[0, 0]), abs(c[1, 1])) < 1e-12 or min(abs(c[0, 1]), abs(c[1, 0])) < 1e-12)
-
-
-def _require_nondegenerate_coin(spec: WalkSpec) -> None:
-    if is_pauli_type(spec):
+    if spec.coin_dim == 2 and (
+        min(abs(c[0, 0]), abs(c[1, 1])) < 1e-12 or min(abs(c[0, 1]), abs(c[1, 0])) < 1e-12
+    ):
         raise DegenerateCoin(
             "Pauli-type coin (theta in {0, pi/2}): the asymptotic quadrature "
             "pipeline is not defined for this walk"
@@ -112,9 +99,9 @@ def _grid_too_large(grid: QuadratureGrid) -> InvalidArgument:
     )
 
 
-def characteristic_at_k(spec: WalkSpec, k, degeneracy_tol: float = DEGENERACY_TOL) -> Array:
+def characteristic_at_k(spec: WalkSpec, k) -> Array:
     """Pointwise ``C(k) = sum_w P_w (x) P_w`` (n^2, n^2) from the spectrum of U_k."""
-    es = eig_unitary(build_uk(spec, k), degeneracy_tol)
+    es = eig_unitary(build_uk(spec, k))
     n = spec.coin_dim
     c = np.zeros((n * n, n * n), dtype=np.complex128)
     for g in es.groups:
@@ -123,17 +110,18 @@ def characteristic_at_k(spec: WalkSpec, k, degeneracy_tol: float = DEGENERACY_TO
     return c
 
 
-def characteristic_stack(spec: WalkSpec, ks: Array, degeneracy_tol: float = DEGENERACY_TOL) -> Array:
+def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2).
 
     For two-dimensional coins the eigenproblem is solved in closed form for
     the whole batch at once; other coin dimensions take one batched
     eigensolve. There C is assembled as ``sum_j |v_j><v_j| (x) P_w(j)``: each
     eigenvector's projector paired with the projector of its eigenspace.
+    Both routes merge eigenvalues closer than ``DEGENERACY_TOL``.
     """
-    if spec.coin_dim == 2:
+    if spec.coin_dim == 2:  # the closed form is over 10x faster than the batched eigensolve
         return _characteristic_stack_2(spec, ks)
-    _, vectors, labels = eig_unitary_batch(_uk_stack(spec, ks), degeneracy_tol)
+    _, vectors, labels = eig_unitary_batch(_uk_stack(spec, ks))
     proj = np.einsum("maj,mcj->mjac", vectors, vectors.conj())
     same = (labels[:, :, None] == labels[:, None, :]).astype(np.float64)
     return _sum_kron(proj, np.einsum("mjl,mlbd->mjbd", same, proj))
@@ -141,13 +129,12 @@ def characteristic_stack(spec: WalkSpec, ks: Array, degeneracy_tol: float = DEGE
 
 def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
     u = _uk_stack(spec, ks)
-    tr = u[:, 0, 0] + u[:, 1, 1]
-    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
-    root = np.sqrt(tr * tr - 4.0 * det)
-    lam1 = 0.5 * (tr + root)
-    lam2 = 0.5 * (tr - root)
-    degenerate = np.abs(lam1 - lam2) < 1e-12
-    denom = np.where(degenerate, 1.0, lam1 - lam2)
+    # lam1 - lam2 = root; (u00 - u11)^2 + 4 u01 u10 equals tr^2 - 4 det without cancelling
+    root = np.sqrt((u[:, 0, 0] - u[:, 1, 1]) ** 2 + 4.0 * u[:, 0, 1] * u[:, 1, 0])
+    lam2 = 0.5 * (u[:, 0, 0] + u[:, 1, 1] - root)
+    # the chord |lam1 - lam2| and the phase gap differ by O(gap^3)
+    degenerate = np.abs(root) <= DEGENERACY_TOL
+    denom = np.where(degenerate, 1.0, root)
     eye2 = np.eye(2, dtype=np.complex128)
     p1 = (u - lam2[:, None, None] * eye2) / denom[:, None, None]
     p = np.stack([p1, eye2 - p1], axis=1)
@@ -201,9 +188,7 @@ def c_of_k_u2(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
     )
 
 
-def c_local(
-    spec: WalkSpec, grid: QuadratureGrid | None = None, degeneracy_tol: float = DEGENERACY_TOL
-) -> Array:
+def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     """Uniform k-integral of C(k): the constant (n^2, n^2) matrix for local states.
 
     Raises
@@ -214,7 +199,7 @@ def c_local(
     _require_nondegenerate_coin(spec)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
     try:
-        return characteristic_stack(spec, grid.nodes, degeneracy_tol).mean(axis=0)
+        return characteristic_stack(spec, grid.nodes).mean(axis=0)
     except MemoryError as exc:
         raise _grid_too_large(grid) from exc
 

@@ -23,6 +23,17 @@ import json
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
+from .asymptotics import (
+    eigenvalues_distributed_example,
+    eigenvalues_entangled_example,
+    eigenvalues_local_general,
+    entropy_of_pair,
+    rho_asymptotic,
+    rho_local_closed,
+)
+from .characteristic import QuadratureGrid, c_local, c_local_u2, c_of_k_u2, characteristic_at_k
 from .errors import (
     CoinWalkError,
     DegenerateCoin,
@@ -30,19 +41,14 @@ from .errors import (
     FormatError,
     InvalidArgument,
 )
+from .grammar import parse_angle, parse_state, parse_walk_config
+from .simulate import cesaro_rho, rho_series
+from .states import BlochCoin, LocalState
+from .walk import U2Params, line_walk
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _angle(text: str) -> float:
-    from .grammar import parse_angle
-
-    try:
-        return parse_angle(text)
-    except FormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _int_at_least(low: int):
@@ -78,22 +84,14 @@ def _write_csv(path: str, cfg: str, header: list[str], rows) -> None:
 
 def _walk_and_params(args):
     """Resolve --walk-file / angle flags to (WalkSpec, U2Params or None)."""
-    from .grammar import parse_walk_config
-    from .walk import U2Params, line_walk
-
-    if getattr(args, "walk_file", None):
+    p = U2Params(*(parse_angle(a) for a in (args.theta, args.alpha, args.beta)))
+    if args.walk_file:
         with open(args.walk_file, encoding="utf-8") as fh:
             return parse_walk_config(fh.read()), None
-    p = U2Params(theta=args.theta, alpha=args.alpha, beta=args.beta)
     return line_walk(p), p
 
 
 def cmd_rho(args) -> int:
-    from .asymptotics import rho_asymptotic, rho_local_closed
-    from .characteristic import QuadratureGrid
-    from .grammar import parse_state
-    from .states import LocalState
-
     spec, params = _walk_and_params(args)
     state = parse_state(args.state)
     if args.closed_form:
@@ -136,17 +134,6 @@ def cmd_rho(args) -> int:
 
 
 def cmd_fig(args) -> int:
-    import numpy as np
-
-    from .asymptotics import (
-        entropy_of_pair,
-        eigenvalues_distributed_example,
-        eigenvalues_entangled_example,
-        eigenvalues_local_general,
-    )
-    from .states import BlochCoin
-    from .walk import U2Params
-
     chi0 = BlochCoin(xi=0.0, eta=0.0)
     if args.which == "cpe-compare":
         thetas = [i * (np.pi / 2) / (args.theta_points + 1) for i in range(1, args.theta_points + 1)]
@@ -188,14 +175,6 @@ def cmd_fig(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import numpy as np
-
-    from .asymptotics import rho_local_closed
-    from .characteristic import QuadratureGrid, c_local, c_local_u2, c_of_k_u2, characteristic_at_k
-    from .simulate import cesaro_rho
-    from .states import LocalState
-    from .walk import U2Params, line_walk
-
     rng = np.random.default_rng(args.seed)
     hadamard = U2Params(np.pi / 4, np.pi / 2, np.pi / 2)
     f_sign = -1.0 if args.inject_f_sign_error else 1.0
@@ -235,9 +214,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .grammar import parse_state
-    from .simulate import rho_series
-
     spec, _ = _walk_and_params(args)
     state = parse_state(args.state)
     rhos = rho_series(spec, state, args.t_max)
@@ -259,9 +235,9 @@ def cmd_simulate(args) -> int:
 
 
 def _add_walk_args(sub) -> None:
-    sub.add_argument("--theta", type=_angle, default=0.0, help="coin angle (radians or pi literal)")
-    sub.add_argument("--alpha", type=_angle, default=0.0, help="upper coin phase")
-    sub.add_argument("--beta", type=_angle, default=0.0, help="lower coin phase")
+    sub.add_argument("--theta", default="0", help="coin angle (radians or pi literal)")
+    sub.add_argument("--alpha", default="0", help="upper coin phase")
+    sub.add_argument("--beta", default="0", help="lower coin phase")
     sub.add_argument("--walk-file", help="walk config file (overrides the angle flags)")
 
 

@@ -50,9 +50,12 @@ def parse_complex(text: str) -> complex:
     # bare trailing sign before i, e.g. "1+i"
     js = re.sub(r"([+-])j$", r"\g<1>1j", js)
     try:
-        return complex(js)
+        z = complex(js)
     except ValueError as exc:
         raise FormatError(f"bad complex literal {text!r}") from exc
+    if not np.isfinite(z):
+        raise FormatError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -69,19 +72,20 @@ _PI_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle in radians; accepts plain floats and ``pi`` literals."""
+    """Parse a finite angle in radians; accepts plain floats and ``pi`` literals."""
     s = text.strip()
-    try:
-        return float(s)
-    except ValueError:
-        pass
     m = _PI_RE.match(s)
-    if not m:
-        raise FormatError(f"bad angle literal {text!r} (radians; e.g. 0.785 or pi/4)")
-    value = np.pi * float(m.group("coef") or 1.0)
-    if m.group("div"):
-        value /= float(m.group("div"))
-    return -value if m.group("sign") == "-" else value
+    try:
+        if m:
+            value = np.pi * float(m.group("coef") or 1.0) / float(m.group("div") or 1.0)
+            value = -value if m.group("sign") == "-" else value
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad angle literal {text!r} (radians; e.g. 0.785 or pi/4)") from exc
+    if not np.isfinite(value):
+        raise FormatError(f"angle {text!r} is not finite")
+    return value
 
 
 def _parse_int_vector(text: str, separators: str = r"[,\s]+") -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from .errors import (
 
 Array = np.ndarray
 
-#: default tolerance for merging eigenphases into one eigenspace (radians)
+#: eigenphases this close (radians) form one eigenspace, for every coin dimension
 DEGENERACY_TOL = 1e-9
 
 
@@ -52,14 +52,6 @@ def is_hermitian(m, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_psd(m, tol: float = 1e-10) -> bool:
-    """True if ``m`` is Hermitian within ``tol`` and its eigenvalues are >= -tol."""
-    if not is_hermitian(m, tol):
-        return False
-    a = as_matrix(m)
-    return bool(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2)) >= -tol)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Spectral data of a unitary matrix.
@@ -73,7 +65,7 @@ class EigenSystem:
         Orthonormal eigenvectors as columns.
     groups : tuple of index tuples
         Partition of ``range(n)`` into eigenspaces whose phases agree within
-        the degeneracy tolerance used at construction.
+        ``DEGENERACY_TOL``.
     """
 
     phases: Array
@@ -94,14 +86,14 @@ class EigenSystem:
         return (self.vectors * np.exp(1j * self.phases)) @ self.vectors.conj().T
 
 
-def eig_unitary_batch(u, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[Array, Array, Array]:
+def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     """Eigendecompose a stack of unitary matrices (M, n, n) with one batched solve.
 
     Returns ``(phases, vectors, labels)``: eigenphases (M, n) in ``(-pi, pi]``,
     ascending per node; orthonormal eigenvectors (M, n, n), column ``j``
     paired with ``phases[:, j]``; and int labels (M, n), shared by the columns
     of one eigenspace. Ascending phases whose gaps are within
-    ``degeneracy_tol`` form one eigenspace, also across the wrap at +/-pi.
+    ``DEGENERACY_TOL`` form one eigenspace, also across the wrap at +/-pi.
 
     One batched QR of the sorted eigenvectors makes them orthonormal. As
     eigenspaces of a unitary are orthogonal, it only mixes columns within an
@@ -133,8 +125,8 @@ def eig_unitary_batch(u, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[Array,
     vectors, _ = np.linalg.qr(np.take_along_axis(vectors, order[:, None, :], axis=2))
 
     labels = np.zeros(phases.shape, dtype=np.int64)
-    labels[:, 1:] = np.cumsum(np.diff(phases, axis=1) > degeneracy_tol, axis=1)
-    wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= degeneracy_tol
+    labels[:, 1:] = np.cumsum(np.diff(phases, axis=1) > DEGENERACY_TOL, axis=1)
+    wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
     labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
 
     residual = np.max(np.abs(a @ vectors - vectors * np.exp(1j * phases)[:, None, :]))
@@ -146,10 +138,10 @@ def eig_unitary_batch(u, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[Array,
     return phases, vectors, labels
 
 
-def eig_unitary(u, degeneracy_tol: float = DEGENERACY_TOL) -> EigenSystem:
+def eig_unitary(u) -> EigenSystem:
     """Eigendecompose one unitary matrix: :func:`eig_unitary_batch` with M = 1.
 
-    Phases within ``degeneracy_tol`` of each other are grouped into one
+    Phases within ``DEGENERACY_TOL`` of each other are grouped into one
     eigenspace, so eigenspace projectors are basis-independent.
 
     Raises
@@ -159,7 +151,7 @@ def eig_unitary(u, degeneracy_tol: float = DEGENERACY_TOL) -> EigenSystem:
     ConvergenceFailure
         If the decomposition fails or violates the residual contract.
     """
-    phases, vectors, labels = eig_unitary_batch(as_matrix(u)[None], degeneracy_tol)
+    phases, vectors, labels = eig_unitary_batch(as_matrix(u)[None])
     groups = tuple(tuple(np.flatnonzero(labels[0] == g).tolist()) for g in np.unique(labels[0]))
     return EigenSystem(phases=phases[0], vectors=vectors[0], groups=groups)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +22,14 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def swap_matrix(n: int) -> np.ndarray:
+    """Permutation exchanging the two tensor factors of C^n (x) C^n."""
+    s = np.zeros((n * n, n * n))
+    for i, j in itertools.product(range(n), range(n)):
+        s[i * n + j, j * n + i] = 1.0
+    return s
 
 
 def random_interior_params(rng: np.random.Generator) -> U2Params:

@@ -30,10 +30,9 @@ from coinwalk import (
     partial_trace,
     rho_asymptotic,
     rho_local_closed,
-    swap_matrix,
 )
 from coinwalk.cli import main
-from conftest import random_interior_params
+from conftest import random_interior_params, swap_matrix
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)

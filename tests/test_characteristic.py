@@ -19,10 +19,9 @@ from coinwalk import (
     rho_asymptotic,
     rho_distributed_example_closed,
     rho_from_characteristic,
-    swap_matrix,
 )
 from coinwalk.characteristic import characteristic_stack
-from conftest import random_interior_params, random_unitary
+from conftest import random_interior_params, random_unitary, swap_matrix
 from test_linalg import HADAMARD_C_AT_HALF_PI
 
 PI = np.pi
@@ -129,6 +128,16 @@ class TestBatchedStack:
             ks = QuadratureGrid(4, 3).nodes
         want = np.stack([characteristic_at_k(spec, k) for k in ks])
         assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [1e-11, 1e-6, 1e-4])
+    def test_near_pauli_coin_matches_per_node_route(self, theta):
+        # the band gap at k = alpha (mod pi) is ~2 theta: merged below 1e-9,
+        # ill-conditioned but resolved just above it
+        p = U2Params(theta, 0.3, 0.1)
+        near = [[p.alpha], [p.alpha + 1e-6], [p.alpha - PI]]
+        ks = np.concatenate([QuadratureGrid(64).nodes, near])
+        want = np.stack([characteristic_at_k(line_walk(p), k) for k in ks])
+        assert np.max(np.abs(characteristic_stack(line_walk(p), ks) - want)) <= 1e-10
 
 
 class TestIntegratedLocal:

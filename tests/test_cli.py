@@ -271,12 +271,21 @@ class TestBadInput:
             ["verify", "--draws", "0", "--grid-n", "100000000000000"],
             ["rho", "--theta", "pi/4", "--state", "local v=, chi=(1,0)"],
             ["rho", "--theta", "pi/4", "--state", "dist {:1} chi=(1,0)"],
+            ["rho", "--theta", "nan", "--state", "local v=0 chi=(1,0)"],
+            ["rho", "--theta", "inf", "--state", "local v=0 chi=(1,0)"],
+            ["simulate", "--alpha", "1e400", "--state", "local v=0 chi=(1,0)", "--t-max", "2"],
+            ["rho", "--theta", "pi/0", "--state", "local v=0 chi=(1,0)"],
+            ["rho", "--theta", "0.3", "--state", "local v=0 chi=(nan,0)"],
+            ["rho", "--theta", "0.3", "--state", "local v=0 chi=(1e400,0)"],
+            ["rho", "--walk-file", "{tmp}/nan.cfg", "--state", "local v=0 chi=(1,0)"],
         ],
         ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
-             "dist-empty-position"],
+             "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
+             "chi-nan", "chi-overflow", "walk-file-nan-coin"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
+        (tmp_path / "nan.cfg").write_text("dim 1\ncoin nan, 0\ncoin 0, 1\nshift 1\nshift -1\n")
         proc = run_process("-m", "coinwalk.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""

@@ -37,7 +37,9 @@ class TestComplexLiterals:
     def test_parse(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+", "i2", "1+2"])
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "1+", "i2", "1+2", "nan", "inf", "1e400", "1+nani"]
+    )
     def test_rejects(self, text):
         with pytest.raises(FormatError):
             parse_complex(text)
@@ -66,7 +68,9 @@ class TestAngleLiterals:
     def test_parse(self, text, value):
         assert parse_angle(text) == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "deg45", "pi/", "pie"])
+    @pytest.mark.parametrize(
+        "text", ["", "deg45", "pi/", "pie", "nan", "inf", "-inf", "1e400", "pi/0"]
+    )
     def test_rejects(self, text):
         with pytest.raises(FormatError):
             parse_angle(text)
@@ -144,6 +148,8 @@ class TestStateGrammar:
             "dist {-1 0.7071} chi=(1,0)",  # missing colon
             "local v=, chi=(1,0)",  # empty position
             "dist {:1} chi=(1,0)",  # empty map-entry position
+            "local v=0 chi=(nan,0)",  # non-finite amplitude
+            "dist {-1:inf, 1:0.7071} chi=(1,0)",  # non-finite position amplitude
         ],
     )
     def test_rejects(self, text):

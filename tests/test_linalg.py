@@ -11,7 +11,6 @@ from coinwalk import (
     eig_unitary,
     eig_unitary_batch,
     is_hermitian,
-    is_psd,
     is_unitary,
     partial_trace,
     von_neumann_entropy,
@@ -40,10 +39,6 @@ class TestPredicates:
     def test_hermitian(self):
         assert is_hermitian([[1, 1j], [-1j, 2]])
         assert not is_hermitian([[1, 1j], [1j, 2]])
-
-    def test_psd(self):
-        assert is_psd([[1, 0], [0, 0]])
-        assert not is_psd([[1, 0], [0, -1]])
 
 
 class TestEigUnitary:
