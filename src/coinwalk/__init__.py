@@ -64,8 +64,6 @@ from .states import (
     InitialState,
     LocalState,
     bloch_coin,
-    coin_dim,
-    lattice_dim,
     psi_k_many,
     site_table,
 )

@@ -22,7 +22,6 @@ from .characteristic import (
     c_local_u2,
     characteristic_stack,
 )
-from .errors import NumericalFailure
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import BlochCoin, InitialState, psi_k_many, require_state_fits
 from .walk import U2Params, WalkSpec
@@ -39,7 +38,7 @@ class AsymptoticResult:
 
 
 def _result(matrix: Array, method: str) -> AsymptoticResult:
-    rho = DensityMatrix((matrix + matrix.conj().T) / 2)
+    rho = DensityMatrix(matrix)
     return AsymptoticResult(
         rho=rho,
         eigenvalues=rho.eigenvalues(),
@@ -69,11 +68,7 @@ def rho_asymptotic(
     except MemoryError as exc:
         raise _grid_too_large(grid) from exc
     p0 = psi[:, :, None] * psi.conj()[:, None, :]
-    raw = _dephase(cstack, p0).mean(axis=0)
-    asym = float(np.max(np.abs(raw - raw.conj().T)))
-    if asym > 1e-10:
-        raise NumericalFailure(f"quadrature result non-Hermitian by {asym:.3e}")
-    return _result(raw, "numeric_quadrature")
+    return _result(_dephase(cstack, p0).mean(axis=0), "numeric_quadrature")
 
 
 def _dephase(c: Array, p0: Array) -> Array:

@@ -65,11 +65,6 @@ class QuadratureGrid:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _uk_stack(spec: WalkSpec, ks: Array) -> Array:
-    """U_k for every row of a (M, d) k-array, as (M, n, n)."""
-    return np.exp(-1j * (ks @ spec.shifts.T))[:, :, None] * spec.coin
-
-
 def _sum_kron(a: Array, b: Array) -> Array:
     """``sum_j a_j (x) b_j`` over stacks (M, J, n, n), returned as (M, n^2, n^2)."""
     m, _, n, _ = a.shape
@@ -121,14 +116,14 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     """
     if spec.coin_dim == 2:  # the closed form is over 10x faster than the batched eigensolve
         return _characteristic_stack_2(spec, ks)
-    _, vectors, labels = eig_unitary_batch(_uk_stack(spec, ks))
+    _, vectors, labels = eig_unitary_batch(build_uk(spec, ks))
     proj = np.einsum("maj,mcj->mjac", vectors, vectors.conj())
     same = (labels[:, :, None] == labels[:, None, :]).astype(np.float64)
     return _sum_kron(proj, np.einsum("mjl,mlbd->mjbd", same, proj))
 
 
 def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
-    u = _uk_stack(spec, ks)
+    u = build_uk(spec, ks)
     # lam1 - lam2 = root; (u00 - u11)^2 + 4 u01 u10 equals tr^2 - 4 det without cancelling
     root = np.sqrt((u[:, 0, 0] - u[:, 1, 1]) ** 2 + 4.0 * u[:, 0, 1] * u[:, 1, 0])
     lam2 = 0.5 * (u[:, 0, 0] + u[:, 1, 1] - root)

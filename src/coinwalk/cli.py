@@ -79,7 +79,7 @@ def _write_csv(path: str, cfg: str, header: list[str], rows) -> None:
         out.write(f"# cfg: {cfg}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def _walk_and_params(args):
@@ -94,19 +94,22 @@ def _walk_and_params(args):
 def cmd_rho(args) -> int:
     spec, params = _walk_and_params(args)
     state = parse_state(args.state)
+    if args.grid_n is None:
+        grid = QuadratureGrid.default(spec.lattice_dim)
+    else:
+        grid = QuadratureGrid(points_per_axis=args.grid_n, dim=spec.lattice_dim)
     if args.closed_form:
         if params is None or not isinstance(state, LocalState):
             raise FormatError("--closed-form requires angle parameters and a local state")
         result = rho_local_closed(params, state.chi)
     else:
-        grid = QuadratureGrid(points_per_axis=args.grid_n, dim=spec.lattice_dim)
         result = rho_asymptotic(spec, state, grid)
 
     rho = result.rho.matrix
     if args.format == "json":
         doc = {
             "state": args.state,
-            "grid_n": args.grid_n,
+            "grid_n": grid.points_per_axis,
             "method": result.method,
             "rho_re": [[float(v.real) for v in row] for row in rho],
             "rho_im": [[float(v.imag) for v in row] for row in rho],
@@ -124,53 +127,41 @@ def cmd_rho(args) -> int:
         rows += [(f"eigenvalue_{i}", v) for i, v in enumerate(result.eigenvalues)]
         rows += [(f"rho_re_{i}_{j}", rho[i, j].real) for i in range(n) for j in range(n)]
         rows += [(f"rho_im_{i}_{j}", rho[i, j].imag) for i in range(n) for j in range(n)]
-        cfg = f"rho state={args.state!r} grid_n={args.grid_n} method={result.method}"
-        with _output(args.output) as out:
-            out.write(f"# cfg: {cfg}\n")
-            out.write("name,value\n")
-            for name, value in rows:
-                out.write(f"{name},{_fmt(value)}\n")
+        cfg = f"rho state={args.state!r} grid_n={grid.points_per_axis} method={result.method}"
+        _write_csv(args.output, cfg, ["name", "value"], rows)
     return 0
 
 
 def cmd_fig(args) -> int:
-    chi0 = BlochCoin(xi=0.0, eta=0.0)
+    def dist_cpe(theta: float, alpha: float) -> float:
+        return entropy_of_pair(*eigenvalues_distributed_example(U2Params(theta, alpha, 0.0)))
+
+    entangled = args.which == "cpe-entangled"
+    points = args.theta_points or (399 if entangled else 99)
+    span = np.pi if entangled else np.pi / 2
+    thetas = [i * span / (points + 1) for i in range(1, points + 1)]
+    cfg = f"fig {args.which} theta_points={points}"
     if args.which == "cpe-compare":
-        thetas = [i * (np.pi / 2) / (args.theta_points + 1) for i in range(1, args.theta_points + 1)]
+        chi0 = BlochCoin(xi=0.0, eta=0.0)
         alphas = [0.0, np.pi / 4, np.pi / 2]
-        rows = []
-        for th in thetas:
-            local = entropy_of_pair(*eigenvalues_local_general(U2Params(th, 0.0, 0.0), chi0))
-            dists = [
-                entropy_of_pair(*eigenvalues_distributed_example(U2Params(th, a, 0.0)))
-                for a in alphas
-            ]
-            rows.append((th, local, *dists))
         header = ["theta", "cpe_local", "cpe_dist_alpha0", "cpe_dist_alphaPi4", "cpe_dist_alphaPi2"]
-        _write_csv(args.output, f"fig cpe-compare theta_points={args.theta_points}", header, rows)
-    elif args.which == "cpe-3d":
-        thetas = [i * (np.pi / 2) / (args.theta_points + 1) for i in range(1, args.theta_points + 1)]
-        alphas = [j * (np.pi / 2) / (args.alpha_points - 1) for j in range(args.alpha_points)]
         rows = [
-            (th, a, entropy_of_pair(*eigenvalues_distributed_example(U2Params(th, a, 0.0))))
+            (
+                th,
+                entropy_of_pair(*eigenvalues_local_general(U2Params(th, 0.0, 0.0), chi0)),
+                *(dist_cpe(th, a) for a in alphas),
+            )
             for th in thetas
-            for a in alphas
         ]
-        _write_csv(
-            args.output,
-            f"fig cpe-3d theta_points={args.theta_points} alpha_points={args.alpha_points}",
-            ["theta", "alpha", "cpe"],
-            rows,
-        )
-    else:  # cpe-entangled
-        thetas = [i * np.pi / (args.theta_points + 1) for i in range(1, args.theta_points + 1)]
+    elif args.which == "cpe-3d":
+        cfg += f" alpha_points={args.alpha_points}"
+        alphas = [j * (np.pi / 2) / (args.alpha_points - 1) for j in range(args.alpha_points)]
+        header = ["theta", "alpha", "cpe"]
+        rows = [(th, a, dist_cpe(th, a)) for th in thetas for a in alphas]
+    else:
+        header = ["theta", "cpe"]
         rows = [(th, entropy_of_pair(*eigenvalues_entangled_example(th))) for th in thetas]
-        _write_csv(
-            args.output,
-            f"fig cpe-entangled theta_points={args.theta_points}",
-            ["theta", "cpe"],
-            rows,
-        )
+    _write_csv(args.output, cfg, header, rows)
     return 0
 
 
@@ -251,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_walk_args(rho)
     rho.add_argument("--state", required=True, help='initial state, e.g. \'local v=0 chi=(1,0)\'')
     rho.add_argument(
-        "--grid-n", type=_int_at_least(1), default=4096, help="quadrature points per axis"
+        "--grid-n",
+        type=_int_at_least(1),
+        help="quadrature points per axis (default 4096 in 1-d, 256 per axis above)",
     )
     rho.add_argument(
         "--closed-form", action="store_true", help="use the exact U(2) local-state formula"
@@ -262,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("fig", help="CSV data for the standard entanglement figures")
     fig.add_argument("which", choices=("cpe-compare", "cpe-3d", "cpe-entangled"))
-    fig.add_argument("--theta-points", type=_int_at_least(1), default=None)
+    fig.add_argument(
+        "--theta-points", type=_int_at_least(1), help="default 399 for cpe-entangled, else 99"
+    )
     fig.add_argument("--alpha-points", type=_int_at_least(2), default=33)
     fig.add_argument("--output", default="-")
     fig.set_defaults(func=cmd_fig)
@@ -292,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "fig" and args.theta_points is None:
-        args.theta_points = 399 if args.which == "cpe-entangled" else 99
     try:
         return args.func(args)
     except (FormatError, InvalidArgument, OSError, UnicodeDecodeError) as exc:

@@ -32,7 +32,7 @@ import re
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DimensionMismatch, FormatError
 from .states import DistributedState, GeneralState, InitialState, LocalState
 from .walk import WalkSpec
 
@@ -159,25 +159,16 @@ def _parse_vector_literal(text: str) -> np.ndarray:
     return np.array([parse_complex(p) for p in s[1:-1].split(",")], dtype=np.complex128)
 
 
+_TOP_LEVEL_COMMA = re.compile(r",(?![^()]*\))")
+
+
 def _split_map_entries(body: str) -> list[tuple[tuple[int, ...], str]]:
-    # split '{pos: value, pos: value}' where value may itself contain commas
-    # inside parentheses
+    # split '{pos: value, pos: value}' on the commas outside parentheses; a
+    # trailing comma is allowed
+    parts = _TOP_LEVEL_COMMA.split(body)
+    if not parts[-1].strip():
+        parts.pop()
     entries: list[tuple[tuple[int, ...], str]] = []
-    depth = 0
-    current = ""
-    parts: list[str] = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        parts.append(current)
     for part in parts:
         pos_s, sep, val_s = part.partition(":")
         if not sep:
@@ -212,13 +203,12 @@ def parse_state(text: str) -> InitialState:
             m = re.match(r"^\{(?P<map>.*)\}$", rest.strip())
             if not m:
                 raise FormatError(f"bad general state {text!r}")
-            entries = [
-                (pos, _parse_vector_literal(v)) for pos, v in _split_map_entries(m.group("map"))
-            ]
-            total = float(np.sqrt(sum(np.linalg.norm(c) ** 2 for _, c in entries)))
-            if abs(total - 1.0) > 1e-3:
-                raise FormatError(f"general state has norm {total:.6f}; must be within 1e-3 of 1")
-            return GeneralState(amplitudes={pos: c / total for pos, c in entries})
+            entries = _split_map_entries(m.group("map"))
+            vectors = [_parse_vector_literal(v) for _, v in entries]
+            if len({v.size for v in vectors}) > 1:
+                raise DimensionMismatch("all coin vectors must have the same dimension")
+            coeffs = _renormalize(np.array(vectors), "general state")
+            return GeneralState(amplitudes={pos: c for (pos, _), c in zip(entries, coeffs)})
     except FormatError:
         raise
     except Exception as exc:

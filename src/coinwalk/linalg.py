@@ -182,16 +182,18 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix.
 
     Construction raises :class:`NumericalFailure` when any of the three
-    properties fails by more than 1e-10.
+    properties fails by more than 1e-10. Hermiticity is checked on the matrix
+    as given; ``matrix`` then holds its exactly Hermitian part ``(m + m^dag)/2``.
     """
 
     matrix: Array
 
     def __post_init__(self):
         a = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", a)
         if not is_hermitian(a, 1e-10):
             raise NumericalFailure("density matrix is not Hermitian within 1e-10")
+        a = (a + a.conj().T) / 2
+        object.__setattr__(self, "matrix", a)
         if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
             raise NumericalFailure("density matrix trace differs from 1 by more than 1e-10")
         if np.min(np.linalg.eigvalsh(a)) < -1e-10:

@@ -63,9 +63,7 @@ def step(spec: WalkSpec, s: LatticeState) -> LatticeState:
 
 def rho_c_at_t(s: LatticeState) -> DensityMatrix:
     """Reduced coin state ``sum_r c_r c_r^dag`` at the current step."""
-    items = sorted(s.amplitudes.items())
-    rho = sum(np.outer(c, c.conj()) for _, c in items)
-    return DensityMatrix((rho + rho.conj().T) / 2)
+    return DensityMatrix(sum(np.outer(c, c.conj()) for _, c in sorted(s.amplitudes.items())))
 
 
 def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
@@ -83,8 +81,9 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     ``n * prod_axis(span + reach * t_max)`` complex amplitudes, that is
     ``2 n prod_axis(span + reach t_max) 16`` bytes. One holds the walker, the
     other the coin-mixed amplitudes and then their conjugate. Far-apart
-    supports therefore cost their whole bounding box; a box too large to
-    allocate raises :class:`InvalidArgument`.
+    supports therefore cost their whole bounding box. A box, or a series of
+    ``t_max + 1`` coin states, too large to allocate raises
+    :class:`InvalidArgument`.
 
     :func:`step` and :func:`rho_c_at_t` stay as the independent per-site
     reference that the tests compare this stepper against.
@@ -101,15 +100,16 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     size = n * math.prod(s + r * t_max for s, r in zip(shape, reach))
     try:
         walker, scratch = np.zeros((2, size), dtype=np.complex128)
+        rhos = np.empty((t_max + 1, n, n), dtype=np.complex128)
     except (MemoryError, ValueError) as exc:
         raise InvalidArgument(
-            f"the light cone of {size} amplitudes up to t_max={t_max} does not fit in memory"
+            f"the light cone of {size} amplitudes and the series of {t_max + 1} coin states"
+            f" up to t_max={t_max} do not fit in memory"
         ) from exc
     offsets = [[int(o) for o in row] for row in spec.shifts - low]
 
     psi = walker[: n * math.prod(shape)].reshape(n, *shape)
     psi[(slice(None), *(positions - origin).T)] = coeffs.T
-    rhos = np.empty((t_max + 1, n, n), dtype=np.complex128)
     _coin_state(psi, scratch, rhos[0])
     for t in range(1, t_max + 1):
         flat = psi.reshape(n, -1)
@@ -146,5 +146,4 @@ def cesaro_rho(
     if not (t_max > burn_in >= 0):
         raise InvalidArgument(f"need t_max > burn_in >= 0, got t_max={t_max}, burn_in={burn_in}")
     rhos = rho_series(spec, state, t_max)
-    avg = rhos[burn_in + 1 :].mean(axis=0)
-    return DensityMatrix((avg + avg.conj().T) / 2)
+    return DensityMatrix(rhos[burn_in + 1 :].mean(axis=0))

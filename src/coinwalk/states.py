@@ -27,6 +27,11 @@ def _as_position(pos) -> tuple[int, ...]:
     return tuple(int(x) for x in pos)
 
 
+def _require_one_lattice_dim(positions) -> None:
+    if len({len(r) for r in positions}) > 1:
+        raise DimensionMismatch("all positions must have the same number of components")
+
+
 def _as_vector(v) -> Array:
     arr = np.asarray(v, dtype=np.complex128).reshape(-1)
     if arr.size < 1:
@@ -58,6 +63,7 @@ class DistributedState:
 
     def __post_init__(self):
         amps = {_as_position(r): complex(a) for r, a in self.amplitudes.items()}
+        _require_one_lattice_dim(amps)
         if abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) > 1e-12:
             raise NormalizationError("position amplitudes are not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
@@ -75,6 +81,7 @@ class GeneralState:
 
     def __post_init__(self):
         amps = {_as_position(r): _as_vector(c) for r, c in self.amplitudes.items()}
+        _require_one_lattice_dim(amps)
         dims = {c.size for c in amps.values()}
         if len(dims) != 1:
             raise DimensionMismatch("all coin vectors must have the same dimension")
@@ -100,25 +107,12 @@ def bloch_coin(b: BlochCoin) -> Array:
     )
 
 
-def coin_dim(state: InitialState) -> int:
-    """Coin dimension of a state."""
-    if isinstance(state, GeneralState):
-        return next(iter(state.amplitudes.values())).size
-    return state.chi.size
-
-
-def lattice_dim(state: InitialState) -> int:
-    """Lattice dimension of a state."""
-    if isinstance(state, LocalState):
-        return len(state.position)
-    return len(next(iter(state.amplitudes.keys())))
-
-
 def require_state_fits(spec: WalkSpec, state: InitialState) -> None:
     """Raise :class:`DimensionMismatch` unless the state lives on the walk's spaces."""
-    if coin_dim(state) != spec.coin_dim:
+    positions, coeffs = site_table(state)
+    if coeffs.shape[1] != spec.coin_dim:
         raise DimensionMismatch("state coin dimension does not match the walk")
-    if lattice_dim(state) != spec.lattice_dim:
+    if positions.shape[1] != spec.lattice_dim:
         raise DimensionMismatch("state lattice dimension does not match the walk")
 
 

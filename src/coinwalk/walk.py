@@ -88,19 +88,16 @@ def line_walk(p: U2Params) -> WalkSpec:
     return WalkSpec(lattice_dim=1, coin_dim=2, shifts=[[1], [-1]], coin=u2_coin(p))
 
 
-def as_kpoint(k, dim: int) -> Array:
-    """Coerce a scalar or sequence to a (dim,) float wavenumber vector."""
-    arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise DimensionMismatch(f"k-point has shape {arr.shape}, walk lattice_dim is {dim}")
-    return arr
-
-
 def build_uk(spec: WalkSpec, k) -> Array:
-    """Momentum-space step operator ``diag_j(exp(-1j k.s_j)) @ coin``."""
-    kv = as_kpoint(k, spec.lattice_dim)
-    phases = np.exp(-1j * (spec.shifts @ kv))
-    return phases[:, None] * spec.coin
+    """Momentum-space step operator ``diag_j(exp(-1j k.s_j)) @ coin``.
+
+    ``k`` is a scalar (1-d walks only), one (d,) point or a (M, d) stack of
+    points; the result is (n, n) or (M, n, n).
+    """
+    kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    if kv.shape[-1] != spec.lattice_dim:
+        raise DimensionMismatch(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
+    return np.exp(-1j * (kv @ spec.shifts.T))[..., :, None] * spec.coin
 
 
 def dispersion_gamma(p: U2Params, k: float) -> float:

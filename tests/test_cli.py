@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import coinwalk
-from coinwalk import U2Params, format_walk_config, line_walk
+from coinwalk import (
+    U2Params,
+    format_walk_config,
+    line_walk,
+    parse_state,
+    parse_walk_config,
+    rho_asymptotic,
+)
 from coinwalk.cli import main
 
 PI = np.pi
@@ -22,6 +29,13 @@ shift 1 0
 shift -1 0
 shift 0 1
 shift 0 -1
+"""
+# a Hadamard walk along the diagonal of the square lattice
+DIAGONAL_CFG = """dim 2
+coin 0.7071067811865476, 0.7071067811865476
+coin 0.7071067811865476, -0.7071067811865476
+shift 1 1
+shift -1 -1
 """
 
 
@@ -111,6 +125,18 @@ class TestRho:
         a, b = json.loads(out_a), json.loads(out_b)
         assert np.max(np.abs(np.array(a["rho_re"]) - np.array(b["rho_re"]))) <= 1e-12
         assert np.max(np.abs(np.array(a["rho_im"]) - np.array(b["rho_im"]))) <= 1e-12
+
+    def test_two_dimensional_walk_takes_the_library_default_grid(self, capsys, tmp_path):
+        cfg = tmp_path / "diagonal.cfg"
+        cfg.write_text(DIAGONAL_CFG)
+        state = "local v=0,0 chi=(1,0)"
+        code, out, _ = run(capsys, "rho", "--walk-file", str(cfg), "--state", state)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["grid_n"] == 256
+        expected = rho_asymptotic(parse_walk_config(DIAGONAL_CFG), parse_state(state)).rho.matrix
+        assert np.array_equal(np.array(doc["rho_re"]), expected.real)
+        assert np.array_equal(np.array(doc["rho_im"]), expected.imag)
 
     def test_entangled_state_is_nearly_mixed(self, capsys):
         code, out, _ = run(
@@ -278,14 +304,22 @@ class TestBadInput:
             ["rho", "--theta", "0.3", "--state", "local v=0 chi=(nan,0)"],
             ["rho", "--theta", "0.3", "--state", "local v=0 chi=(1e400,0)"],
             ["rho", "--walk-file", "{tmp}/nan.cfg", "--state", "local v=0 chi=(1,0)"],
+            ["rho", "--theta", "pi/4", "--state", "dist {0:0.7071, 0;0:0.7071} chi=(1,0)"],
+            ["simulate", "--theta", "pi/4", "--state", "general {0:(0.7071,0), 1;2:(0,0.7071)}",
+             "--t-max", "2"],
+            ["simulate", "--walk-file", "{tmp}/standstill.cfg", "--state", "local v=0 chi=(1,0)",
+             "--t-max", "10000000000000"],
         ],
         ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
-             "chi-nan", "chi-overflow", "walk-file-nan-coin"],
+             "chi-nan", "chi-overflow", "walk-file-nan-coin", "rho-mixed-position-lengths",
+             "simulate-mixed-position-lengths", "simulate-series-too-large"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
         (tmp_path / "nan.cfg").write_text("dim 1\ncoin nan, 0\ncoin 0, 1\nshift 1\nshift -1\n")
+        # both shifts 0: the light cone stays two amplitudes, the series of coin states does not
+        (tmp_path / "standstill.cfg").write_text("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 0\nshift 0\n")
         proc = run_process("-m", "coinwalk.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""

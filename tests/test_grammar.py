@@ -150,11 +150,18 @@ class TestStateGrammar:
             "dist {:1} chi=(1,0)",  # empty map-entry position
             "local v=0 chi=(nan,0)",  # non-finite amplitude
             "dist {-1:inf, 1:0.7071} chi=(1,0)",  # non-finite position amplitude
+            "dist {0:0.7071, 0;0:0.7071} chi=(1,0)",  # positions of mixed length
+            "general {0:(0.7071,0), 1;2:(0,0.7071)}",  # positions of mixed length
+            "dist {-1:0.7071,, 1:0.7071} chi=(1,0)",  # empty map entry
         ],
     )
     def test_rejects(self, text):
         with pytest.raises(FormatError):
             parse_state(text)
+
+    def test_trailing_comma_in_map(self):
+        s = parse_state("dist {-1:0.7071, 1:0.7071,} chi=(1,0)")
+        assert s.amplitudes == parse_state("dist {-1:0.7071, 1:0.7071} chi=(1,0)").amplitudes
 
     def test_two_dimensional_positions(self):
         s = parse_state("local v=1,-2 chi=(1,0)")

@@ -205,6 +205,12 @@ class TestDensityMatrix:
         with pytest.raises(NumericalFailure):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_stores_the_hermitian_part(self):
+        m = np.array([[0.5, 0.2 + 1e-11j], [0.2, 0.5]])
+        dm = DensityMatrix(m)
+        assert np.array_equal(dm.matrix, dm.matrix.conj().T)
+        assert np.array_equal(dm.matrix, (m + m.conj().T) / 2)
+
     def test_eigenvalues_descending(self):
         dm = DensityMatrix(np.diag([0.25, 0.75]))
         assert np.allclose(dm.eigenvalues(), [0.75, 0.25])

@@ -12,8 +12,6 @@ from coinwalk import (
     NormalizationError,
     QuadratureGrid,
     bloch_coin,
-    coin_dim,
-    lattice_dim,
     psi_k_many,
     site_table,
 )
@@ -32,7 +30,8 @@ class TestConstruction:
     def test_local_scalar_position_is_promoted(self):
         s = LocalState(position=0, chi=[1, 0])
         assert s.position == (0,)
-        assert coin_dim(s) == 2 and lattice_dim(s) == 1
+        positions, coeffs = site_table(s)
+        assert positions.shape == (1, 1) and coeffs.shape == (1, 2)
 
     def test_local_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
@@ -45,6 +44,14 @@ class TestConstruction:
     def test_general_rejects_mixed_coin_dims(self):
         with pytest.raises(DimensionMismatch):
             GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 0, 0]})
+
+    def test_distributed_rejects_mixed_position_lengths(self):
+        with pytest.raises(DimensionMismatch):
+            DistributedState(amplitudes={(0,): INV2, (0, 0): INV2}, chi=[1, 0])
+
+    def test_general_rejects_mixed_position_lengths(self):
+        with pytest.raises(DimensionMismatch):
+            GeneralState(amplitudes={(0,): [INV2, 0], (1, 2): [0, INV2]})
 
     def test_general_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):

@@ -84,6 +84,14 @@ def test_build_uk_dimension_mismatch():
         build_uk(spec, [0.1, 0.2])
 
 
+def test_build_uk_broadcasts_over_a_stack_of_points(rng):
+    spec = WalkSpec(lattice_dim=2, coin_dim=2, shifts=[[1, 1], [-1, -1]], coin=HADAMARD)
+    ks = rng.uniform(-PI, PI, size=(5, 2))
+    assert np.array_equal(build_uk(spec, ks), np.stack([build_uk(spec, k) for k in ks]))
+    with pytest.raises(DimensionMismatch):
+        build_uk(spec, rng.uniform(-PI, PI, size=(5, 3)))
+
+
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
 def test_build_uk_unitary(theta, alpha, beta, k):
     u = build_uk(line_walk(U2Params(theta, alpha, beta)), k)
