@@ -35,12 +35,9 @@ from .errors import (
     InvalidArgument,
     NonUnitaryInput,
     NormalizationError,
-    NotSquareDimension,
     NumericalFailure,
 )
 from .grammar import (
-    format_complex,
-    format_walk_config,
     parse_angle,
     parse_complex,
     parse_state,
@@ -51,9 +48,7 @@ from .linalg import (
     EigenSystem,
     eig_unitary,
     eig_unitary_batch,
-    is_hermitian,
     is_unitary,
-    partial_trace,
     von_neumann_entropy,
 )
 from .simulate import LatticeState, cesaro_rho, initial_lattice_state, rho_c_at_t, rho_series, step

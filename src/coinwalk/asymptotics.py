@@ -22,6 +22,7 @@ from .characteristic import (
     c_local_u2,
     characteristic_stack,
 )
+from .errors import DimensionMismatch
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import BlochCoin, InitialState, psi_k_many, require_state_fits
 from .walk import U2Params, WalkSpec
@@ -80,6 +81,8 @@ def _dephase(c: Array, p0: Array) -> Array:
 def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResult:
     """Contract a constant (n^2, n^2) characteristic matrix with the coin projector of ``chi``."""
     chi = np.asarray(chi, dtype=np.complex128).reshape(-1)
+    if np.shape(c) != (chi.size**2, chi.size**2):
+        raise DimensionMismatch(f"c has shape {np.shape(c)}, expected {(chi.size**2,) * 2}")
     p0 = np.outer(chi, chi.conj())
     return _result(_dephase(c, p0[None])[0], method)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoin, DegenerateDispersion, InvalidArgument
+from .errors import DegenerateCoin, DegenerateDispersion, InvalidArgument, as_int
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
 from .walk import U2Params, WalkSpec, build_uk, dispersion_gamma
 
@@ -40,7 +40,7 @@ class QuadratureGrid:
     dim: int = 1
 
     def __post_init__(self):
-        if self.points_per_axis < 1 or self.dim < 1:
+        if as_int(self.points_per_axis, "points_per_axis") < 1 or as_int(self.dim, "dim") < 1:
             raise InvalidArgument("points_per_axis and dim must be >= 1")
 
     @classmethod
@@ -52,15 +52,9 @@ class QuadratureGrid:
         return self.points_per_axis**self.dim
 
     @property
-    def weight(self) -> float:
-        return 1.0 / self.node_count
-
-    @property
     def nodes(self) -> Array:
         """All nodes as a (N^d, d) array, lexicographic order."""
         axis = -np.pi + 2 * np.pi * np.arange(self.points_per_axis) / self.points_per_axis
-        if self.dim == 1:
-            return axis[:, None]
         grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 

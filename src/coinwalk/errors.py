@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class CoinWalkError(Exception):
@@ -15,10 +17,6 @@ class ConvergenceFailure(CoinWalkError):
 
 class DimensionMismatch(CoinWalkError):
     """Vector/matrix dimensions are inconsistent with the walk definition."""
-
-
-class NotSquareDimension(CoinWalkError):
-    """Partial trace requires a square matrix of perfect-square dimension."""
 
 
 class DegenerateDispersion(CoinWalkError):
@@ -43,3 +41,11 @@ class InvalidArgument(CoinWalkError):
 
 class FormatError(CoinWalkError):
     """A text input (walk config, state grammar, angle literal) did not parse."""
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; :class:`InvalidArgument` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}") from exc

@@ -58,13 +58,6 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-def format_complex(z: complex) -> str:
-    re_s = format(z.real, ".17g")
-    im_s = format(z.imag, ".17g")
-    sign = "+" if not im_s.startswith("-") else ""
-    return f"{re_s}{sign}{im_s}i"
-
-
 _PI_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(?P<div>\d+(?:\.\d+)?))?$",
     re.IGNORECASE,
@@ -123,26 +116,10 @@ def parse_walk_config(text: str) -> WalkSpec:
         raise FormatError("missing 'dim' line")
     if not coin_rows:
         raise FormatError("missing 'coin' rows")
-    n = len(coin_rows)
-    if any(len(row) != n for row in coin_rows):
-        raise FormatError("coin rows do not form a square matrix")
-    if len(shifts) != n:
-        raise FormatError(f"expected {n} 'shift' lines (one per coin state), got {len(shifts)}")
-    if any(len(sv) != dim for sv in shifts):
-        raise FormatError(f"every shift vector must have {dim} components")
     try:
-        return WalkSpec(lattice_dim=dim, coin_dim=n, shifts=shifts, coin=coin_rows)
+        return WalkSpec(lattice_dim=dim, coin_dim=len(coin_rows), shifts=shifts, coin=coin_rows)
     except Exception as exc:
         raise FormatError(f"invalid walk config: {exc}") from exc
-
-
-def format_walk_config(spec: WalkSpec) -> str:
-    lines = [f"dim {spec.lattice_dim}"]
-    for row in spec.coin:
-        lines.append("coin " + ", ".join(format_complex(z) for z in row))
-    for sv in spec.shifts:
-        lines.append("shift " + " ".join(str(int(x)) for x in sv))
-    return "\n".join(lines) + "\n"
 
 
 def _renormalize(values: np.ndarray, what: str) -> np.ndarray:

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    InvalidArgument,
-    NonUnitaryInput,
-    NotSquareDimension,
-    NumericalFailure,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, NonUnitaryInput, NumericalFailure
 
 Array = np.ndarray
 
@@ -36,20 +29,15 @@ def as_matrix(m) -> Array:
     return a
 
 
-def is_unitary(m, tol: float = 1e-10) -> bool:
-    """True if ``m`` is square and ``m† m = I`` within ``tol`` (max-entry)."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
+def is_unitary(m) -> bool:
+    """True if ``m`` is square and ``m† m = I`` within 1e-10 (max-entry).
 
-
-def is_hermitian(m, tol: float = 1e-10) -> bool:
-    """True if ``m`` is square and equals its conjugate transpose within ``tol``."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    ``m`` is one matrix or an (M, n, n) stack, whose every matrix must pass.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))) <= 1e-10)
 
 
 @dataclass(frozen=True)
@@ -72,18 +60,10 @@ class EigenSystem:
     vectors: Array
     groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.phases)
-
     def projector(self, group: tuple[int, ...]) -> Array:
         """Orthogonal projector onto the eigenspace spanned by ``group``."""
         v = self.vectors[:, list(group)]
         return v @ v.conj().T
-
-    def reconstruct(self) -> Array:
-        """Rebuild the source unitary as ``sum_j exp(1j*w_j) |v_j><v_j|``."""
-        return (self.vectors * np.exp(1j * self.phases)) @ self.vectors.conj().T
 
 
 def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
@@ -108,11 +88,8 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         ``V^dag V`` from the identity exceeds 1e-12 at some node.
     """
     a = np.asarray(u, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise NonUnitaryInput(f"expected a stack of square matrices, got shape {a.shape}")
-    eye = np.eye(a.shape[1])
-    if not np.max(np.abs(a.conj().swapaxes(1, 2) @ a - eye)) <= 1e-10:
-        raise NonUnitaryInput("input matrix is not unitary within 1e-10")
+    if a.ndim != 3 or not is_unitary(a):
+        raise NonUnitaryInput(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -130,7 +107,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
 
     residual = np.max(np.abs(a @ vectors - vectors * np.exp(1j * phases)[:, None, :]))
-    gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - eye))
+    gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(a.shape[1])))
     if not (residual <= 1e-12 and gram <= 1e-12):
         raise ConvergenceFailure(
             f"eigenvector residual {residual:.3e} or orthonormality error {gram:.3e} exceeds 1e-12"
@@ -142,39 +119,12 @@ def eig_unitary(u) -> EigenSystem:
     """Eigendecompose one unitary matrix: :func:`eig_unitary_batch` with M = 1.
 
     Phases within ``DEGENERACY_TOL`` of each other are grouped into one
-    eigenspace, so eigenspace projectors are basis-independent.
-
-    Raises
-    ------
-    NonUnitaryInput
-        If ``u`` is not unitary within 1e-10.
-    ConvergenceFailure
-        If the decomposition fails or violates the residual contract.
+    eigenspace, so eigenspace projectors are basis-independent. Raises as
+    :func:`eig_unitary_batch` does.
     """
     phases, vectors, labels = eig_unitary_batch(as_matrix(u)[None])
     groups = tuple(tuple(np.flatnonzero(labels[0] == g).tolist()) for g in np.unique(labels[0]))
     return EigenSystem(phases=phases[0], vectors=vectors[0], groups=groups)
-
-
-def partial_trace(m, which: str = "first") -> Array:
-    """Trace out one tensor factor of an (n^2 x n^2) matrix.
-
-    Viewing ``m`` as an n x n grid of n x n blocks, ``which='first'`` sums
-    the diagonal blocks (traces out the first factor) and ``which='second'``
-    replaces each block by its trace.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquareDimension(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    n = round(a.shape[0] ** 0.5)
-    if n * n != a.shape[0]:
-        raise NotSquareDimension(f"dimension {a.shape[0]} is not a perfect square")
-    blocks = a.reshape(n, n, n, n)
-    if which == "first":
-        return np.einsum("iaib->ab", blocks)
-    if which == "second":
-        return np.einsum("iaja->ij", blocks)
-    raise InvalidArgument(f"which must be 'first' or 'second', got {which!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +140,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = as_matrix(self.matrix)
-        if not is_hermitian(a, 1e-10):
+        if a.shape[0] != a.shape[1] or not np.max(np.abs(a - a.conj().T)) <= 1e-10:
             raise NumericalFailure("density matrix is not Hermitian within 1e-10")
         a = (a + a.conj().T) / 2
         object.__setattr__(self, "matrix", a)
@@ -198,10 +148,6 @@ class DensityMatrix:
             raise NumericalFailure("density matrix trace differs from 1 by more than 1e-10")
         if np.min(np.linalg.eigvalsh(a)) < -1e-10:
             raise NumericalFailure("density matrix has an eigenvalue below -1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def eigenvalues(self) -> Array:
         """Real eigenvalues, descending."""
@@ -211,12 +157,12 @@ class DensityMatrix:
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits, ``-sum(l * log2(l))`` with 0*log(0) := 0.
 
-    Eigenvalues in ``[-1e-10, 0)`` are clamped to zero so that quadrature
-    noise cannot produce NaN, and the result is floored at 0 (an eigenvalue
-    rounding to slightly above 1 would otherwise make it negative).
+    Input that is not a :class:`DensityMatrix` is checked by constructing one.
+    Eigenvalues at or below 0 (quadrature noise down to -1e-10) are skipped,
+    and the result is floored at 0 (an eigenvalue rounding to slightly above
+    1 would otherwise make it negative).
     """
-    a = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    lam = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    lam = np.where((lam < 0) & (lam >= -1e-10), 0.0, lam)
+    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    lam = np.linalg.eigvalsh(rho.matrix)
     pos = lam[lam > 0]
     return max(0.0, float(-(pos * np.log2(pos)).sum()))

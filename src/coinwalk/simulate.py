@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, as_int
 from .linalg import Array, DensityMatrix
 from .states import InitialState, require_state_fits, site_table
 from .walk import WalkSpec
@@ -29,11 +29,6 @@ class LatticeState:
 
     t: int
     amplitudes: dict[tuple[int, ...], Array]
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.amplitudes.values()))
-        )
 
 
 def initial_lattice_state(state: InitialState) -> LatticeState:
@@ -89,7 +84,7 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     reference that the tests compare this stepper against.
     """
     require_state_fits(spec, state)
-    if t_max < 0:
+    if as_int(t_max, "t_max") < 0:
         raise InvalidArgument(f"need t_max >= 0, got {t_max}")
     n = spec.coin_dim
     positions, coeffs = site_table(state)
@@ -141,8 +136,8 @@ def cesaro_rho(
 
     ``burn_in`` defaults to 5% of ``t_max`` (transient discard).
     """
-    if burn_in is None:
-        burn_in = t_max // 20
+    t_max = as_int(t_max, "t_max")
+    burn_in = t_max // 20 if burn_in is None else as_int(burn_in, "burn_in")
     if not (t_max > burn_in >= 0):
         raise InvalidArgument(f"need t_max > burn_in >= 0, got t_max={t_max}, burn_in={burn_in}")
     rhos = rho_series(spec, state, t_max)

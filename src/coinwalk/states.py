@@ -33,9 +33,9 @@ def _require_one_lattice_dim(positions) -> None:
 
 
 def _as_vector(v) -> Array:
-    arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if arr.size < 1:
-        raise DimensionMismatch("coin vector must have at least one component")
+    arr = np.atleast_1d(np.asarray(v, dtype=np.complex128))
+    if arr.ndim > 1 or arr.size < 1:
+        raise DimensionMismatch(f"coin vector must be 1-d and non-empty, got shape {arr.shape}")
     return arr
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NonUnitaryInput
-from .linalg import Array, as_matrix, is_unitary
+from .errors import DimensionMismatch, InvalidArgument, NonUnitaryInput, as_int
+from .linalg import Array, is_unitary
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,10 @@ class WalkSpec:
         not convention: non-unit entries define walks with longer steps.
     coin : (n, n) complex array
         Unitary coin operator.
+
+    Construction raises :class:`DimensionMismatch` unless ``coin`` is an (n, n)
+    and ``shifts`` an (n, d) table, :class:`InvalidArgument` for a non-integer
+    shift and :class:`NonUnitaryInput` for a coin not unitary within 1e-10.
     """
 
     lattice_dim: int
@@ -68,19 +72,33 @@ class WalkSpec:
     coin: Array
 
     def __post_init__(self):
-        if self.lattice_dim < 1 or self.coin_dim < 1:
+        n, d = as_int(self.coin_dim, "coin_dim"), as_int(self.lattice_dim, "lattice_dim")
+        if n < 1 or d < 1:
             raise InvalidArgument("lattice_dim and coin_dim must be >= 1")
-        n, d = self.coin_dim, self.lattice_dim
-        shifts = np.asarray(self.shifts, dtype=np.int64)
-        if shifts.size != n * d:
-            raise DimensionMismatch(f"expected one {d}-component shift per coin state ({n})")
-        object.__setattr__(self, "shifts", shifts.reshape(n, d))
-        coin = as_matrix(self.coin)
-        if coin.shape != (n, n):
-            raise DimensionMismatch(f"coin shape {coin.shape} != ({n}, {n})")
-        if not is_unitary(coin, 1e-10):
+        rows = _row_lengths(self.coin, "coin")
+        if len(rows) != n or any(m != n for m in rows):
+            raise DimensionMismatch(f"coin rows do not form a square {n}x{n} matrix")
+        widths = _row_lengths(self.shifts, "shifts")
+        if len(widths) != n:
+            raise DimensionMismatch(
+                f"expected {n} shift vectors (one per coin state), got {len(widths)}"
+            )
+        if any(w != d for w in widths):
+            raise DimensionMismatch(f"every shift vector must have {d} components")
+        shifts = [[as_int(x, "a shift component") for x in row] for row in self.shifts]
+        object.__setattr__(self, "shifts", np.array(shifts, dtype=np.int64))
+        coin = np.asarray(self.coin, dtype=np.complex128)
+        if not is_unitary(coin):
             raise NonUnitaryInput("coin is not unitary within 1e-10")
         object.__setattr__(self, "coin", coin)
+
+
+def _row_lengths(table, what: str) -> list[int]:
+    """Length of each row of a 2-d table; -1 for a row that is not a flat vector."""
+    try:
+        return [len(row) if np.ndim(row) == 1 else -1 for row in table]
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{what} must be a table of rows") from exc
 
 
 def line_walk(p: U2Params) -> WalkSpec:

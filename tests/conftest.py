@@ -32,6 +32,39 @@ def swap_matrix(n: int) -> np.ndarray:
     return s
 
 
+def unitarity_error(m) -> float:
+    """Largest entry of ``|m^dag m - I|``."""
+    a = np.asarray(m)
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+
+
+def partial_trace(m, which: str = "first") -> np.ndarray:
+    """Trace out one tensor factor of an (n^2 x n^2) matrix.
+
+    Viewing ``m`` as an n x n grid of n x n blocks, ``which='first'`` sums
+    the diagonal blocks (traces out the first factor) and ``which='second'``
+    replaces each block by its trace.
+    """
+    a = np.asarray(m)
+    n = round(a.shape[0] ** 0.5)
+    assert a.shape == (n * n, n * n), a.shape
+    return np.einsum({"first": "iaib->ab", "second": "iaja->ij"}[which], a.reshape(n, n, n, n))
+
+
+def format_complex(z: complex) -> str:
+    """A complex literal of the walk-file grammar that parses back to ``z`` exactly."""
+    re_s, im_s = format(z.real, ".17g"), format(z.imag, ".17g")
+    return f"{re_s}{'' if im_s.startswith('-') else '+'}{im_s}i"
+
+
+def walk_config_text(spec) -> str:
+    """The walk file that ``parse_walk_config`` reads back as ``spec``."""
+    lines = [f"dim {spec.lattice_dim}"]
+    lines += ["coin " + ", ".join(format_complex(z) for z in row) for row in spec.coin]
+    lines += ["shift " + " ".join(str(int(x)) for x in sv) for sv in spec.shifts]
+    return "\n".join(lines) + "\n"
+
+
 def random_interior_params(rng: np.random.Generator) -> U2Params:
     """Coin parameters safely away from the Pauli-type endpoints."""
     return U2Params(

@@ -27,12 +27,11 @@ from coinwalk import (
     eigenvalues_entangled_example,
     eigenvalues_local_general,
     line_walk,
-    partial_trace,
     rho_asymptotic,
     rho_local_closed,
 )
 from coinwalk.cli import main
-from conftest import random_interior_params, swap_matrix
+from conftest import partial_trace, random_interior_params, swap_matrix
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)

@@ -227,6 +227,10 @@ class TestQuadraturePipeline:
             == "numeric_quadrature"
         )
 
+    def test_characteristic_of_the_wrong_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            rho_from_characteristic([1, 0, 0], np.eye(4), "x")
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             rho_asymptotic(

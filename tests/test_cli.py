@@ -10,13 +10,13 @@ import pytest
 import coinwalk
 from coinwalk import (
     U2Params,
-    format_walk_config,
     line_walk,
     parse_state,
     parse_walk_config,
     rho_asymptotic,
 )
 from coinwalk.cli import main
+from conftest import walk_config_text
 
 PI = np.pi
 LOCAL = "local v=0 chi=(1,0)"
@@ -115,7 +115,7 @@ class TestRho:
     def test_walk_file_matches_angle_flags(self, capsys, tmp_path):
         p = U2Params(0.7, 0.2, -0.4)
         cfg = tmp_path / "walk.cfg"
-        cfg.write_text(format_walk_config(line_walk(p)))
+        cfg.write_text(walk_config_text(line_walk(p)))
         state = "local v=0 chi=(1,0)"
         _, out_a, _ = run(
             capsys, "rho", "--theta", "0.7", "--alpha", "0.2", "--beta", "-0.4",
@@ -324,6 +324,25 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize(
+        "cfg, defect",
+        [
+            ("dim 1\ncoin 0, 1\ncoin 1\nshift 1\nshift -1\n", "coin rows do not form a square"),
+            ("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 1\n", "(one per coin state), got 1"),
+            ("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 1 0\nshift -1\n",
+             "every shift vector must have 1 components"),
+        ],
+        ids=["ragged-coin", "missing-shift-line", "wrong-shift-width"],
+    )
+    def test_malformed_walk_file_names_the_defect(self, cfg, defect, tmp_path):
+        (tmp_path / "walk.cfg").write_text(cfg)
+        proc = run_process("-m", "coinwalk.cli", "rho", "--walk-file", str(tmp_path / "walk.cfg"),
+                           "--state", LOCAL)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert defect in proc.stderr
+        assert "numpy" not in proc.stderr and "inhomogeneous" not in proc.stderr
 
 
 def test_import_does_not_load_scipy():

@@ -6,8 +6,6 @@ from coinwalk import (
     FormatError,
     GeneralState,
     LocalState,
-    format_complex,
-    format_walk_config,
     line_walk,
     parse_angle,
     parse_complex,
@@ -15,6 +13,7 @@ from coinwalk import (
     parse_walk_config,
     U2Params,
 )
+from conftest import format_complex, walk_config_text
 
 INV2 = 1 / np.sqrt(2)
 
@@ -94,7 +93,7 @@ shift -1
 
     def test_roundtrip(self):
         spec = line_walk(U2Params(0.6, 0.2, -0.9))
-        again = parse_walk_config(format_walk_config(spec))
+        again = parse_walk_config(walk_config_text(spec))
         assert np.max(np.abs(again.coin - spec.coin)) <= 1e-15
         assert again.shifts.tolist() == spec.shifts.tolist()
 

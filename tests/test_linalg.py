@@ -7,15 +7,12 @@ from coinwalk import (
     DensityMatrix,
     NumericalFailure,
     NonUnitaryInput,
-    NotSquareDimension,
     eig_unitary,
     eig_unitary_batch,
-    is_hermitian,
     is_unitary,
-    partial_trace,
     von_neumann_entropy,
 )
-from conftest import random_unitary
+from conftest import partial_trace, random_unitary
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
 # hand: L = 1/2, F = 0, G = -1/2
@@ -36,9 +33,11 @@ class TestPredicates:
         assert not is_unitary(2 * np.eye(3))
         assert not is_unitary(np.ones((2, 3)))
 
-    def test_hermitian(self):
-        assert is_hermitian([[1, 1j], [-1j, 2]])
-        assert not is_hermitian([[1, 1j], [1j, 2]])
+    def test_unitary_stack(self, rng):
+        stack = np.stack([random_unitary(rng, 3), random_unitary(rng, 3)])
+        assert is_unitary(stack)
+        stack[1, 2, 2] *= 1 + 1e-9
+        assert not is_unitary(stack)
 
 
 class TestEigUnitary:
@@ -72,7 +71,8 @@ class TestEigUnitary:
             n = int(rng.integers(2, 7))
             u = random_unitary(rng, n)
             es = eig_unitary(u)
-            assert np.max(np.abs(u - es.reconstruct())) <= 1e-11
+            rebuilt = (es.vectors * np.exp(1j * es.phases)) @ es.vectors.conj().T
+            assert np.max(np.abs(u - rebuilt)) <= 1e-11
             gram = es.vectors.conj().T @ es.vectors
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
@@ -148,12 +148,6 @@ class TestPartialTrace:
     def test_hadamard_characteristic_reduces_to_identity(self):
         assert np.allclose(partial_trace(HADAMARD_C_AT_HALF_PI, "first"), np.eye(2))
 
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(NotSquareDimension):
-            partial_trace(np.eye(3))
-        with pytest.raises(NotSquareDimension):
-            partial_trace(np.ones((4, 9)))
-
 
 class TestEntropy:
     def test_pure_state(self):
@@ -186,6 +180,11 @@ class TestEntropy:
         e = von_neumann_entropy(rho)
         assert np.isfinite(e) and e >= 0
 
+    def test_checks_a_plain_matrix_as_a_density_matrix(self):
+        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
+        with pytest.raises(NumericalFailure):
+            von_neumann_entropy(np.diag([1.5, -0.5]))
+
     @given(st.floats(min_value=1e-6, max_value=0.5))
     def test_range(self, p):
         e = von_neumann_entropy(DensityMatrix(np.diag([p, 1 - p])))
@@ -196,6 +195,8 @@ class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NumericalFailure):
             DensityMatrix([[0.5, 0.5], [0.0, 0.5]])
+        with pytest.raises(NumericalFailure):
+            DensityMatrix(np.ones((2, 3)) / 2)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(NumericalFailure):

@@ -98,7 +98,8 @@ class TestStep:
         )
         for _ in range(30):
             s = step(spec, s)
-        assert s.norm() == pytest.approx(1.0, abs=1e-12)
+        norm = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in s.amplitudes.values()))
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_light_cone(self):
         spec = line_walk(HADAMARD_PARAMS)
@@ -162,7 +163,9 @@ class TestDenseSeries:
         traces = np.einsum("tii->t", stack).real
         assert np.max(np.abs(traces - 1.0)) <= 1e-10
 
-    @pytest.mark.parametrize("t_max", [-1, 10**7], ids=["negative", "box-too-large"])
+    @pytest.mark.parametrize(
+        "t_max", [-1, 10**7, 2.5], ids=["negative", "box-too-large", "non-integer"]
+    )
     def test_rejects_horizon(self, t_max):
         # at 10**7 steps the 3-d box holds ~6e22 amplitudes: numpy refuses
         # the size before it allocates anything
@@ -231,3 +234,8 @@ class TestCesaroAverage:
     def test_rejects_bad_window(self):
         with pytest.raises(InvalidArgument):
             cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 100, 100)
+
+    @pytest.mark.parametrize("t_max, burn_in", [(10.0, None), (10, 2.5)])
+    def test_rejects_a_non_integer_window(self, t_max, burn_in):
+        with pytest.raises(InvalidArgument, match="integer"):
+            cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), t_max, burn_in)

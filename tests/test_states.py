@@ -41,6 +41,10 @@ class TestConstruction:
         with pytest.raises(NormalizationError):
             DistributedState(amplitudes={(0,): 1.0, (1,): 1.0}, chi=[1, 0])
 
+    def test_rejects_a_coin_vector_that_is_not_1d(self):
+        with pytest.raises(DimensionMismatch):
+            LocalState(0, [[1, 0], [0, 0]])
+
     def test_general_rejects_mixed_coin_dims(self):
         with pytest.raises(DimensionMismatch):
             GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 0, 0]})

@@ -5,16 +5,17 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     DimensionMismatch,
+    InvalidArgument,
     NonUnitaryInput,
     U2Params,
     WalkSpec,
     build_uk,
     dispersion_gamma,
     eig_unitary,
-    is_unitary,
     line_walk,
     u2_coin,
 )
+from conftest import unitarity_error
 
 PI = np.pi
 
@@ -38,7 +39,7 @@ def test_u2_coin_quarter_rotation():
 
 @given(theta=st.floats(-4, 4), alpha=phase, beta=phase)
 def test_u2_coin_always_unitary(theta, alpha, beta):
-    assert is_unitary(u2_coin(U2Params(theta, alpha, beta)), 1e-12)
+    assert unitarity_error(u2_coin(U2Params(theta, alpha, beta))) <= 1e-12
 
 
 def test_line_walk_layout():
@@ -50,7 +51,7 @@ def test_line_walk_layout():
 
 def test_line_walk_degenerate_theta_is_still_a_valid_spec():
     spec = line_walk(U2Params(0, 0, 0))
-    assert is_unitary(spec.coin, 1e-12)
+    assert unitarity_error(spec.coin) <= 1e-12
 
 
 def test_walkspec_rejects_non_unitary_coin():
@@ -63,6 +64,33 @@ def test_walkspec_rejects_wrong_shapes():
         WalkSpec(lattice_dim=1, coin_dim=2, shifts=[[1], [-1]], coin=np.eye(3))
     with pytest.raises(DimensionMismatch):
         WalkSpec(lattice_dim=2, coin_dim=2, shifts=[[1], [-1]], coin=np.eye(2))
+
+
+def test_walkspec_rejects_a_non_integer_shift():
+    with pytest.raises(InvalidArgument, match="integer"):
+        WalkSpec(1, 2, [[1.5], [-1]], HADAMARD)
+
+
+@pytest.mark.parametrize(
+    "shifts, coin, defect",
+    [
+        ([[1], [1, 2]], HADAMARD, "every shift vector must have 1 components"),
+        ([[1, 0], [1]], HADAMARD, "every shift vector must have 1 components"),
+        ([[1]], HADAMARD, "expected 2 shift vectors (one per coin state), got 1"),
+        ([1, -1], HADAMARD, "every shift vector must have 1 components"),
+        ([[1], [-1]], [[1, 0], [0]], "coin rows do not form a square 2x2 matrix"),
+        ([[1], [-1]], np.ones((2, 3)), "coin rows do not form a square 2x2 matrix"),
+        ([[1], [-1]], np.eye(3), "coin rows do not form a square 2x2 matrix"),
+    ],
+    ids=[
+        "ragged-shifts", "wide-shift", "missing-shift", "flat-shifts",
+        "ragged-coin", "wide-coin", "coin-of-the-wrong-size",
+    ],
+)
+def test_walkspec_names_a_malformed_table(shifts, coin, defect):
+    with pytest.raises(DimensionMismatch) as info:
+        WalkSpec(1, 2, shifts, coin)
+    assert str(info.value) == defect
 
 
 def test_build_uk_at_zero_is_the_coin():
@@ -95,7 +123,7 @@ def test_build_uk_broadcasts_over_a_stack_of_points(rng):
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
 def test_build_uk_unitary(theta, alpha, beta, k):
     u = build_uk(line_walk(U2Params(theta, alpha, beta)), k)
-    assert is_unitary(u, 1e-12)
+    assert unitarity_error(u) <= 1e-12
 
 
 def test_dispersion_examples():
