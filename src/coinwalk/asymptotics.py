@@ -17,14 +17,14 @@ import numpy as np
 
 from .characteristic import (
     QuadratureGrid,
-    _grid_too_large,
+    _grid_mean,
     _require_nondegenerate_coin,
     c_local_u2,
     characteristic_stack,
 )
 from .errors import DimensionMismatch
 from .linalg import Array, DensityMatrix, von_neumann_entropy
-from .states import BlochCoin, InitialState, psi_k_many, require_state_fits
+from .states import BlochCoin, InitialState, _as_vector, psi_k_many, require_state_fits
 from .walk import U2Params, WalkSpec
 
 
@@ -55,32 +55,38 @@ def rho_asymptotic(
 
     At every node ``C(k)`` from :func:`characteristic_stack` is contracted
     with ``P0(k) = |psi_k><psi_k|`` to ``sum_w P_w P0 P_w``; the nodes are
-    then averaged. The quadrature sum runs in a fixed node order, so results
-    are bit-stable across runs. A grid whose nodes or ``C(k)`` stack numpy
-    cannot allocate raises :class:`InvalidArgument`.
+    then averaged. ``C(k)`` and ``psi_k`` are computed one fixed-size block
+    of nodes at a time, so the working memory is that of one block (about
+    4 MiB of C) whatever the grid. The quadrature sum runs in a fixed node
+    order, so results are bit-stable across runs. A grid whose (N^d, d) node
+    array numpy cannot allocate raises :class:`InvalidArgument`.
     """
     _require_nondegenerate_coin(spec)
     require_state_fits(spec, state)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    try:
-        nodes = grid.nodes
-        cstack = characteristic_stack(spec, nodes)
-        psi = psi_k_many(state, nodes)
-    except MemoryError as exc:
-        raise _grid_too_large(grid) from exc
-    p0 = psi[:, :, None] * psi.conj()[:, None, :]
-    return _result(_dephase(cstack, p0).mean(axis=0), "numeric_quadrature")
+
+    def block_sum(kb: Array) -> Array:
+        psi = psi_k_many(state, kb)
+        p0 = psi[:, :, None] * psi.conj()[:, None, :]
+        return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
+
+    return _result(_grid_mean(spec, grid, block_sum), "numeric_quadrature")
 
 
 def _dephase(c: Array, p0: Array) -> Array:
-    """``rho_ad = sum_bc C_(a,c),(b,d) P0_bc`` over stacks (M, n^2, n^2) and (M, n, n)."""
-    n = p0.shape[-1]
-    return np.einsum("macbd,mbc->mad", c.reshape(-1, n, n, n, n), p0)
+    """``rho_ad = sum_bc C_(a,c),(b,d) P0_bc`` over stacks (M, n^2, n^2) and (M, n, n).
+
+    Viewed as (M, n, n^2, n), C holds for each row a an (n^2, n) matrix over
+    the index pairs (c, b); row a of rho is ``vec(P0^T)`` times that matrix.
+    """
+    m, n, _ = p0.shape
+    v = p0.swapaxes(1, 2).reshape(m, 1, 1, n * n)
+    return (v @ c.reshape(m, n, n * n, n)).reshape(m, n, n)
 
 
 def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResult:
     """Contract a constant (n^2, n^2) characteristic matrix with the coin projector of ``chi``."""
-    chi = np.asarray(chi, dtype=np.complex128).reshape(-1)
+    chi = _as_vector(chi)
     if np.shape(c) != (chi.size**2, chi.size**2):
         raise DimensionMismatch(f"c has shape {np.shape(c)}, expected {(chi.size**2,) * 2}")
     p0 = np.outer(chi, chi.conj())

@@ -60,9 +60,14 @@ class QuadratureGrid:
 
 
 def _sum_kron(a: Array, b: Array) -> Array:
-    """``sum_j a_j (x) b_j`` over stacks (M, J, n, n), returned as (M, n^2, n^2)."""
-    m, _, n, _ = a.shape
-    return np.einsum("mjac,mjbd->mabcd", a, b).reshape(m, n * n, n * n)
+    """``sum_j a_j (x) b_j`` over stacks (M, J, n, n), returned as (M, n^2, n^2).
+
+    One batched ``(n^2, J) @ (J, n^2)`` product gives ``X_(a,c),(b,d)``;
+    swapping its middle axes gives ``C_(a,b),(c,d)``.
+    """
+    m, j, n, _ = a.shape
+    x = a.reshape(m, j, n * n).swapaxes(1, 2) @ b.reshape(m, j, n * n)
+    return x.reshape(m, n, n, n, n).swapaxes(2, 3).reshape(m, n * n, n * n)
 
 
 def _require_nondegenerate_coin(spec: WalkSpec) -> None:
@@ -82,10 +87,34 @@ def _require_nondegenerate_coin(spec: WalkSpec) -> None:
         )
 
 
-def _grid_too_large(grid: QuadratureGrid) -> InvalidArgument:
-    return InvalidArgument(
-        f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
-    )
+#: bytes of the C(k) stack built per block of grid nodes: 16384 nodes for
+#: n = 2, 1024 for n = 4, 202 for n = 6
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _grid_mean(spec: WalkSpec, grid: QuadratureGrid, block_sum) -> Array:
+    """Mean over the nodes of ``grid`` of a per-node quantity of ``spec``.
+
+    ``block_sum(kb)`` returns the quantity summed over a (B, d) block of
+    nodes. A block holds as many nodes as fit a C(k) stack of
+    ``_BLOCK_BYTES``, so the working memory does not grow with the grid;
+    only the (N^d, d) node array does, at 8 d bytes per node. Blocks are
+    summed in node order, so results are bit-stable across runs.
+
+    Raises
+    ------
+    InvalidArgument
+        If numpy cannot allocate the node array (or a block).
+    """
+    size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
+    try:
+        nodes = grid.nodes
+        total = sum(block_sum(nodes[i : i + size]) for i in range(0, len(nodes), size))
+    except MemoryError as exc:
+        raise InvalidArgument(
+            f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
+        ) from exc
+    return total / grid.node_count
 
 
 def characteristic_at_k(spec: WalkSpec, k) -> Array:
@@ -107,13 +136,18 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     eigensolve. There C is assembled as ``sum_j |v_j><v_j| (x) P_w(j)``: each
     eigenvector's projector paired with the projector of its eigenspace.
     Both routes merge eigenvalues closer than ``DEGENERACY_TOL``.
+
+    The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
+    this one fixed-size block of nodes at a time.
     """
     if spec.coin_dim == 2:  # the closed form is over 10x faster than the batched eigensolve
         return _characteristic_stack_2(spec, ks)
     _, vectors, labels = eig_unitary_batch(build_uk(spec, ks))
-    proj = np.einsum("maj,mcj->mjac", vectors, vectors.conj())
-    same = (labels[:, :, None] == labels[:, None, :]).astype(np.float64)
-    return _sum_kron(proj, np.einsum("mjl,mlbd->mjbd", same, proj))
+    v = vectors.swapaxes(1, 2)
+    proj = v[:, :, :, None] * v.conj()[:, :, None, :]  # |v_j><v_j|, (M, n, n, n)
+    same = (labels[:, :, None] == labels[:, None, :]).astype(np.complex128)
+    m, n = labels.shape
+    return _sum_kron(proj, (same @ proj.reshape(m, n, n * n)).reshape(proj.shape))
 
 
 def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
@@ -180,17 +214,17 @@ def c_of_k_u2(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
 def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     """Uniform k-integral of C(k): the constant (n^2, n^2) matrix for local states.
 
+    C(k) is built one fixed-size block of nodes at a time, so the working
+    memory is that of one block (about 4 MiB of C) whatever the grid.
+
     Raises
     ------
     InvalidArgument
-        If the grid nodes or the C(k) stack do not fit in memory.
+        If the (N^d, d) array of grid nodes does not fit in memory.
     """
     _require_nondegenerate_coin(spec)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    try:
-        return characteristic_stack(spec, grid.nodes).mean(axis=0)
-    except MemoryError as exc:
-        raise _grid_too_large(grid) from exc
+    return _grid_mean(spec, grid, lambda kb: characteristic_stack(spec, kb).sum(axis=0))
 
 
 def c_local_u2(p: U2Params) -> Array:

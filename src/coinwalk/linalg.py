@@ -81,6 +81,8 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
 
     Raises
     ------
+    DimensionMismatch
+        If the stack is empty.
     NonUnitaryInput
         If some matrix is not unitary within 1e-10.
     ConvergenceFailure
@@ -88,6 +90,8 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         ``V^dag V`` from the identity exceeds 1e-12 at some node.
     """
     a = np.asarray(u, dtype=np.complex128)
+    if a.size == 0:
+        raise DimensionMismatch(f"expected a non-empty stack of matrices, got shape {a.shape}")
     if a.ndim != 3 or not is_unitary(a):
         raise NonUnitaryInput(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
     try:

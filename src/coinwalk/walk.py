@@ -63,7 +63,8 @@ class WalkSpec:
 
     Construction raises :class:`DimensionMismatch` unless ``coin`` is an (n, n)
     and ``shifts`` an (n, d) table, :class:`InvalidArgument` for a non-integer
-    shift and :class:`NonUnitaryInput` for a coin not unitary within 1e-10.
+    shift or a non-numeric coin entry and :class:`NonUnitaryInput` for a coin
+    not unitary within 1e-10.
     """
 
     lattice_dim: int
@@ -87,7 +88,10 @@ class WalkSpec:
             raise DimensionMismatch(f"every shift vector must have {d} components")
         shifts = [[as_int(x, "a shift component") for x in row] for row in self.shifts]
         object.__setattr__(self, "shifts", np.array(shifts, dtype=np.int64))
-        coin = np.asarray(self.coin, dtype=np.complex128)
+        try:
+            coin = np.asarray(self.coin, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"coin entries must be numbers: {exc}") from exc
         if not is_unitary(coin):
             raise NonUnitaryInput("coin is not unitary within 1e-10")
         object.__setattr__(self, "coin", coin)

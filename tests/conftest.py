@@ -24,6 +24,12 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random unit vector in C^n."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
 def swap_matrix(n: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors of C^n (x) C^n."""
     s = np.zeros((n * n, n * n))

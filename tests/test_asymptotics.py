@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,12 +22,14 @@ from coinwalk import (
     eigenvalues_local_general,
     entropy_of_pair,
     line_walk,
+    psi_k_many,
     rho_asymptotic,
     rho_distributed_example_closed,
     rho_from_characteristic,
     rho_local_closed,
 )
-from conftest import random_interior_params
+from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack
+from conftest import random_interior_params, random_unitary, unit_vector
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -231,6 +235,11 @@ class TestQuadraturePipeline:
         with pytest.raises(DimensionMismatch):
             rho_from_characteristic([1, 0, 0], np.eye(4), "x")
 
+    def test_two_dimensional_chi_rejected(self):
+        # flattened, this chi would pass as a 4-component coin for a 16x16 c
+        with pytest.raises(DimensionMismatch, match="1-d"):
+            rho_from_characteristic([[1, 0], [0, 0]], np.eye(16), "x")
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             rho_asymptotic(
@@ -253,3 +262,55 @@ class TestQuadraturePipeline:
         res = rho_asymptotic(line_walk(p), local_zero(), QuadratureGrid(512, 1))
         assert res.eigenvalues[0] >= res.eigenvalues[1]
         assert np.trace(res.rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBlockedQuadrature:
+    """The grid averages, taken block by block, against one stack over every node."""
+
+    SHIFTS = {
+        (2, 1): [[1], [-1]],
+        (3, 1): [[1], [0], [-1]],
+        (4, 2): [[1, 0], [-1, 0], [0, 1], [0, -1]],
+        (6, 2): [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+    }
+
+    @staticmethod
+    def states(rng, n: int, d: int):
+        origin, near, far = (0,) * d, (1,) + (0,) * (d - 1), (-2,) + (1,) * (d - 1)
+        weights = unit_vector(rng, 3)
+        halves = unit_vector(rng, 2 * n).reshape(2, n)
+        return [
+            LocalState(origin, unit_vector(rng, n)),
+            DistributedState(dict(zip((origin, near, far), weights)), unit_vector(rng, n)),
+            GeneralState({near: halves[0], far: halves[1]}),
+        ]
+
+    @pytest.mark.parametrize(
+        "n, d, points", [(4, 2, 33), (6, 2, 15), (3, 1, 5000), (2, 1, 20000)]
+    )
+    def test_blocks_match_one_stack_over_every_node(self, n, d, points, rng):
+        grid = QuadratureGrid(points, d)
+        block = _BLOCK_BYTES // (16 * n**4)
+        assert grid.node_count > block and grid.node_count % block  # the last block is partial
+        spec = WalkSpec(d, n, self.SHIFTS[n, d], random_unitary(rng, n))
+        c = characteristic_stack(spec, grid.nodes)
+        assert np.max(np.abs(c_local(spec, grid) - c.mean(axis=0))) <= 1e-13
+        for state in self.states(rng, n, d):
+            psi = psi_k_many(state, grid.nodes)
+            p0 = psi[:, :, None] * psi.conj()[:, None, :]
+            want = np.einsum("macbd,mbc->mad", c.reshape(-1, n, n, n, n), p0).mean(axis=0)
+            got = rho_asymptotic(spec, state, grid).rho.matrix
+            assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
+
+    def test_working_memory_does_not_grow_with_the_grid(self):
+        rng = np.random.default_rng(96)
+        spec = WalkSpec(2, 4, self.SHIFTS[4, 2], random_unitary(rng, 4))
+        state = LocalState((0, 0), unit_vector(rng, 4))
+        # one 96^2 stack of C(k) alone would take 9216 * 16 * 4^4 B = 37.7 MB
+        tracemalloc.start()
+        try:
+            rho_asymptotic(spec, state, QuadratureGrid(96, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6

@@ -16,7 +16,7 @@ from coinwalk import (
     rho_asymptotic,
 )
 from coinwalk.cli import main
-from conftest import walk_config_text
+from conftest import random_unitary, walk_config_text
 
 PI = np.pi
 LOCAL = "local v=0 chi=(1,0)"
@@ -30,6 +30,7 @@ shift -1 0
 shift 0 1
 shift 0 -1
 """
+SQUARE_SHIFTS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 # a Hadamard walk along the diagonal of the square lattice
 DIAGONAL_CFG = """dim 2
 coin 0.7071067811865476, 0.7071067811865476
@@ -39,12 +40,18 @@ shift -1 -1
 """
 
 
-def run_process(*argv):
-    """Run ``python *argv`` in a fresh interpreter that imports this coinwalk."""
+def run_process(*argv, env=(), **kwargs):
+    """Run ``python *argv`` in a fresh interpreter that imports this coinwalk.
+
+    ``env`` adds variables to the environment; other keyword arguments go to
+    :func:`subprocess.run`.
+    """
     src = str(Path(coinwalk.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    env = dict(os.environ, PYTHONPATH=path, **dict(env))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs
+    )
 
 
 def run(capsys, *argv):
@@ -137,6 +144,27 @@ class TestRho:
         expected = rho_asymptotic(parse_walk_config(DIAGONAL_CFG), parse_state(state)).rho.matrix
         assert np.array_equal(np.array(doc["rho_re"]), expected.real)
         assert np.array_equal(np.array(doc["rho_im"]), expected.imag)
+
+    def test_default_two_dimensional_grid_runs_in_bounded_memory(self, tmp_path):
+        # at 256^2 nodes one C(k) stack of a 4-state coin alone would take 268 MB
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        coin = random_unitary(np.random.default_rng(256), 4)
+        cfg = tmp_path / "haar.cfg"
+        cfg.write_text(walk_config_text(coinwalk.WalkSpec(2, 4, SQUARE_SHIFTS, coin)))
+        proc = run_process(
+            "-m", "coinwalk.cli", "rho", "--walk-file", str(cfg),
+            "--state", "local v=0,0 chi=(1,0,0,0)",
+            # each BLAS thread reserves address space of its own
+            env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["grid_n"] == 256
 
     def test_entangled_state_is_nearly_mixed(self, capsys):
         code, out, _ = run(

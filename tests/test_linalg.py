@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     DensityMatrix,
+    DimensionMismatch,
     NumericalFailure,
     NonUnitaryInput,
     eig_unitary,
@@ -127,6 +128,10 @@ class TestEigUnitaryBatch:
         stack = np.stack([random_unitary(rng, 3), np.diag([1.0, 1.0, 2.0])])
         with pytest.raises(NonUnitaryInput):
             eig_unitary_batch(stack)
+
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            eig_unitary_batch(np.zeros((0, 2, 2)))
 
 
 class TestPartialTrace:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_unitary, unit_vector
 
 from coinwalk import (
     DimensionMismatch,
@@ -30,11 +30,6 @@ E2 = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 
 def local_zero() -> LocalState:
     return LocalState(position=0, chi=[1, 0])
-
-
-def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
 
 
 def sparse_series(spec: WalkSpec, state, t_max: int) -> list[np.ndarray]:

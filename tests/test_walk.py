@@ -71,6 +71,11 @@ def test_walkspec_rejects_a_non_integer_shift():
         WalkSpec(1, 2, [[1.5], [-1]], HADAMARD)
 
 
+def test_walkspec_rejects_non_numeric_coin_entries():
+    with pytest.raises(InvalidArgument, match="coin entries must be numbers"):
+        WalkSpec(1, 2, [[1], [-1]], [["a", "b"], ["c", "d"]])
+
+
 @pytest.mark.parametrize(
     "shifts, coin, defect",
     [
