@@ -28,7 +28,6 @@ from .characteristic import (
 from .errors import (
     CoinWalkError,
     ConvergenceFailure,
-    DegenerateCoin,
     DegenerateDispersion,
     DimensionMismatch,
     FormatError,

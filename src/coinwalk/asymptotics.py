@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristic import (
-    QuadratureGrid,
-    _grid_mean,
-    _require_nondegenerate_coin,
-    c_local_u2,
-    characteristic_stack,
-)
+from .characteristic import QuadratureGrid, _grid_mean, c_local_u2, characteristic_stack
 from .errors import DimensionMismatch
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import BlochCoin, InitialState, _as_vector, psi_k_many, require_state_fits
@@ -58,12 +52,12 @@ def rho_asymptotic(
     then averaged. ``C(k)`` and ``psi_k`` are computed one fixed-size block
     of nodes at a time, so the working memory is that of one block (about
     4 MiB of C) whatever the grid. The quadrature sum runs in a fixed node
-    order, so results are bit-stable across runs. A grid whose (N^d, d) node
-    array numpy cannot allocate raises :class:`InvalidArgument`.
+    order, so results are bit-stable across runs. ``grid=None`` takes
+    :meth:`QuadratureGrid.default`. A 2x2 coin with a zero off-diagonal entry,
+    whose bands cross, raises :class:`DegenerateDispersion`; a grid whose
+    (N^d, d) node array numpy cannot allocate raises :class:`InvalidArgument`.
     """
-    _require_nondegenerate_coin(spec)
     require_state_fits(spec, state)
-    grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
 
     def block_sum(kb: Array) -> Array:
         psi = psi_k_many(state, kb)

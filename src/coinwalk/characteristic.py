@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoin, DegenerateDispersion, InvalidArgument, as_int
+from .errors import DegenerateDispersion, InvalidArgument, as_int
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
 from .walk import U2Params, WalkSpec, build_uk, dispersion_gamma
 
@@ -71,19 +71,18 @@ def _sum_kron(a: Array, b: Array) -> Array:
 
 
 def _require_nondegenerate_coin(spec: WalkSpec) -> None:
-    """Reject 2x2 coins with vanishing diagonal or off-diagonal.
+    """Reject 2x2 coins with a zero off-diagonal entry (theta = 0 up to phases).
 
-    These are the theta in {0, pi/2} coins (up to phases), for which the
-    stationary-phase asymptotics behind the k-integrated pipeline is not
-    guaranteed (localization / purely ballistic regimes).
+    Such a coin is diagonal, so U_k is diagonal and its two bands cross
+    wherever U_k is scalar; a grid node on a crossing takes the whole of P0
+    there instead of its dephased part. A zero diagonal (theta = pi/2) gives
+    flat bands that never cross and is accepted.
     """
     c = spec.coin
-    if spec.coin_dim == 2 and (
-        min(abs(c[0, 0]), abs(c[1, 1])) < 1e-12 or min(abs(c[0, 1]), abs(c[1, 0])) < 1e-12
-    ):
-        raise DegenerateCoin(
-            "Pauli-type coin (theta in {0, pi/2}): the asymptotic quadrature "
-            "pipeline is not defined for this walk"
+    if spec.coin_dim == 2 and min(abs(c[0, 1]), abs(c[1, 0])) < 1e-12:
+        raise DegenerateDispersion(
+            "coin with a zero off-diagonal entry (theta = 0): its two bands cross"
+            " wherever U_k is scalar, so the quadrature is not defined for this walk"
         )
 
 
@@ -92,28 +91,35 @@ def _require_nondegenerate_coin(spec: WalkSpec) -> None:
 _BLOCK_BYTES = 4 * 2**20
 
 
-def _grid_mean(spec: WalkSpec, grid: QuadratureGrid, block_sum) -> Array:
+def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
     """Mean over the nodes of ``grid`` of a per-node quantity of ``spec``.
 
-    ``block_sum(kb)`` returns the quantity summed over a (B, d) block of
-    nodes. A block holds as many nodes as fit a C(k) stack of
-    ``_BLOCK_BYTES``, so the working memory does not grow with the grid;
-    only the (N^d, d) node array does, at 8 d bytes per node. Blocks are
-    summed in node order, so results are bit-stable across runs.
+    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``block_sum(kb)``
+    returns the quantity summed over a (B, d) block of nodes. A block holds
+    as many nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the working
+    memory does not grow with the grid; only the (N^d, d) node array does,
+    at 8 d bytes per node. Blocks are summed in node order, so results are
+    bit-stable across runs.
 
     Raises
     ------
+    DegenerateDispersion
+        For a 2x2 coin with a zero off-diagonal entry, whose bands cross.
     InvalidArgument
         If numpy cannot allocate the node array (or a block).
     """
-    size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
+    _require_nondegenerate_coin(spec)
+    grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
+    too_large = f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
     try:
         nodes = grid.nodes
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgument(too_large) from exc
+    size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
+    try:
         total = sum(block_sum(nodes[i : i + size]) for i in range(0, len(nodes), size))
     except MemoryError as exc:
-        raise InvalidArgument(
-            f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
-        ) from exc
+        raise InvalidArgument(too_large) from exc
     return total / grid.node_count
 
 
@@ -219,11 +225,11 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
 
     Raises
     ------
+    DegenerateDispersion
+        For a 2x2 coin with a zero off-diagonal entry, whose bands cross.
     InvalidArgument
         If the (N^d, d) array of grid nodes does not fit in memory.
     """
-    _require_nondegenerate_coin(spec)
-    grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
     return _grid_mean(spec, grid, lambda kb: characteristic_stack(spec, kb).sum(axis=0))
 
 

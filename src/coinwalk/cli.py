@@ -12,7 +12,7 @@ significant digits and every reduction runs in a fixed order, so identical
 configurations produce byte-identical output files.
 
 Exit codes: 0 ok, 1 verify failure, 2 bad input (parse error, argument out
-of range, unreadable or unwritable file), 3 degenerate coin, 4 numeric
+of range, unreadable or unwritable file), 3 the bands cross, 4 numeric
 failure.
 """
 
@@ -34,13 +34,7 @@ from .asymptotics import (
     rho_local_closed,
 )
 from .characteristic import QuadratureGrid, c_local, c_local_u2, c_of_k_u2, characteristic_at_k
-from .errors import (
-    CoinWalkError,
-    DegenerateCoin,
-    DegenerateDispersion,
-    FormatError,
-    InvalidArgument,
-)
+from .errors import CoinWalkError, DegenerateDispersion, FormatError, InvalidArgument
 from .grammar import parse_angle, parse_state, parse_walk_config
 from .simulate import cesaro_rho, rho_series
 from .states import BlochCoin, LocalState
@@ -292,7 +286,7 @@ def main(argv=None) -> int:
     except (FormatError, InvalidArgument, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateCoin, DegenerateDispersion) as exc:
+    except DegenerateDispersion as exc:
         print(f"error: degenerate coin/dispersion: {exc}", file=sys.stderr)
         return 3
     except CoinWalkError as exc:

@@ -20,11 +20,12 @@ class DimensionMismatch(CoinWalkError):
 
 
 class DegenerateDispersion(CoinWalkError):
-    """The dispersion relation is degenerate (sin^2(gamma) ~ 0) at this k."""
+    """The bands of the walk cross where the computation needs them apart.
 
-
-class DegenerateCoin(CoinWalkError):
-    """Pauli-type coin: the asymptotic quadrature pipeline is not defined."""
+    Raised by the closed form at a k where sin^2(gamma) ~ 0, and by the
+    quadrature for a 2x2 coin with a zero off-diagonal entry, whose two bands
+    cross wherever U_k is scalar.
+    """
 
 
 class NormalizationError(CoinWalkError):
@@ -44,8 +45,11 @@ class FormatError(CoinWalkError):
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; :class:`InvalidArgument` unless it is an integer."""
+    """``value`` as an int; :class:`InvalidArgument` unless it is an int64 integer."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError as exc:
         raise InvalidArgument(f"{what} must be an integer, got {value!r}") from exc
+    if not -(2**63) <= value < 2**63:
+        raise InvalidArgument(f"{what} must fit in a 64-bit integer, got {value}")
+    return value

@@ -40,17 +40,8 @@ from .walk import WalkSpec
 def parse_complex(text: str) -> complex:
     """Parse a complex literal using ``i`` for the imaginary unit."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise FormatError("empty complex literal")
-    if s in ("i", "+i"):
-        return 1j
-    if s == "-i":
-        return -1j
-    js = s[:-1] + "j" if s.endswith(("i", "I")) else s
-    # bare trailing sign before i, e.g. "1+i"
-    js = re.sub(r"([+-])j$", r"\g<1>1j", js)
     try:
-        z = complex(js)
+        z = complex(s[:-1] + "j" if s.endswith(("i", "I")) else s)
     except ValueError as exc:
         raise FormatError(f"bad complex literal {text!r}") from exc
     if not np.isfinite(z):

@@ -32,12 +32,14 @@ def as_matrix(m) -> Array:
 def is_unitary(m) -> bool:
     """True if ``m`` is square and ``m† m = I`` within 1e-10 (max-entry).
 
-    ``m`` is one matrix or an (M, n, n) stack, whose every matrix must pass.
+    ``m`` is one matrix or an (M, n, n) stack, whose every matrix must pass;
+    an empty stack passes.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return False
-    return bool(np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))) <= 1e-10)
+    residual = np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))
+    return bool(np.max(residual, initial=0.0) <= 1e-10)
 
 
 @dataclass(frozen=True)

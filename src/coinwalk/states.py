@@ -16,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationError
+from .errors import DimensionMismatch, NormalizationError, as_int
 from .linalg import Array
 from .walk import WalkSpec
 
 
 def _as_position(pos) -> tuple[int, ...]:
-    if isinstance(pos, (int, np.integer)):
-        return (int(pos),)
-    return tuple(int(x) for x in pos)
+    try:
+        components = tuple(pos)
+    except TypeError:  # a scalar is a position on the line
+        components = (pos,)
+    return tuple(as_int(x, "a position component") for x in components)
 
 
 def _require_one_lattice_dim(positions) -> None:

@@ -12,6 +12,9 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI selects this one with --hypothesis-profile=ci, which pytest applies after
+# this file has loaded the default below
+settings.register_profile("ci", settings.get_profile("coinwalk"), max_examples=200)
 settings.load_profile("coinwalk")
 
 PI = np.pi

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coinwalk import (
-    DegenerateCoin,
     DegenerateDispersion,
     DistributedState,
     InvalidArgument,
+    LocalState,
     QuadratureGrid,
     U2Params,
     WalkSpec,
@@ -19,6 +19,7 @@ from coinwalk import (
     rho_asymptotic,
     rho_distributed_example_closed,
     rho_from_characteristic,
+    rho_local_closed,
 )
 from coinwalk.characteristic import characteristic_stack
 from conftest import partial_trace, random_interior_params, random_unitary, swap_matrix
@@ -193,9 +194,19 @@ class TestIntegratedLocal:
             assert fine <= coarse * 1.01 + 1e-12
 
     def test_degenerate_coin_rejected(self):
-        for theta in (0.0, PI / 2):
-            with pytest.raises(DegenerateCoin):
-                c_local(line_walk(U2Params(theta, 0.0, 0.0)), QuadratureGrid(64, 1))
+        # theta = 0: a diagonal coin, whose bands cross wherever U_k is scalar
+        with pytest.raises(DegenerateDispersion):
+            c_local(line_walk(U2Params(0.0, 0.0, 0.0)), QuadratureGrid(64, 1))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.7, -1.9)])
+    def test_flat_band_coin_is_exact(self, alpha, beta):
+        # theta = pi/2: a zero diagonal gives flat bands at +-i that never cross
+        p = U2Params(PI / 2, alpha, beta)
+        spec = line_walk(p)
+        assert np.max(np.abs(c_local(spec) - c_local_u2(p))) <= 1e-12
+        chi = [0.6, 0.8j]
+        got = rho_asymptotic(spec, LocalState(0, chi)).rho.matrix
+        assert np.max(np.abs(got - rho_local_closed(p, chi).rho.matrix)) <= 1e-12
 
 
 class TestIntegratedSeparable:

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coinwalk
 from coinwalk import (
@@ -14,9 +18,10 @@ from coinwalk import (
     parse_state,
     parse_walk_config,
     rho_asymptotic,
+    u2_coin,
 )
 from coinwalk.cli import main
-from conftest import random_unitary, walk_config_text
+from conftest import format_complex, random_unitary, walk_config_text
 
 PI = np.pi
 LOCAL = "local v=0 chi=(1,0)"
@@ -337,15 +342,21 @@ class TestBadInput:
              "--t-max", "2"],
             ["simulate", "--walk-file", "{tmp}/standstill.cfg", "--state", "local v=0 chi=(1,0)",
              "--t-max", "10000000000000"],
+            ["rho", "--theta", "pi/4", "--state", "local v=99999999999999999999999 chi=(1,0)"],
+            ["rho", "--walk-file", "{tmp}/far.cfg", "--state", "local v=0 chi=(1,0)"],
+            ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**60)],
+            ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**70)],
         ],
         ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
              "chi-nan", "chi-overflow", "walk-file-nan-coin", "rho-mixed-position-lengths",
-             "simulate-mixed-position-lengths", "simulate-series-too-large"],
+             "simulate-mixed-position-lengths", "simulate-series-too-large",
+             "position-beyond-int64", "shift-beyond-int64", "grid-n-2-60", "grid-n-2-70"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
         (tmp_path / "nan.cfg").write_text("dim 1\ncoin nan, 0\ncoin 0, 1\nshift 1\nshift -1\n")
+        (tmp_path / "far.cfg").write_text(f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**70}\nshift -1\n")
         # both shifts 0: the light cone stays two amplitudes, the series of coin states does not
         (tmp_path / "standstill.cfg").write_text("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 0\nshift 0\n")
         proc = run_process("-m", "coinwalk.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -371,6 +382,113 @@ class TestBadInput:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert defect in proc.stderr
         assert "numpy" not in proc.stderr and "inhomogeneous" not in proc.stderr
+
+
+# Every fuzz input stays small to run. Huge integers go only where they are
+# refused before anything is allocated: local positions, shifts of 2**63 and
+# more, and grids of 2**47 nodes per axis and more, whose node coordinates
+# alone exceed the 128 TiB address space. Spans of dist and general states stay
+# within 64 sites, other shifts within +-3 and t_max within 20: a grid of 10**9
+# nodes or a light cone of 10**8 sites would really be allocated.
+
+
+def powers_of_two(low: int, high: int):
+    """Integers ``2**b + j`` with ``low <= b <= high`` and ``0 <= j <= 2**40``, even in b."""
+    return st.tuples(st.integers(low, high), st.integers(0, 2**40)).map(lambda t: 2 ** t[0] + t[1])
+
+
+HUGE = powers_of_two(63, 100).flatmap(lambda v: st.sampled_from([v, -v]))
+BAD_ANGLE = st.sampled_from(["0", "pi/2", "nan", "inf", "1e400", "pi/0", "x"])
+BAD_VECTOR = st.sampled_from(["(1,0", "(nan,0)", "(1e400,0)", "(1,1)", "()", "(1,x)"])
+
+
+def mostly(common, rare):
+    """Draws from ``common``, or from ``rare`` when an integer drawn from 0..7 is 7."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 7 else common)
+
+
+def vector_text(z) -> str:
+    return "(" + ", ".join(format_complex(complex(c)) for c in z) + ")"
+
+
+@st.composite
+def unit_vectors(draw, n):
+    size = draw(mostly(st.just(n), st.sampled_from([1, n + 1])))
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=2 * size, max_size=2 * size)))
+    z = parts[:size] + 1j * parts[size:]
+    norm = np.linalg.norm(z)
+    return z / norm if norm > 1e-3 else np.eye(size)[0]
+
+
+@st.composite
+def fuzz_walks(draw):
+    """Angle flags, or the text of a walk file; with its lattice and coin dimensions."""
+    if draw(st.booleans()):
+        theta, alpha = (draw(mostly(st.floats(-4, 4).map(repr), BAD_ANGLE)) for _ in range(2))
+        return [f"--theta={theta}", f"--alpha={alpha}"], None, 1, 2
+    d = draw(st.integers(1, 2))
+    if d == 1 and draw(st.booleans()):
+        n, coin = 3, random_unitary(np.random.default_rng(draw(st.integers(0, 99))), 3)
+    else:
+        theta = draw(mostly(st.floats(0, PI / 2), st.sampled_from([0.0, PI / 2])))
+        n, coin = 2, u2_coin(U2Params(theta, draw(st.floats(-PI, PI)), 0.3))
+    shifts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                           min_size=n, max_size=n))
+    shifts[0][0] = draw(mostly(st.just(shifts[0][0]), HUGE))
+    lines = [f"dim {d}"] + ["coin " + ", ".join(format_complex(z) for z in row) for row in coin]
+    lines += ["shift " + " ".join(map(str, row)) for row in shifts]
+    return [], "\n".join(lines) + "\n", d, n
+
+
+@st.composite
+def fuzz_states(draw, d, n):
+    d = draw(mostly(st.just(d), st.just(3 - d)))
+    kind = draw(st.sampled_from(["local", "dist", "general"]))
+    chi = mostly(unit_vectors(n).map(vector_text), BAD_VECTOR)
+    if kind == "local":
+        v = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+        v[0] = draw(st.one_of(st.just(v[0]), HUGE))
+        return f"local v={','.join(map(str, v))} chi={draw(chi)}"
+    site = st.lists(st.integers(-32, 32), min_size=d, max_size=d)
+    sites = [";".join(map(str, r)) for r in draw(st.lists(site, min_size=1, max_size=3))]
+    weight = float(1 / np.sqrt(len(sites)))
+    if kind == "dist":
+        return f"dist {{{', '.join(f'{r}:{weight!r}' for r in sites)}}} chi={draw(chi)}"
+    entries = [f"{r}:{vector_text(weight * draw(unit_vectors(n)))}" for r in sites]
+    return f"general {{{', '.join(entries)}}}"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+def test_fuzzed_rho_and_simulate_fail_only_with_one_error_line(data, fuzz_dir):
+    flags, walk_text, d, n = data.draw(fuzz_walks())
+    if walk_text is not None:
+        (fuzz_dir / "walk.cfg").write_text(walk_text)
+        flags = [f"--walk-file={fuzz_dir / 'walk.cfg'}"]
+    state = data.draw(fuzz_states(d, n))
+    if data.draw(st.sampled_from(["rho", "simulate"])) == "rho":
+        grid = data.draw(st.one_of(st.none(), st.integers(1, 48), powers_of_two(47, 70)))
+        argv = ["rho", *flags, f"--state={state}"]
+        argv += [] if grid is None else [f"--grid-n={grid}"]
+        argv += data.draw(mostly(st.just([]), st.just(["--closed-form"])))
+        argv += [f"--format={data.draw(st.sampled_from(['json', 'csv']))}"]
+    else:
+        argv = ["simulate", *flags, f"--state={state}"]
+        argv += [f"--t-max={data.draw(st.integers(0, 20))}", f"--stride={data.draw(st.integers(1, 5))}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, walk_text, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == "", (argv, walk_text)
+    else:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, (argv, walk_text, text)
+        assert out.getvalue() == "", (argv, walk_text)
 
 
 def test_import_does_not_load_scipy():

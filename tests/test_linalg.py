@@ -39,6 +39,7 @@ class TestPredicates:
         assert is_unitary(stack)
         stack[1, 2, 2] *= 1 + 1e-9
         assert not is_unitary(stack)
+        assert is_unitary(np.zeros((0, 3, 3)))  # every matrix of an empty stack passes
 
 
 class TestEigUnitary:

@@ -8,6 +8,7 @@ from coinwalk import (
     DimensionMismatch,
     DistributedState,
     GeneralState,
+    InvalidArgument,
     LocalState,
     NormalizationError,
     QuadratureGrid,
@@ -32,6 +33,19 @@ class TestConstruction:
         assert s.position == (0,)
         positions, coeffs = site_table(s)
         assert positions.shape == (1, 1) and coeffs.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LocalState((1.5,), [1, 0]),
+            lambda: LocalState(1.5, [1, 0]),
+            lambda: DistributedState({(2.7,): 1.0}, [1, 0]),
+        ],
+        ids=["local-tuple", "local-scalar", "distributed-key"],
+    )
+    def test_rejects_a_float_position(self, make):
+        with pytest.raises(InvalidArgument):
+            make()
 
     def test_local_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
