@@ -18,7 +18,14 @@ import numpy as np
 from .characteristic import QuadratureGrid, _grid_mean, c_local_u2, characteristic_stack
 from .errors import DimensionMismatch
 from .linalg import Array, DensityMatrix, von_neumann_entropy
-from .states import BlochCoin, InitialState, _as_vector, psi_k_many, require_state_fits
+from .states import (
+    BlochCoin,
+    InitialState,
+    _as_vector,
+    at_origin,
+    psi_k_many,
+    require_state_fits,
+)
 from .walk import U2Params, WalkSpec
 
 
@@ -53,11 +60,15 @@ def rho_asymptotic(
     of nodes at a time, so the working memory is that of one block (about
     4 MiB of C) whatever the grid. The quadrature sum runs in a fixed node
     order, so results are bit-stable across runs. ``grid=None`` takes
-    :meth:`QuadratureGrid.default`. A 2x2 coin with a zero off-diagonal entry,
+    :meth:`QuadratureGrid.default`. The state is first translated to the
+    origin (:func:`at_origin`), so every translate of it gives the same
+    result to the last bit. A 2x2 coin with a zero off-diagonal entry,
     whose bands cross, raises :class:`DegenerateDispersion`; a grid whose
-    (N^d, d) node array numpy cannot allocate raises :class:`InvalidArgument`.
+    (N^d, d) node array numpy cannot allocate, or a state whose positions
+    are 2**63 or more apart, raises :class:`InvalidArgument`.
     """
     require_state_fits(spec, state)
+    state = at_origin(state)
 
     def block_sum(kb: Array) -> Array:
         psi = psi_k_many(state, kb)

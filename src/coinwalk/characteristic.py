@@ -146,7 +146,7 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
     this one fixed-size block of nodes at a time.
     """
-    if spec.coin_dim == 2:  # the closed form is over 10x faster than the batched eigensolve
+    if spec.coin_dim == 2:  # the closed form is about 5x faster than the batched eigensolve
         return _characteristic_stack_2(spec, ks)
     _, vectors, labels = eig_unitary_batch(build_uk(spec, ks))
     v = vectors.swapaxes(1, 2)

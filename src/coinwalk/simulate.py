@@ -89,9 +89,10 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     n = spec.coin_dim
     positions, coeffs = site_table(state)
     low = spec.shifts.min(axis=0)
-    reach = [int(r) for r in spec.shifts.max(axis=0) - low]
     origin = positions.min(axis=0)
-    shape = tuple(int(s) for s in positions.max(axis=0) - origin + 1)
+    # Python ints: spans and reaches of int64 positions and shifts can exceed int64
+    reach = [int(hi) - int(lo) for hi, lo in zip(spec.shifts.max(axis=0), low)]
+    shape = tuple(int(hi) - int(lo) + 1 for hi, lo in zip(positions.max(axis=0), origin))
     size = n * math.prod(s + r * t_max for s, r in zip(shape, reach))
     try:
         walker, scratch = np.zeros((2, size), dtype=np.complex128)

@@ -5,18 +5,18 @@ sites with scalar weights, and fully general (possibly coin-position
 entangled) amplitude maps. The momentum component is
 ``psi_k = sum_r exp(-1j k.r) c_r`` (the sign that pairs with the
 ``exp(-1j k.s_j)`` phases of the step operator) and the projector is its
-outer square.
+outer square, which depends on the separations of the sites only.
 
 Positions are sparse integer tuples, so far-apart supports cost O(support).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationError, as_int
+from .errors import DimensionMismatch, InvalidArgument, NormalizationError, as_int
 from .linalg import Array
 from .walk import WalkSpec
 
@@ -135,9 +135,49 @@ def site_table(state: InitialState) -> tuple[Array, Array]:
     return positions, coeffs
 
 
+def at_origin(state: InitialState) -> InitialState:
+    """``state`` translated so that its smallest position on each axis is 0.
+
+    Every translate of a state gives the same result, so :func:`psi_k_many`
+    of it, and every quantity built from that, is the same to the last bit
+    for all of them. A state at the origin already is returned as it is.
+
+    Raises
+    ------
+    InvalidArgument
+        If two positions are 2**63 or more apart on some axis, so that their
+        separation does not fit in a 64-bit integer.
+    """
+    positions, _ = site_table(state)
+    low = [int(x) for x in positions.min(axis=0)]
+    span = max(int(x) - lo for x, lo in zip(positions.max(axis=0), low))
+    if span >= 2**63:
+        raise InvalidArgument(f"the state's positions are {span} apart on an axis, beyond int64")
+    if not any(low):
+        return state
+
+    def moved(r):
+        return tuple(x - lo for x, lo in zip(r, low))
+
+    if isinstance(state, LocalState):
+        return replace(state, position=moved(state.position))
+    return replace(state, amplitudes={moved(r): a for r, a in state.amplitudes.items()})
+
+
 def psi_k_many(state: InitialState, ks: Array) -> Array:
-    """Momentum components ``sum_r exp(-1j k.r) c_r``, (M, n), at the rows of a (M, d) k-array."""
+    """Momentum components ``sum_r exp(-1j k.r) c_r``, (M, n), at the rows of a (M, d) k-array.
+
+    The site phases are taken relative to the smallest position on each axis,
+    ``r_min``, and ``exp(-1j k.r_min)`` multiplies each row last, so the site
+    sum keeps its precision however far the state is from the origin.
+    """
     positions, coeffs = site_table(state)
     if ks.shape[1] != positions.shape[1]:
         raise DimensionMismatch("k-grid dimension does not match the state")
-    return np.exp(-1j * (ks @ positions.T)) @ coeffs
+    low = positions.min(axis=0)
+    # r - r_min in uint64 does not wrap, however far apart two int64 positions are
+    rel = positions.view(np.uint64) - low.view(np.uint64)
+    psi = np.exp(-1j * (ks @ rel.T)) @ coeffs
+    if low.any():  # at the origin the factor is 1
+        psi *= np.exp(-1j * (ks @ low))[:, None]
+    return psi

@@ -36,6 +36,9 @@ shift 0 1
 shift 0 -1
 """
 SQUARE_SHIFTS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+# two sites at the ends of int64, and a line walk whose shifts are 2**63 apart
+INT64_ENDS = "dist {-9223372036854775808:0.7071067811865476, 9223372036854775807:0.7071067811865476} chi=(1,0)"
+SHIFTS_62_CFG = f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**62}\nshift {-(2**62)}\n"
 # a Hadamard walk along the diagonal of the square lattice
 DIAGONAL_CFG = """dim 2
 coin 0.7071067811865476, 0.7071067811865476
@@ -171,6 +174,19 @@ class TestRho:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["grid_n"] == 256
 
+    def test_state_far_from_the_origin(self, capsys):
+        far = "dist {100000000000000000:0.7071067811865476, 100000000000000001:0.7071067811865476} chi=(1,0)"
+        near = "dist {0:0.7071067811865476, 1:0.7071067811865476} chi=(1,0)"
+        outs = []
+        for state in (far, near):
+            code, out, err = run(capsys, "rho", "--theta", "pi/4", "--state", state)
+            assert code == 0, err
+            doc = json.loads(out)
+            del doc["state"]
+            outs.append(doc)
+        assert outs[0] == outs[1]
+        assert abs(outs[0]["cpe"] - 0.8724293398564675) <= 1e-15
+
     def test_entangled_state_is_nearly_mixed(self, capsys):
         code, out, _ = run(
             capsys,
@@ -271,6 +287,26 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "walk, state, amplitudes",
+        [
+            # two coin components over 2**64 sites widened by 2 per step
+            (["--theta", "pi/4"], INT64_ENDS, 2 * (2**64 + 2 * 2)),
+            # one site widened by 2**63 per step
+            (["--walk-file", "{tmp}/shifts62.cfg"], LOCAL, 2 * (1 + 2**63 * 2)),
+        ],
+        ids=["span", "shifts"],
+    )
+    def test_light_cone_beyond_int64_reports_its_size(self, capsys, tmp_path, walk, state, amplitudes):
+        (tmp_path / "shifts62.cfg").write_text(SHIFTS_62_CFG)
+        walk = [a.replace("{tmp}", str(tmp_path)) for a in walk]
+        code, out, err = run(capsys, "simulate", *walk, "--state", state, "--t-max", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: the light cone of {amplitudes} amplitudes and the series of 3 coin states"
+            " up to t_max=2 do not fit in memory\n"
+        )
+
 
 class TestVerify:
     def test_passes_with_small_budget(self, capsys):
@@ -346,17 +382,22 @@ class TestBadInput:
             ["rho", "--walk-file", "{tmp}/far.cfg", "--state", "local v=0 chi=(1,0)"],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**60)],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**70)],
+            ["simulate", "--theta", "pi/4", "--state", INT64_ENDS, "--t-max", "2"],
+            ["simulate", "--walk-file", "{tmp}/shifts62.cfg", "--state", LOCAL, "--t-max", "2"],
+            ["rho", "--theta", "pi/4", "--state", INT64_ENDS],
         ],
         ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
              "chi-nan", "chi-overflow", "walk-file-nan-coin", "rho-mixed-position-lengths",
              "simulate-mixed-position-lengths", "simulate-series-too-large",
-             "position-beyond-int64", "shift-beyond-int64", "grid-n-2-60", "grid-n-2-70"],
+             "position-beyond-int64", "shift-beyond-int64", "grid-n-2-60", "grid-n-2-70",
+             "simulate-span-beyond-int64", "simulate-shifts-2-62", "rho-span-beyond-int64"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
         (tmp_path / "nan.cfg").write_text("dim 1\ncoin nan, 0\ncoin 0, 1\nshift 1\nshift -1\n")
         (tmp_path / "far.cfg").write_text(f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**70}\nshift -1\n")
+        (tmp_path / "shifts62.cfg").write_text(SHIFTS_62_CFG)
         # both shifts 0: the light cone stays two amplitudes, the series of coin states does not
         (tmp_path / "standstill.cfg").write_text("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 0\nshift 0\n")
         proc = run_process("-m", "coinwalk.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -489,6 +530,59 @@ def test_fuzzed_rho_and_simulate_fail_only_with_one_error_line(data, fuzz_dir):
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1, (argv, walk_text, text)
         assert out.getvalue() == "", (argv, walk_text)
+
+
+@st.composite
+def translated_states(draw, d, n):
+    """The text of a dist or general state with spans <= 64, and of a translate within int64."""
+    sites = draw(st.lists(st.lists(st.integers(-32, 32), min_size=d, max_size=d),
+                          min_size=1, max_size=3, unique_by=tuple))
+    offset = [
+        draw(mostly(st.integers(-100, 100),
+                    st.integers(-(2**63) - min(axis), 2**63 - 1 - max(axis))))
+        for axis in zip(*sites)
+    ]
+    weight = float(1 / np.sqrt(len(sites)))
+    vectors = [vector_text(weight * draw(unit_vectors(n))) for _ in sites]
+    chi = draw(unit_vectors(n).map(vector_text))
+    dist = draw(st.booleans())
+
+    def text(shift):
+        keys = [";".join(str(x + o) for x, o in zip(r, shift)) for r in sites]
+        if dist:
+            return f"dist {{{', '.join(f'{k}:{weight!r}' for k in keys)}}} chi={chi}"
+        return f"general {{{', '.join(f'{k}:{v}' for k, v in zip(keys, vectors))}}}"
+
+    return text([0] * d), text(offset)
+
+
+@given(data=st.data())
+def test_translated_states_give_the_same_bytes(data, fuzz_dir):
+    flags, walk_text, d, n = data.draw(fuzz_walks())
+    if walk_text is not None:
+        (fuzz_dir / "walk.cfg").write_text(walk_text)
+        flags = [f"--walk-file={fuzz_dir / 'walk.cfg'}"]
+    state, moved = data.draw(translated_states(d, n))
+    if data.draw(st.sampled_from(["rho", "simulate"])) == "rho":
+        grid = data.draw(st.one_of(st.none(), st.integers(1, 48)))
+        extra = ([] if grid is None else [f"--grid-n={grid}"])
+        extra += [f"--format={data.draw(st.sampled_from(['json', 'csv']))}"]
+        argv = ["rho", *flags, *extra]
+    else:
+        extra = [f"--t-max={data.draw(st.integers(0, 20))}", f"--stride={data.draw(st.integers(1, 5))}"]
+        argv = ["simulate", *flags, *extra]
+    results = []
+    for text in (state, moved):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, f"--state={text}"])
+        # the output names the state (CSV cfg line, JSON "state", error
+        # messages); nothing else may differ
+        results.append((code, *(
+            f.getvalue().replace(repr(text), "STATE").replace(json.dumps(text), "STATE")
+            for f in (out, err)
+        )))
+    assert results[0] == results[1], (argv, walk_text, state, moved)
 
 
 def test_import_does_not_load_scipy():

@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coinwalk.linalg
 from coinwalk import (
     DensityMatrix,
     DimensionMismatch,
     NumericalFailure,
     NonUnitaryInput,
+    QuadratureGrid,
+    WalkSpec,
+    build_uk,
     eig_unitary,
     eig_unitary_batch,
     is_unitary,
     von_neumann_entropy,
 )
+from coinwalk.linalg import _FIRST_SHIFT, DEGENERACY_TOL
 from conftest import partial_trace, random_unitary
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
@@ -133,6 +138,160 @@ class TestEigUnitaryBatch:
     def test_rejects_an_empty_stack(self):
         with pytest.raises(DimensionMismatch, match="non-empty"):
             eig_unitary_batch(np.zeros((0, 2, 2)))
+
+
+def with_spectra(bases, spectra) -> np.ndarray:
+    """The stack of ``v diag(exp(1j w)) v^dag`` over paired bases and eigenphases."""
+    return np.stack(
+        [v @ np.diag(np.exp(1j * np.array(w))) @ v.conj().T for v, w in zip(bases, spectra)]
+    )
+
+
+def eigenspace_projectors(phases, vectors, labels) -> np.ndarray:
+    """(M, n, n, n): at [m, j] the projector onto the eigenspace of column j.
+
+    Built as ``V E V^-1`` for the mask E of the column's eigenspace, which is
+    right also when V is not orthonormal inside a degenerate eigenspace.
+    """
+    same = (labels[:, :, None] == labels[:, None, :]).astype(float)
+    inverse = np.linalg.inv(vectors)
+    return np.einsum("mik,mjk,mkl->mjil", vectors, same, inverse)
+
+
+def eig_reference(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.eig`` per node, sorted and grouped by the ``DEGENERACY_TOL`` rule."""
+    values, vectors = np.linalg.eig(u)
+    phases = np.angle(values)
+    phases[phases <= -np.pi] += 2 * np.pi
+    order = np.argsort(phases, axis=1)
+    phases = np.take_along_axis(phases, order, axis=1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    labels = np.zeros(phases.shape, dtype=int)
+    for m, w in enumerate(phases):
+        for j in range(1, len(w)):
+            labels[m, j] = labels[m, j - 1] + (w[j] - w[j - 1] > DEGENERACY_TOL)
+        if w[0] + 2 * np.pi - w[-1] <= DEGENERACY_TOL:
+            labels[m, labels[m] == labels[m, -1]] = 0
+    return phases, vectors, labels
+
+
+def cayley_pole(j: int, n: int) -> float:
+    """The eigenphase in (-pi, pi] on the pole of Cayley shift j for coin dimension n."""
+    return float(np.angle(np.exp(1j * (_FIRST_SHIFT + 2 * np.pi * j / (n + 1) + np.pi))))
+
+
+class TestCayleySolve:
+    """``eig_unitary_batch`` against ``np.linalg.eig``, compared through eigenspace projectors."""
+
+    def assert_matches_eig(self, stack, tol):
+        phases, vectors, labels = eig_unitary_batch(stack)
+        ref_phases, ref_vectors, ref_labels = eig_reference(stack)
+        assert np.all((phases > -np.pi) & (phases <= np.pi))
+        assert np.all(np.diff(phases, axis=1) >= 0)
+        # an eigenvalue on -1 may sort first in one route and last in the
+        # other, so columns are paired by the nearest eigenvalue
+        chord = np.abs(np.exp(1j * phases)[:, :, None] - np.exp(1j * ref_phases)[:, None, :])
+        pair = np.argmin(chord, axis=2)
+        assert np.max(np.min(chord, axis=2)) <= 1e-12
+        for got_labels, want_labels in zip(labels, ref_labels):
+            sizes = [np.unique(x, return_counts=True)[1].tolist() for x in (got_labels, want_labels)]
+            assert sorted(sizes[0]) == sorted(sizes[1])
+        got = eigenspace_projectors(phases, vectors, labels)
+        want = eigenspace_projectors(ref_phases, ref_vectors, ref_labels)
+        want = np.take_along_axis(want, pair[:, :, None, None], axis=1)
+        assert np.max(np.abs(got - want)) <= tol
+        return phases, vectors, labels
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_haar_stacks(self, n, rng):
+        stack = np.stack([random_unitary(rng, n) for _ in range(200)])
+        self.assert_matches_eig(stack, 1e-11)
+
+    def test_exact_degeneracies(self, rng):
+        spectra = [
+            [0.4, 0.4, -1.1, 1.7],  # a rank-2 eigenspace
+            [np.pi, -np.pi + 1e-12, 0.5, -0.8],  # a pair across the wrap at +-pi
+            [2.0, 2.0, 2.0, -2.5],  # a rank-3 eigenspace
+            [1.0, 1.0, 1.0, 1.0],  # a scalar matrix
+        ]
+        stack = with_spectra([random_unitary(rng, 4) for _ in spectra], spectra)
+        _, _, labels = self.assert_matches_eig(stack, 1e-10)
+        sizes = [sorted(np.unique(row, return_counts=True)[1].tolist()) for row in labels]
+        assert sizes == [[1, 1, 2], [1, 1, 2], [1, 3], [4]]
+
+    def test_grover_flat_bands(self):
+        # the 2-d Grover walk has flat bands at +-1 and merged eigenspaces at
+        # many nodes (Inui, Konishi & Segawa, PRA 69, 052323 (2004))
+        coin = np.full((4, 4), 0.5) - np.eye(4)
+        spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], coin)
+        stack = build_uk(spec, QuadratureGrid(16, 2).nodes)
+        _, _, labels = self.assert_matches_eig(stack, 1e-10)
+        assert np.any(labels.max(axis=1) < 3)  # some node has a degenerate eigenspace
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-6])
+    def test_close_eigenphases_within_eps_over_gap(self, gap, rng):
+        bases = [random_unitary(rng, 4) for _ in range(20)]
+        spectra = [[0.3, 0.3 + gap, -1.0, 2.0]] * len(bases)
+        stack = with_spectra(bases, spectra)
+        phases, vectors, labels = eig_unitary_batch(stack)
+        assert np.all(labels.max(axis=1) == 3)  # the pair stays apart above DEGENERACY_TOL
+        bound = 200 * np.finfo(float).eps / gap
+        got = eigenspace_projectors(phases, vectors, labels)
+        for m, v in enumerate(bases):
+            # the input's own eigenvectors, in ascending phase order
+            want = np.einsum("ij,kj->jik", v[:, [2, 0, 1, 3]], v[:, [2, 0, 1, 3]].conj())
+            assert np.max(np.abs(got[m] - want)) <= bound
+        self.assert_matches_eig(stack, 2 * bound)
+
+    def test_poles_are_retried_with_the_next_shifts(self, rng, monkeypatch):
+        n = 4
+        first, second = cayley_pole(0, n), cayley_pole(1, n)
+        spectra = [
+            [first, 0.3, 1.2, 2.5],  # on the first pole
+            [first, second, 0.3, 2.9],  # on the first two poles at once
+            [first + 1e-3, -0.4, 0.8, 1.9],  # near it: 1e-3 rad is inside the retry band
+            [0.1, 0.9, 1.6, -0.6],  # clear of every pole
+        ]
+        stack = with_spectra([random_unitary(rng, n) for _ in spectra], spectra)
+        rounds = []
+        cayley = coinwalk.linalg._cayley
+
+        def counted(v):
+            rounds.append(len(v))
+            return cayley(v)
+
+        monkeypatch.setattr(coinwalk.linalg, "_cayley", counted)
+        self.assert_matches_eig(stack, 1e-10)
+        assert rounds == [4, 3, 1]
+
+    def test_numerically_singular_node_does_not_fail_its_batch(self, rng):
+        # exp(-1j a_0) u is -1 up to rounding, so I + V has a pivot of ~1e-17
+        # (exactly 0 where the product is not fused)
+        u = -np.conj(np.exp(-1j * _FIRST_SHIFT))
+        singular = np.diag([u, np.exp(0.4j), np.exp(-1.3j), np.exp(2.2j)])
+        stack = np.stack([random_unitary(rng, 4), singular, random_unitary(rng, 4)])
+        assert abs(1 + (np.exp(-1j * _FIRST_SHIFT) * stack)[1, 0, 0]) <= 1e-16
+        phases, vectors, _ = self.assert_matches_eig(stack, 1e-12)
+        assert abs(phases[1, 0] - cayley_pole(0, 4)) <= 1e-15
+        # ascending phases: the pole near -2.44, then -1.3, 0.4 and 2.2
+        assert np.max(np.abs(np.abs(vectors[1]) - np.eye(4)[:, [0, 2, 1, 3]])) <= 1e-15
+
+    def test_exactly_singular_node_is_left_for_the_next_shift(self, rng):
+        v = np.stack([random_unitary(rng, 3), np.diag([-1.0, 1j, -1j]), random_unitary(rng, 3)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(3) + v, np.eye(3))
+        h, regular = coinwalk.linalg._cayley(v)
+        assert regular.tolist() == [True, False, True]
+        for m in (0, 2):
+            x = np.linalg.solve(np.eye(3) + v[m], np.eye(3) - v[m])
+            assert np.max(np.abs(h[m] - 1j * x)) <= 1e-12
+            assert np.array_equal(h[m], h[m].conj().T)
+
+    def test_non_unitary_node_raises(self, rng):
+        stack = np.stack([random_unitary(rng, 5) for _ in range(3)])
+        stack[1] *= 1 + 1e-9
+        with pytest.raises(NonUnitaryInput):
+            eig_unitary_batch(stack)
 
 
 class TestPartialTrace:

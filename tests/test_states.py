@@ -16,6 +16,7 @@ from coinwalk import (
     psi_k_many,
     site_table,
 )
+from coinwalk.states import at_origin
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -91,10 +92,15 @@ class TestConstruction:
 KS = np.array([[0.0], [0.35], [1.3], [-2.2]])
 
 
-def projectors(state) -> np.ndarray:
-    """``|psi_k><psi_k|`` at every row of KS, as the quadrature pipeline forms it."""
-    psi = psi_k_many(state, KS)
+def projectors_at(state, ks) -> np.ndarray:
+    """``|psi_k><psi_k|`` at every row of ``ks``, as the quadrature pipeline forms it."""
+    psi = psi_k_many(state, ks)
     return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def projectors(state) -> np.ndarray:
+    """``|psi_k><psi_k|`` at every row of KS."""
+    return projectors_at(state, KS)
 
 
 class TestMomentumComponent:
@@ -124,6 +130,25 @@ class TestMomentumComponent:
         for row, k in zip(batch, ks):
             want = 0.6 * np.array([1, 0]) + np.exp(-1j * (2 * k[0] - k[1])) * np.array([0, 0.8j])
             assert np.allclose(row, want)
+
+    @pytest.mark.parametrize("far", [10**8, 10**17, 2**63 - 2])
+    def test_far_from_the_origin_keeps_the_separation_phases(self, far):
+        # the projector depends on the separation only; absolute phases of
+        # k * 10**17 would leave none of its digits
+        near = DistributedState(amplitudes={(0,): INV2, (1,): INV2}, chi=[0.6, 0.8j])
+        moved = DistributedState(amplitudes={(far,): INV2, (far + 1,): INV2}, chi=[0.6, 0.8j])
+        ks = QuadratureGrid(4096, 1).nodes
+        p_near = projectors_at(near, ks)
+        assert np.max(np.abs(projectors_at(moved, ks) - p_near)) <= 1e-15
+
+    def test_positions_int64_apart(self):
+        # the separation 2**64 - 1 itself does not fit in int64
+        s = DistributedState(amplitudes={(-(2**63),): INV2, (2**63 - 1,): INV2}, chi=[1, 0])
+        ks = np.array([[0.0], [2 * PI / 3]])
+        want = INV2 * (np.exp(2j * PI / 3 * 2**63) + np.exp(-2j * PI / 3 * (2**63 - 1)))
+        got = psi_k_many(s, ks)
+        assert np.allclose(got[0], [np.sqrt(2), 0])
+        assert abs(abs(got[1, 0]) - abs(want)) <= 1e-12
 
     def test_many_rejects_wrong_dim(self):
         with pytest.raises(DimensionMismatch):
@@ -162,3 +187,41 @@ class TestProjector:
         batch = psi_k_many(s, nodes)
         total = float(np.mean(np.sum(np.abs(batch) ** 2, axis=1)))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestAtOrigin:
+    @pytest.mark.parametrize(
+        "state, want",
+        [
+            (LocalState((3, -7), [1, 0]), LocalState((0, 0), [1, 0])),
+            (
+                DistributedState({(5,): 0.6, (9,): 0.8}, [0, 1]),
+                DistributedState({(0,): 0.6, (4,): 0.8}, [0, 1]),
+            ),
+            (
+                GeneralState({(2**63 - 1, -4): [0.6, 0], (2**62, 3): [0, 0.8]}),
+                GeneralState({(2**63 - 1 - 2**62, 0): [0.6, 0], (0, 7): [0, 0.8]}),
+            ),
+        ],
+    )
+    def test_moves_the_smallest_position_on_each_axis_to_zero(self, state, want):
+        got_positions, got_coeffs = site_table(at_origin(state))
+        want_positions, want_coeffs = site_table(want)
+        assert np.array_equal(got_positions, want_positions)
+        assert np.array_equal(got_coeffs, want_coeffs)
+        assert type(at_origin(state)) is type(state)
+
+    def test_state_at_the_origin_is_returned_as_it_is(self):
+        s = DistributedState({(0,): INV2, (3,): INV2}, [1, 0])
+        assert at_origin(s) is s
+
+    def test_projectors_of_every_translate_agree_to_the_last_bit(self):
+        s = GeneralState({(-3, 1): [0.6, 0], (4, 2): [0, 0.8j]})
+        far = GeneralState({(10**15 - 3, -(10**12) + 1): [0.6, 0], (10**15 + 4, -(10**12) + 2): [0, 0.8j]})
+        ks = QuadratureGrid(16, 2).nodes
+        assert np.array_equal(projectors_at(at_origin(s), ks), projectors_at(at_origin(far), ks))
+
+    def test_rejects_positions_int64_apart(self):
+        s = DistributedState({(-(2**63),): INV2, (2**63 - 1,): INV2}, [1, 0])
+        with pytest.raises(InvalidArgument, match="beyond int64"):
+            at_origin(s)
