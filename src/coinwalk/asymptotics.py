@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristic import QuadratureGrid, _grid_mean, c_local_u2, characteristic_stack
+from .characteristic import (
+    QuadratureGrid,
+    _grid_mean,
+    _projectors_2,
+    c_local_u2,
+    characteristic_stack,
+)
 from .errors import DimensionMismatch
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import (
@@ -23,7 +29,8 @@ from .states import (
     InitialState,
     _as_vector,
     at_origin,
-    psi_k_many,
+    psi_k_many,  # noqa: F401  (the pointwise route; perfbench's tracer patches this name)
+    psi_on_grid,
     require_state_fits,
 )
 from .walk import U2Params, WalkSpec
@@ -54,24 +61,34 @@ def rho_asymptotic(
 ) -> AsymptoticResult:
     """Asymptotic reduced coin state via Brillouin-zone quadrature.
 
-    At every node ``C(k)`` from :func:`characteristic_stack` is contracted
-    with ``P0(k) = |psi_k><psi_k|`` to ``sum_w P_w P0 P_w``; the nodes are
-    then averaged. ``C(k)`` and ``psi_k`` are computed one fixed-size block
-    of nodes at a time, so the working memory is that of one block (about
-    4 MiB of C) whatever the grid. The quadrature sum runs in a fixed node
-    order, so results are bit-stable across runs. ``grid=None`` takes
-    :meth:`QuadratureGrid.default`. The state is first translated to the
-    origin (:func:`at_origin`), so every translate of it gives the same
-    result to the last bit. A 2x2 coin with a zero off-diagonal entry,
-    whose bands cross, raises :class:`DegenerateDispersion`; a grid whose
-    (N^d, d) node array numpy cannot allocate, or a state whose positions
-    are 2**63 or more apart, raises :class:`InvalidArgument`.
+    At every node the initial projector ``P0(k) = |psi_k><psi_k|`` is
+    dephased to ``sum_w P_w P0 P_w``; the nodes are then averaged. For a 2x2
+    coin that is ``sum_w q_w q_w^dag`` with ``q_w = P_w psi_k`` and the
+    closed-form projectors, summed over a block of nodes by one matrix
+    product; other coins contract ``C(k)`` from :func:`characteristic_stack`
+    with ``P0(k)``. ``psi_k`` comes from one FFT per row of grid nodes
+    (:func:`psi_on_grid`), exact in its phases. The nodes are taken one
+    fixed-size block at a time, so the working memory is that of one block
+    (about 4 MiB of C for n > 2) whatever the grid. The quadrature sum runs
+    in a fixed node order, so results are bit-stable across runs.
+    ``grid=None`` takes :meth:`QuadratureGrid.default`. The state is first
+    translated to the origin (:func:`at_origin`), so every translate of it
+    gives the same result to the last bit. A 2x2 coin with a zero
+    off-diagonal entry, whose bands cross, raises
+    :class:`DegenerateDispersion`; a grid whose (N^d, d) node array numpy
+    cannot allocate, or a state whose positions are 2**63 or more apart,
+    raises :class:`InvalidArgument`.
     """
     require_state_fits(spec, state)
     state = at_origin(state)
+    grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
 
-    def block_sum(kb: Array) -> Array:
-        psi = psi_k_many(state, kb)
+    def block_sum(kb: Array, start: int) -> Array:
+        psi = psi_on_grid(state, grid, start, start + len(kb))
+        if spec.coin_dim == 2:
+            q = (_projectors_2(spec, kb) @ psi[:, None, :, None]).reshape(-1, 2)
+            return q.T @ q.conj()
+        # n > 2 still builds C: perfbench/layers.py divides by this call's time
         p0 = psi[:, :, None] * psi.conj()[:, None, :]
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
 

@@ -52,10 +52,18 @@ class QuadratureGrid:
         return self.points_per_axis**self.dim
 
     @property
+    def axis(self) -> Array:
+        """The N node coordinates ``-pi + 2 pi j / N`` shared by every axis.
+
+        :func:`~coinwalk.states.psi_on_grid` evaluates ``psi_k`` on this form
+        (origin ``-pi``, step ``2 pi / N``) by an FFT; a change here changes it.
+        """
+        return -np.pi + 2 * np.pi * np.arange(self.points_per_axis) / self.points_per_axis
+
+    @property
     def nodes(self) -> Array:
-        """All nodes as a (N^d, d) array, lexicographic order."""
-        axis = -np.pi + 2 * np.pi * np.arange(self.points_per_axis) / self.points_per_axis
-        grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
+        """All nodes as a (N^d, d) array, lexicographic order: the last axis runs fastest."""
+        grids = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -94,8 +102,9 @@ _BLOCK_BYTES = 4 * 2**20
 def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
     """Mean over the nodes of ``grid`` of a per-node quantity of ``spec``.
 
-    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``block_sum(kb)``
-    returns the quantity summed over a (B, d) block of nodes. A block holds
+    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``block_sum(kb, start)``
+    returns the quantity summed over a (B, d) block of nodes, ``kb``, that
+    holds the nodes ``[start, start + B)`` of the grid. A block holds
     as many nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the working
     memory does not grow with the grid; only the (N^d, d) node array does,
     at 8 d bytes per node. Blocks are summed in node order, so results are
@@ -117,7 +126,7 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
         raise InvalidArgument(too_large) from exc
     size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
     try:
-        total = sum(block_sum(nodes[i : i + size]) for i in range(0, len(nodes), size))
+        total = sum(block_sum(nodes[i : i + size], i) for i in range(0, len(nodes), size))
     except MemoryError as exc:
         raise InvalidArgument(too_large) from exc
     return total / grid.node_count
@@ -147,7 +156,8 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     this one fixed-size block of nodes at a time.
     """
     if spec.coin_dim == 2:  # the closed form is about 5x faster than the batched eigensolve
-        return _characteristic_stack_2(spec, ks)
+        p = _projectors_2(spec, ks)
+        return _sum_kron(p, p)
     _, vectors, labels = eig_unitary_batch(build_uk(spec, ks))
     v = vectors.swapaxes(1, 2)
     proj = v[:, :, :, None] * v.conj()[:, :, None, :]  # |v_j><v_j|, (M, n, n, n)
@@ -156,7 +166,12 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     return _sum_kron(proj, (same @ proj.reshape(m, n, n * n)).reshape(proj.shape))
 
 
-def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
+def _projectors_2(spec: WalkSpec, ks: Array) -> Array:
+    """The two eigenspace projectors of each 2x2 ``U_k``, (M, 2, 2, 2), in closed form.
+
+    A node whose eigenvalues are closer than ``DEGENERACY_TOL`` has a scalar
+    ``U_k``, so one eigenspace: its projectors are ``[I, 0]``.
+    """
     u = build_uk(spec, ks)
     # lam1 - lam2 = root; (u00 - u11)^2 + 4 u01 u10 equals tr^2 - 4 det without cancelling
     root = np.sqrt((u[:, 0, 0] - u[:, 1, 1]) ** 2 + 4.0 * u[:, 0, 1] * u[:, 1, 0])
@@ -166,11 +181,8 @@ def _characteristic_stack_2(spec: WalkSpec, ks: Array) -> Array:
     denom = np.where(degenerate, 1.0, root)
     eye2 = np.eye(2, dtype=np.complex128)
     p1 = (u - lam2[:, None, None] * eye2) / denom[:, None, None]
-    p = np.stack([p1, eye2 - p1], axis=1)
-    c = _sum_kron(p, p)
-    # a degenerate 2x2 unitary is scalar: single eigenspace projector I
-    c[degenerate] = np.eye(4, dtype=np.complex128)
-    return c
+    p1[degenerate] = eye2
+    return np.stack([p1, eye2 - p1], axis=1)
 
 
 def c_of_k_u2(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
@@ -230,7 +242,7 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     InvalidArgument
         If the (N^d, d) array of grid nodes does not fit in memory.
     """
-    return _grid_mean(spec, grid, lambda kb: characteristic_stack(spec, kb).sum(axis=0))
+    return _grid_mean(spec, grid, lambda kb, _: characteristic_stack(spec, kb).sum(axis=0))
 
 
 def c_local_u2(p: U2Params) -> Array:

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--grid-n", type=_int_at_least(1), default=4096)
     verify.add_argument("--t-max", type=_int_at_least(1), default=2000)
     verify.add_argument("--burn-in", type=_int_at_least(0), default=None)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_int_at_least(0), default=0)
     verify.add_argument(
         "--inject-f-sign-error",
         action="store_true",

@@ -285,6 +285,20 @@ class TestBlockedQuadrature:
             GeneralState({near: halves[0], far: halves[1]}),
         ]
 
+    @staticmethod
+    def packet(rng, width: int) -> DistributedState:
+        amps = np.exp(-(((np.arange(width) - (width - 1) / 2) / (width / 5)) ** 2))
+        return DistributedState(dict(enumerate(amps / np.linalg.norm(amps))), unit_vector(rng, 2))
+
+    @staticmethod
+    def assert_matches_the_einsum_of_c(spec, state, grid, c):
+        n = spec.coin_dim
+        psi = psi_k_many(state, grid.nodes)
+        p0 = psi[:, :, None] * psi.conj()[:, None, :]
+        want = np.einsum("macbd,mbc->mad", c.reshape(-1, n, n, n, n), p0).mean(axis=0)
+        got = rho_asymptotic(spec, state, grid).rho.matrix
+        assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
+
     @pytest.mark.parametrize(
         "n, d, points", [(4, 2, 33), (6, 2, 15), (3, 1, 5000), (2, 1, 20000)]
     )
@@ -296,11 +310,23 @@ class TestBlockedQuadrature:
         c = characteristic_stack(spec, grid.nodes)
         assert np.max(np.abs(c_local(spec, grid) - c.mean(axis=0))) <= 1e-13
         for state in self.states(rng, n, d):
-            psi = psi_k_many(state, grid.nodes)
-            p0 = psi[:, :, None] * psi.conj()[:, None, :]
-            want = np.einsum("macbd,mbc->mad", c.reshape(-1, n, n, n, n), p0).mean(axis=0)
-            got = rho_asymptotic(spec, state, grid).rho.matrix
-            assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
+            self.assert_matches_the_einsum_of_c(spec, state, grid, c)
+
+    @pytest.mark.parametrize("walk", ["haar", "flat-bands", "merged-nodes"])
+    def test_two_band_walks_match_the_einsum_of_c(self, walk, rng):
+        # n = 2 contracts its projectors with psi_k and builds no C
+        grid = QuadratureGrid(4096, 1)
+        if walk == "haar":
+            spec = WalkSpec(1, 2, self.SHIFTS[2, 1], random_unitary(rng, 2))
+        elif walk == "flat-bands":
+            spec = line_walk(U2Params(PI / 2, 0.7, -1.9))
+        else:  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace at those nodes
+            spec = line_walk(U2Params(1e-11, 0.0, 0.0))
+        c = characteristic_stack(spec, grid.nodes)
+        merged = np.all(c == np.eye(4), axis=(1, 2))
+        assert merged.sum() == (2 if walk == "merged-nodes" else 0)
+        for state in self.states(rng, 2, 1) + [self.packet(rng, 128)]:
+            self.assert_matches_the_einsum_of_c(spec, state, grid, c)
 
     def test_working_memory_does_not_grow_with_the_grid(self):
         rng = np.random.default_rng(96)
@@ -314,3 +340,15 @@ class TestBlockedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+    def test_wavepacket_peak_memory(self, rng):
+        # the direct sum over sites took a (4096, 128) phase matrix, 16 MiB at its peak
+        spec = WalkSpec(1, 2, self.SHIFTS[2, 1], random_unitary(rng, 2))
+        state = self.packet(rng, 128)
+        tracemalloc.start()
+        try:
+            rho_asymptotic(spec, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -342,11 +342,12 @@ class TestBadInput:
             ["fig", "cpe-3d", "--alpha-points", "1"],
             ["simulate", "--theta", "0.3", "--state", "local v=0 chi=(1,0,0)", "--t-max", "3"],
             ["simulate", "--theta", "0.3", "--state", "local v=0,0 chi=(1,0)", "--t-max", "2"],
+            ["verify", "--seed", "-1"],
         ],
         ids=[
             "grid-n-zero", "stride-zero", "negative-t-max", "burn-in-past-t-max",
             "missing-walk-file", "non-utf8-walk-file", "unwritable-output", "one-alpha-point",
-            "simulate-coin-dim-mismatch", "simulate-lattice-dim-mismatch",
+            "simulate-coin-dim-mismatch", "simulate-lattice-dim-mismatch", "verify-negative-seed",
         ],
     )
     def test_exit_code_without_traceback(self, argv, tmp_path):

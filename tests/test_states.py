@@ -16,7 +16,7 @@ from coinwalk import (
     psi_k_many,
     site_table,
 )
-from coinwalk.states import at_origin
+from coinwalk.states import at_origin, psi_on_grid
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -187,6 +187,40 @@ class TestProjector:
         batch = psi_k_many(s, nodes)
         total = float(np.mean(np.sum(np.abs(batch) ** 2, axis=1)))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPsiOnGrid:
+    """psi_k from one FFT per row of grid nodes against the direct sum at the same nodes."""
+
+    @given(data=st.data())
+    def test_matches_the_direct_sum(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        size = data.draw(st.integers(1, 40), label="N")
+        span = data.draw(st.integers(0, 3 * size), label="span")  # sites N or more apart fold
+        sites = data.draw(
+            st.lists(st.tuples(*[st.integers(0, span)] * d), min_size=1, max_size=8, unique=True),
+            label="sites",
+        )
+        offset = data.draw(st.tuples(*[st.integers(-(2**63), 2**63 - 1 - span)] * d), label="offset")
+        n = data.draw(st.integers(1, 3), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        coeffs = rng.standard_normal((len(sites), n)) + 1j * rng.standard_normal((len(sites), n))
+        coeffs /= np.linalg.norm(coeffs)
+        far = GeneralState({tuple(o + x for o, x in zip(offset, r)): c for r, c in zip(sites, coeffs)})
+        state = at_origin(far)
+        grid = QuadratureGrid(size, d)
+        start = data.draw(st.integers(0, grid.node_count - 1), label="start")  # may begin mid-row
+        stop = data.draw(st.integers(start + 1, grid.node_count), label="stop")
+        got = psi_on_grid(state, grid, start, stop)
+        want = psi_k_many(state, grid.nodes[start:stop])
+        assert got.shape == want.shape
+        # the direct sum rounds each phase k.r, |k.r| <= pi d span, by about eps |k.r|
+        rounding = 2 * np.finfo(float).eps * PI * d * span * np.abs(coeffs).sum()
+        assert np.max(np.abs(got - want)) <= 1e-13 + rounding
+
+    def test_rejects_a_grid_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            psi_on_grid(entangled_state(), QuadratureGrid(4, 2), 0, 16)
 
 
 class TestAtOrigin:
