@@ -3,11 +3,11 @@
 The long-time coin state is the k-average of the dephased initial projector,
 ``rho_ad = integral dk/(2pi)^d sum_bc C_(a,c),(b,d)(k) P0_bc(k)``, that is
 ``sum_w P_w P0 P_w`` averaged over k: right for eigenspaces of any rank,
-where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1.
+where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1;
+for a 2x2 coin it is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C.
 This module evaluates it by Brillouin-zone quadrature for any walk/state and
-provides the known closed forms for the U(2) line walk: the local-state
-density matrix, the general local eigenvalue pair, and the reference
-eigenvalues for the two worked non-local examples."""
+provides the U(2) line walk's closed forms: the local-state density matrix,
+the general local eigenvalue pair and the two worked non-local examples."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .characteristic import (
     QuadratureGrid,
     _grid_mean,
-    _projectors_2,
+    _involution_2,
     c_local_u2,
     characteristic_stack,
 )
@@ -28,10 +28,10 @@ from .states import (
     BlochCoin,
     InitialState,
     _as_vector,
-    at_origin,
+    checked_site_table,
     psi_k_many,  # noqa: F401  (the pointwise route; perfbench's tracer patches this name)
     psi_on_grid,
-    require_state_fits,
+    to_origin,
 )
 from .walk import U2Params, WalkSpec
 
@@ -63,31 +63,37 @@ def rho_asymptotic(
 
     At every node the initial projector ``P0(k) = |psi_k><psi_k|`` is
     dephased to ``sum_w P_w P0 P_w``; the nodes are then averaged. For a 2x2
-    coin that is ``sum_w q_w q_w^dag`` with ``q_w = P_w psi_k`` and the
-    closed-form projectors, summed over a block of nodes by one matrix
-    product; other coins contract ``C(k)`` from :func:`characteristic_stack`
-    with ``P0(k)``. ``psi_k`` comes from one FFT per row of grid nodes
-    (:func:`psi_on_grid`), exact in its phases. The nodes are taken one
-    fixed-size block at a time, so the working memory is that of one block
-    (about 4 MiB of C for n > 2) whatever the grid. The quadrature sum runs
-    in a fixed node order, so results are bit-stable across runs.
-    ``grid=None`` takes :meth:`QuadratureGrid.default`. The state is first
-    translated to the origin (:func:`at_origin`), so every translate of it
-    gives the same result to the last bit. A 2x2 coin with a zero
-    off-diagonal entry, whose bands cross, raises
-    :class:`DegenerateDispersion`; a grid whose (N^d, d) node array numpy
-    cannot allocate, or a state whose positions are 2**63 or more apart,
-    raises :class:`InvalidArgument`.
+    coin that is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``
+    (:func:`~coinwalk.characteristic._involution_2`): a block of M nodes sums
+    to ``X X^dag`` with ``X = [P_1 psi | P_2 psi]``, ``P_1,2 = (I +- D) / 2``,
+    of shape (2, 2M). That is ``[psi | D psi]`` rotated, whose repeated
+    ``psi`` columns (a local state) round ~30 eps in the BLAS sum. Other coins
+    contract ``C(k)`` (:func:`characteristic_stack`) with ``P0(k)``. ``psi_k``
+    comes from one FFT per row of grid nodes (:func:`psi_on_grid`), exact in
+    its phases. Nodes are averaged in fixed-size blocks and a fixed order:
+    the working memory does not grow with the grid (about 4 MiB of C for
+    n > 2) and results are bit-stable. ``grid=None`` takes
+    :meth:`QuadratureGrid.default`. The state's positions are moved to the
+    origin (:func:`to_origin`), so every translate of a state gives the same
+    result to the last bit. A 2x2 coin with a zero off-diagonal entry, whose
+    bands cross, raises :class:`DegenerateDispersion`; a grid whose (N^d, d)
+    node array numpy cannot allocate, or a state whose positions are 2**63
+    or more apart, raises :class:`InvalidArgument`.
     """
-    require_state_fits(spec, state)
-    state = at_origin(state)
+    positions, coeffs = checked_site_table(spec, state)
+    table = to_origin(positions), coeffs
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
 
     def block_sum(kb: Array, start: int) -> Array:
-        psi = psi_on_grid(state, grid, start, start + len(kb))
+        m = len(kb)
+        psi = psi_on_grid(table, grid, start, start + m)
         if spec.coin_dim == 2:
-            q = (_projectors_2(spec, kb) @ psi[:, None, :, None]).reshape(-1, 2)
-            return q.T @ q.conj()
+            d = _involution_2(spec, kb)
+            x = np.empty((2, 2 * m), dtype=np.complex128)
+            x[0, :m] = 0.5 * ((1 + d[:, 0, 0]) * psi[:, 0] + d[:, 0, 1] * psi[:, 1])
+            x[1, :m] = 0.5 * (d[:, 1, 0] * psi[:, 0] + (1 + d[:, 1, 1]) * psi[:, 1])
+            np.subtract(psi.T, x[:, :m], out=x[:, m:])
+            return x @ x.conj().T
         # n > 2 still builds C: perfbench/layers.py divides by this call's time
         p0 = psi[:, :, None] * psi.conj()[:, None, :]
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)

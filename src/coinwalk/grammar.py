@@ -130,18 +130,21 @@ def _parse_vector_literal(text: str) -> np.ndarray:
 _TOP_LEVEL_COMMA = re.compile(r",(?![^()]*\))")
 
 
-def _split_map_entries(body: str) -> list[tuple[tuple[int, ...], str]]:
+def _split_map_entries(body: str) -> dict[tuple[int, ...], str]:
     # split '{pos: value, pos: value}' on the commas outside parentheses; a
     # trailing comma is allowed
     parts = _TOP_LEVEL_COMMA.split(body)
     if not parts[-1].strip():
         parts.pop()
-    entries: list[tuple[tuple[int, ...], str]] = []
+    entries: dict[tuple[int, ...], str] = {}
     for part in parts:
         pos_s, sep, val_s = part.partition(":")
         if not sep:
             raise FormatError(f"bad map entry {part!r}")
-        entries.append((_parse_int_vector(pos_s, r"[;\s]+"), val_s.strip()))
+        pos = _parse_int_vector(pos_s, r"[;\s]+")
+        if pos in entries:
+            raise FormatError(f"position {';'.join(map(str, pos))} is repeated in the map")
+        entries[pos] = val_s.strip()
     return entries
 
 
@@ -161,22 +164,22 @@ def parse_state(text: str) -> InitialState:
             if not m:
                 raise FormatError(f"bad dist state {text!r}")
             entries = _split_map_entries(m.group("map"))
-            amps = np.array([parse_complex(v) for _, v in entries])
+            amps = np.array([parse_complex(v) for v in entries.values()])
             amps = _renormalize(amps, "position amplitudes")
             chi = _renormalize(_parse_vector_literal(m.group("chi")), "chi")
             return DistributedState(
-                amplitudes={pos: complex(a) for (pos, _), a in zip(entries, amps)}, chi=chi
+                amplitudes={pos: complex(a) for pos, a in zip(entries, amps)}, chi=chi
             )
         if kind == "general":
             m = re.match(r"^\{(?P<map>.*)\}$", rest.strip())
             if not m:
                 raise FormatError(f"bad general state {text!r}")
             entries = _split_map_entries(m.group("map"))
-            vectors = [_parse_vector_literal(v) for _, v in entries]
+            vectors = [_parse_vector_literal(v) for v in entries.values()]
             if len({v.size for v in vectors}) > 1:
                 raise DimensionMismatch("all coin vectors must have the same dimension")
             coeffs = _renormalize(np.array(vectors), "general state")
-            return GeneralState(amplitudes={pos: c for (pos, _), c in zip(entries, coeffs)})
+            return GeneralState(amplitudes=dict(zip(entries, coeffs)))
     except FormatError:
         raise
     except Exception as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgument, as_int
 from .linalg import Array, DensityMatrix
-from .states import InitialState, require_state_fits, site_table
+from .states import InitialState, checked_site_table, site_table
 from .walk import WalkSpec
 
 
@@ -83,11 +83,10 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     :func:`step` and :func:`rho_c_at_t` stay as the independent per-site
     reference that the tests compare this stepper against.
     """
-    require_state_fits(spec, state)
+    positions, coeffs = checked_site_table(spec, state)
     if as_int(t_max, "t_max") < 0:
         raise InvalidArgument(f"need t_max >= 0, got {t_max}")
     n = spec.coin_dim
-    positions, coeffs = site_table(state)
     low = spec.shifts.min(axis=0)
     origin = positions.min(axis=0)
     # Python ints: spans and reaches of int64 positions and shifts can exceed int64

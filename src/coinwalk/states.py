@@ -17,7 +17,7 @@ Positions are sparse integer tuples, so far-apart supports cost O(support).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -118,13 +118,14 @@ def bloch_coin(b: BlochCoin) -> Array:
     )
 
 
-def require_state_fits(spec: WalkSpec, state: InitialState) -> None:
-    """Raise :class:`DimensionMismatch` unless the state lives on the walk's spaces."""
+def checked_site_table(spec: WalkSpec, state: InitialState) -> tuple[Array, Array]:
+    """The :func:`site_table` of ``state``; :class:`DimensionMismatch` unless it fits the walk."""
     positions, coeffs = site_table(state)
     if coeffs.shape[1] != spec.coin_dim:
         raise DimensionMismatch("state coin dimension does not match the walk")
     if positions.shape[1] != spec.lattice_dim:
         raise DimensionMismatch("state lattice dimension does not match the walk")
+    return positions, coeffs
 
 
 def site_table(state: InitialState) -> tuple[Array, Array]:
@@ -134,22 +135,19 @@ def site_table(state: InitialState) -> tuple[Array, Array]:
     downstream reduction is deterministic.
     """
     if isinstance(state, LocalState):
-        items = [(state.position, state.chi)]
-    elif isinstance(state, DistributedState):
-        items = [(r, a * state.chi) for r, a in sorted(state.amplitudes.items())]
-    else:
-        items = sorted(state.amplitudes.items())
+        return np.array([state.position], dtype=np.int64), state.chi[None, :].copy()
+    items = sorted(state.amplitudes.items())
     positions = np.array([r for r, _ in items], dtype=np.int64)
-    coeffs = np.array([c for _, c in items], dtype=np.complex128)
-    return positions, coeffs
+    if isinstance(state, DistributedState):
+        return positions, np.multiply.outer(np.array([a for _, a in items]), state.chi)
+    return positions, np.array([c for _, c in items], dtype=np.complex128)
 
 
-def at_origin(state: InitialState) -> InitialState:
-    """``state`` translated so that its smallest position on each axis is 0.
+def to_origin(positions: Array) -> Array:
+    """A (m, d) positions array translated so that its smallest entry on each axis is 0.
 
-    Every translate of a state gives the same result, so :func:`psi_k_many`
-    of it, and every quantity built from that, is the same to the last bit
-    for all of them. A state at the origin already is returned as it is.
+    Every translate of a state has the same translated table, so results built
+    from it agree to the last bit. An array at the origin is returned as it is.
 
     Raises
     ------
@@ -157,20 +155,13 @@ def at_origin(state: InitialState) -> InitialState:
         If two positions are 2**63 or more apart on some axis, so that their
         separation does not fit in a 64-bit integer.
     """
-    positions, _ = site_table(state)
-    low = [int(x) for x in positions.min(axis=0)]
-    span = max(int(x) - lo for x, lo in zip(positions.max(axis=0), low))
-    if span >= 2**63:
+    low = positions.min(axis=0)
+    if not low.any():
+        return positions
+    rel = positions.view(np.uint64) - low.view(np.uint64)  # r - r_min < 2**64: no wrap
+    if (span := rel.max()) >= 2**63:
         raise InvalidArgument(f"the state's positions are {span} apart on an axis, beyond int64")
-    if not any(low):
-        return state
-
-    def moved(r):
-        return tuple(x - lo for x, lo in zip(r, low))
-
-    if isinstance(state, LocalState):
-        return replace(state, position=moved(state.position))
-    return replace(state, amplitudes={moved(r): a for r, a in state.amplitudes.items()})
+    return rel.view(np.int64)
 
 
 def psi_k_many(state: InitialState, ks: Array) -> Array:
@@ -192,12 +183,13 @@ def psi_k_many(state: InitialState, ks: Array) -> Array:
     return psi
 
 
-def psi_on_grid(state: InitialState, grid: QuadratureGrid, start: int, stop: int) -> Array:
+def psi_on_grid(table: tuple[Array, Array], grid: QuadratureGrid, start: int, stop: int) -> Array:
     """Momentum components at the nodes ``[start, stop)`` of ``grid``, (stop - start, n).
 
-    The nodes are taken in :attr:`QuadratureGrid.nodes` order and the values
-    are those of :func:`psi_k_many`, computed exactly in the phases. Every
-    node coordinate is ``k_j = -pi + 2 pi j / N``, so
+    The state is given by its :func:`site_table`. The nodes are taken in
+    :attr:`QuadratureGrid.nodes` order and the values are those of
+    :func:`psi_k_many`, computed exactly in the phases. Every node
+    coordinate is ``k_j = -pi + 2 pi j / N``, so
     ``exp(-1j k.r) = (-1)^(sum r) exp(-2 pi i (j.r mod N) / N)``. Along a row
     of nodes (the leading coordinates fixed, the last one running) that is a
     DFT: the coefficients, times one phase per site for the leading axes and
@@ -206,7 +198,7 @@ def psi_on_grid(state: InitialState, grid: QuadratureGrid, start: int, stop: int
     exactly as in the direct sum. The working memory is (rows spanned) N n
     complex values.
     """
-    positions, coeffs = site_table(state)
+    positions, coeffs = table
     if positions.shape[1] != grid.dim:
         raise DimensionMismatch("grid dimension does not match the state")
     size = grid.points_per_axis

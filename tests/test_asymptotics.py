@@ -17,6 +17,7 @@ from coinwalk import (
     bloch_coin,
     c_local,
     cesaro_rho,
+    characteristic_at_k,
     eigenvalues_distributed_example,
     eigenvalues_entangled_example,
     eigenvalues_local_general,
@@ -27,7 +28,9 @@ from coinwalk import (
     rho_distributed_example_closed,
     rho_from_characteristic,
     rho_local_closed,
+    u2_coin,
 )
+from coinwalk import states
 from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack
 from conftest import random_interior_params, random_unitary, unit_vector
 
@@ -327,6 +330,44 @@ class TestBlockedQuadrature:
         assert merged.sum() == (2 if walk == "merged-nodes" else 0)
         for state in self.states(rng, 2, 1) + [self.packet(rng, 128)]:
             self.assert_matches_the_einsum_of_c(spec, state, grid, c)
+
+    @given(data=st.data())
+    def test_two_band_walks_match_the_per_node_eigenprojectors(self, data):
+        # n = 2 dephases through D = P_1 - P_2; the reference takes sum_w P_w P0 P_w
+        # from characteristic_at_k, which runs the general eigensolver node by node
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        # N > span: a coarser grid aliases the separations and the trace is not 1
+        size = data.draw(st.integers(7, 48) if d == 1 else st.integers(7, 10), label="N")
+        shifts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=2, max_size=2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="flat bands"):  # theta = pi/2: a zero diagonal
+            coin = u2_coin(U2Params(PI / 2, *rng.uniform(-PI, PI, 2)))
+        else:
+            coin = random_unitary(rng, 2)
+        spec = WalkSpec(d, 2, shifts, coin)
+        sites = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=5, unique=True),
+            label="sites",
+        )
+        if data.draw(st.booleans(), label="general"):
+            coeffs = unit_vector(rng, 2 * len(sites)).reshape(-1, 2)
+            state = GeneralState(dict(zip(sites, coeffs)))
+        else:
+            state = DistributedState(dict(zip(sites, unit_vector(rng, len(sites)))), unit_vector(rng, 2))
+        grid = QuadratureGrid(size, d)
+        want = np.zeros((2, 2), dtype=complex)
+        for k, psi in zip(grid.nodes, psi_k_many(state, grid.nodes)):
+            c = characteristic_at_k(spec, k).reshape(2, 2, 2, 2)
+            want += np.einsum("acbd,b,c->ad", c, psi, psi.conj()) / grid.node_count
+        got = rho_asymptotic(spec, state, grid).rho.matrix
+        assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
+
+    def test_reads_the_site_table_once(self, rng, monkeypatch):
+        read, calls = states.site_table, []
+        monkeypatch.setattr(states, "site_table", lambda state: calls.append(state) or read(state))
+        spec = WalkSpec(1, 2, self.SHIFTS[2, 1], random_unitary(rng, 2))
+        rho_asymptotic(spec, self.packet(rng, 128))
+        assert len(calls) == 1
 
     def test_working_memory_does_not_grow_with_the_grid(self):
         rng = np.random.default_rng(96)

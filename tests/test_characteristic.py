@@ -116,9 +116,12 @@ class TestPointwise:
 
 
 class TestBatchedStack:
-    @pytest.mark.parametrize("walk", ["grover-2d", "haar-3", "haar-6-3d"])
+    @pytest.mark.parametrize(
+        "walk", ["grover-2d", "haar-3", "haar-6-3d", "haar-2", "haar-2-2d", "merged-2"]
+    )
     def test_matches_per_node_route(self, walk, rng):
-        # the 2-d Grover walk has flat bands and merged eigenspaces at many nodes
+        # the 2-d Grover walk has flat bands and merged eigenspaces at many nodes;
+        # 2x2 coins take the closed form (I (x) I + D (x) D) / 2
         if walk == "grover-2d":
             coin = np.full((4, 4), 0.5) - np.eye(4)
             spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], coin)
@@ -126,12 +129,24 @@ class TestBatchedStack:
         elif walk == "haar-3":
             spec = WalkSpec(1, 3, [[1], [0], [-1]], random_unitary(rng, 3))
             ks = QuadratureGrid(32, 1).nodes
-        else:
+        elif walk == "haar-6-3d":
             shifts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
             spec = WalkSpec(3, 6, shifts, random_unitary(rng, 6))
             ks = QuadratureGrid(4, 3).nodes
+        elif walk == "haar-2":
+            spec = WalkSpec(1, 2, [[1], [-1]], random_unitary(rng, 2))
+            ks = QuadratureGrid(64, 1).nodes
+        elif walk == "haar-2-2d":
+            spec = WalkSpec(2, 2, [[1, 2], [-1, 0]], random_unitary(rng, 2))
+            ks = QuadratureGrid(8, 2).nodes
+        else:  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace at those nodes
+            spec = line_walk(U2Params(1e-11, 0.0, 0.0))
+            ks = QuadratureGrid(64, 1).nodes
         want = np.stack([characteristic_at_k(spec, k) for k in ks])
-        assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
+        got = characteristic_stack(spec, ks)
+        if walk == "merged-2":
+            assert np.all(got == np.eye(4), axis=(1, 2)).sum() == 2
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [1e-11, 1e-6, 1e-4])
     def test_near_pauli_coin_matches_per_node_route(self, theta):

@@ -386,13 +386,15 @@ class TestBadInput:
             ["simulate", "--theta", "pi/4", "--state", INT64_ENDS, "--t-max", "2"],
             ["simulate", "--walk-file", "{tmp}/shifts62.cfg", "--state", LOCAL, "--t-max", "2"],
             ["rho", "--theta", "pi/4", "--state", INT64_ENDS],
+            ["rho", "--theta", "pi/4", "--state", "dist {1:0, 1:1} chi=(1,0)"],
         ],
         ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
              "chi-nan", "chi-overflow", "walk-file-nan-coin", "rho-mixed-position-lengths",
              "simulate-mixed-position-lengths", "simulate-series-too-large",
              "position-beyond-int64", "shift-beyond-int64", "grid-n-2-60", "grid-n-2-70",
-             "simulate-span-beyond-int64", "simulate-shifts-2-62", "rho-span-beyond-int64"],
+             "simulate-span-beyond-int64", "simulate-shifts-2-62", "rho-span-beyond-int64",
+             "rho-repeated-position"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)

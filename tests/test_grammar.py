@@ -158,6 +158,20 @@ class TestStateGrammar:
         with pytest.raises(FormatError):
             parse_state(text)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("dist {1:0, 1:1} chi=(1,0)", "1"),  # was read as {1:1}
+            ("dist {1:0.6, 1:0.8} chi=(1,0)", "1"),  # was "not normalized"
+            ("dist {0;2:0.6, 1;1:0, 0 2:0.8} chi=(1,0)", "0;2"),
+            ("general {0:(1,0), 0:(0,0)}", "0"),  # was "not normalized"
+            ("general {-3:(0.6,0), 4:(0,0.8), -03:(0,0.8)}", "-3"),
+        ],
+    )
+    def test_rejects_a_repeated_position(self, text, position):
+        with pytest.raises(FormatError, match=f"position {position} is repeated"):
+            parse_state(text)
+
     def test_trailing_comma_in_map(self):
         s = parse_state("dist {-1:0.7071, 1:0.7071,} chi=(1,0)")
         assert s.amplitudes == parse_state("dist {-1:0.7071, 1:0.7071} chi=(1,0)").amplitudes

@@ -16,7 +16,7 @@ from coinwalk import (
     psi_k_many,
     site_table,
 )
-from coinwalk.states import at_origin, psi_on_grid
+from coinwalk.states import psi_on_grid, to_origin
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -207,11 +207,13 @@ class TestPsiOnGrid:
         coeffs = rng.standard_normal((len(sites), n)) + 1j * rng.standard_normal((len(sites), n))
         coeffs /= np.linalg.norm(coeffs)
         far = GeneralState({tuple(o + x for o, x in zip(offset, r)): c for r, c in zip(sites, coeffs)})
-        state = at_origin(far)
+        positions, table_coeffs = site_table(far)
+        positions = to_origin(positions)
+        state = GeneralState({tuple(int(x) for x in r): c for r, c in zip(positions, table_coeffs)})
         grid = QuadratureGrid(size, d)
         start = data.draw(st.integers(0, grid.node_count - 1), label="start")  # may begin mid-row
         stop = data.draw(st.integers(start + 1, grid.node_count), label="stop")
-        got = psi_on_grid(state, grid, start, stop)
+        got = psi_on_grid((positions, table_coeffs), grid, start, stop)
         want = psi_k_many(state, grid.nodes[start:stop])
         assert got.shape == want.shape
         # the direct sum rounds each phase k.r, |k.r| <= pi d span, by about eps |k.r|
@@ -220,10 +222,12 @@ class TestPsiOnGrid:
 
     def test_rejects_a_grid_of_another_dimension(self):
         with pytest.raises(DimensionMismatch):
-            psi_on_grid(entangled_state(), QuadratureGrid(4, 2), 0, 16)
+            psi_on_grid(site_table(entangled_state()), QuadratureGrid(4, 2), 0, 16)
 
 
 class TestAtOrigin:
+    """The table-level translation that makes results depend on separations only."""
+
     @pytest.mark.parametrize(
         "state, want",
         [
@@ -239,23 +243,29 @@ class TestAtOrigin:
         ],
     )
     def test_moves_the_smallest_position_on_each_axis_to_zero(self, state, want):
-        got_positions, got_coeffs = site_table(at_origin(state))
+        got_positions, got_coeffs = site_table(state)
         want_positions, want_coeffs = site_table(want)
-        assert np.array_equal(got_positions, want_positions)
+        assert np.array_equal(to_origin(got_positions), want_positions)
+        assert to_origin(got_positions).dtype == np.int64
         assert np.array_equal(got_coeffs, want_coeffs)
-        assert type(at_origin(state)) is type(state)
 
     def test_state_at_the_origin_is_returned_as_it_is(self):
-        s = DistributedState({(0,): INV2, (3,): INV2}, [1, 0])
-        assert at_origin(s) is s
+        positions, _ = site_table(DistributedState({(0,): INV2, (3,): INV2}, [1, 0]))
+        assert to_origin(positions) is positions
 
     def test_projectors_of_every_translate_agree_to_the_last_bit(self):
         s = GeneralState({(-3, 1): [0.6, 0], (4, 2): [0, 0.8j]})
         far = GeneralState({(10**15 - 3, -(10**12) + 1): [0.6, 0], (10**15 + 4, -(10**12) + 2): [0, 0.8j]})
-        ks = QuadratureGrid(16, 2).nodes
-        assert np.array_equal(projectors_at(at_origin(s), ks), projectors_at(at_origin(far), ks))
+        grid = QuadratureGrid(16, 2)
+
+        def projectors_on_grid(state):
+            positions, coeffs = site_table(state)
+            psi = psi_on_grid((to_origin(positions), coeffs), grid, 0, grid.node_count)
+            return psi[:, :, None] * psi.conj()[:, None, :]
+
+        assert np.array_equal(projectors_on_grid(s), projectors_on_grid(far))
 
     def test_rejects_positions_int64_apart(self):
-        s = DistributedState({(-(2**63),): INV2, (2**63 - 1,): INV2}, [1, 0])
+        positions, _ = site_table(DistributedState({(-(2**63),): INV2, (2**63 - 1,): INV2}, [1, 0]))
         with pytest.raises(InvalidArgument, match="beyond int64"):
-            at_origin(s)
+            to_origin(positions)
