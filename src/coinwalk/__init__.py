@@ -42,15 +42,8 @@ from .grammar import (
     parse_state,
     parse_walk_config,
 )
-from .linalg import (
-    DensityMatrix,
-    EigenSystem,
-    eig_unitary,
-    eig_unitary_batch,
-    is_unitary,
-    von_neumann_entropy,
-)
-from .simulate import LatticeState, cesaro_rho, initial_lattice_state, rho_c_at_t, rho_series, step
+from .linalg import DensityMatrix, von_neumann_entropy
+from .simulate import cesaro_rho, rho_series
 from .states import (
     BlochCoin,
     DistributedState,
@@ -58,8 +51,6 @@ from .states import (
     InitialState,
     LocalState,
     bloch_coin,
-    psi_k_many,
-    site_table,
 )
 from .walk import U2Params, WalkSpec, build_uk, dispersion_gamma, line_walk, u2_coin
 

@@ -22,7 +22,7 @@ from .characteristic import (
     c_local_u2,
     characteristic_stack,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import (
     BlochCoin,
@@ -76,17 +76,25 @@ def rho_asymptotic(
     :meth:`QuadratureGrid.default`. The state's positions are moved to the
     origin (:func:`to_origin`), so every translate of a state gives the same
     result to the last bit. A 2x2 coin with a zero off-diagonal entry, whose
-    bands cross, raises :class:`DegenerateDispersion`; a grid whose (N^d, d)
-    node array numpy cannot allocate, or a state whose positions are 2**63
-    or more apart, raises :class:`InvalidArgument`.
+    bands cross, raises :class:`DegenerateDispersion`. A grid whose (N^d, d)
+    node array numpy cannot allocate, a state whose positions are 2**63 or
+    more apart, or a grid of N points per axis for a state whose positions
+    are N or more apart on some axis (the grid aliases sites N apart)
+    raises :class:`InvalidArgument`.
     """
     positions, coeffs = checked_site_table(spec, state)
-    table = to_origin(positions), coeffs
+    positions = to_origin(positions)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
+    if (span := int(positions.max())) >= grid.points_per_axis:
+        raise InvalidArgument(
+            f"the state's positions are {span} apart on an axis; a grid of"
+            f" N = {grid.points_per_axis} points per axis aliases sites N apart,"
+            f" so N must exceed {span}"
+        )
 
     def block_sum(kb: Array, start: int) -> Array:
         m = len(kb)
-        psi = psi_on_grid(table, grid, start, start + m)
+        psi = psi_on_grid((positions, coeffs), grid, start, start + m)
         if spec.coin_dim == 2:
             d = _involution_2(spec, kb)
             x = np.empty((2, 2 * m), dtype=np.complex128)

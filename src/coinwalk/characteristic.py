@@ -134,12 +134,17 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
 
 
 def characteristic_at_k(spec: WalkSpec, k) -> Array:
-    """Pointwise ``C(k) = sum_w P_w (x) P_w`` (n^2, n^2) from the spectrum of U_k."""
-    es = eig_unitary(build_uk(spec, k))
+    """Pointwise ``C(k) = sum_w P_w (x) P_w`` (n^2, n^2) from the spectrum of U_k.
+
+    One ``kron`` per eigenspace: the independent per-node reference for
+    :func:`characteristic_stack`.
+    """
+    _, vectors, labels = eig_unitary(build_uk(spec, k))
     n = spec.coin_dim
     c = np.zeros((n * n, n * n), dtype=np.complex128)
-    for g in es.groups:
-        p = es.projector(g)
+    for w in np.unique(labels):
+        v = vectors[:, labels == w]
+        p = v @ v.conj().T
         c += np.kron(p, p)
     return c
 
@@ -185,15 +190,14 @@ def _involution_2(spec: WalkSpec, ks: Array) -> Array:
     return d
 
 
-def c_of_k_u2(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
+def c_of_k_u2(p: U2Params, k: float) -> Array:
     """Closed-form C(k) for the line walk with a general 2x2 coin.
 
     Valid wherever the dispersion is nondegenerate (theta strictly inside
     (0, pi/2), or k != alpha mod pi). Agrees with the numeric
     :func:`characteristic_at_k` route to ~1e-12; the agreement without any
     eigenvector phase fixing is itself a regression check, since the closed
-    form is built from gauge-invariant projectors. ``f_sign = -1`` flips the
-    sign of the off-diagonal entry F, a negative control for that check.
+    form is built from gauge-invariant projectors.
 
     Raises
     ------
@@ -209,13 +213,8 @@ def c_of_k_u2(p: U2Params, k: float, f_sign: float = 1.0) -> Array:
     ell = np.sin(p.theta) ** 2 / (2 * sin2)
     g = -ell * np.exp(2j * (k - p.beta))
     f = (
-        f_sign
-        * 1j
-        * np.sin(k - p.alpha)
-        * np.sin(p.theta)
-        * np.cos(p.theta)
-        / (2 * sin2)
-        * np.exp(1j * (k - p.beta))
+        1j * np.sin(k - p.alpha) * np.sin(p.theta) * np.cos(p.theta)
+        / (2 * sin2) * np.exp(1j * (k - p.beta))
     )
     fc, gc = np.conj(f), np.conj(g)
     return np.array(

@@ -159,10 +159,15 @@ def cmd_fig(args) -> int:
     return 0
 
 
+def _flip_f(c):
+    """``(Z (x) Z) C (Z (x) Z)`` of a 4x4 C: the eight F entries negated, the rest unchanged."""
+    z = np.array([1.0, -1.0, -1.0, 1.0])
+    return np.outer(z, z) * c
+
+
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     hadamard = U2Params(np.pi / 4, np.pi / 2, np.pi / 2)
-    f_sign = -1.0 if args.inject_f_sign_error else 1.0
 
     residual_ck = 0.0
     for _ in range(args.draws):
@@ -172,7 +177,9 @@ def cmd_verify(args) -> int:
             beta=rng.uniform(-np.pi, np.pi),
         )
         k = rng.uniform(-np.pi, np.pi)
-        closed = c_of_k_u2(p, k, f_sign=f_sign)
+        closed = c_of_k_u2(p, k)
+        if args.inject_f_sign_error:  # the negative control: this check must FAIL
+            closed = _flip_f(closed)
         numeric = characteristic_at_k(line_walk(p), k)
         residual_ck = max(residual_ck, float(np.max(np.abs(closed - numeric))))
 

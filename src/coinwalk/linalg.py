@@ -6,7 +6,8 @@ the eigensolver works on a whole (M, n, n) stack at once: a Cayley transform
 maps each unitary to a Hermitian matrix with the same eigenvectors, one
 batched ``numpy.linalg.eigh`` solves them all, and phase grouping by
 vectorised gap tests labels the eigenspaces, with the residual and
-orthonormality checked on the whole batch.
+orthonormality checked on the whole batch. Its output has one shape,
+``(phases, vectors, labels)``; a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -48,32 +49,6 @@ def is_unitary(m) -> bool:
         return False
     residual = np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))
     return bool(np.max(residual, initial=0.0) <= 1e-10)
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral data of a unitary matrix.
-
-    Attributes
-    ----------
-    phases : (n,) float array
-        Eigenphases in ``(-pi, pi]``, sorted ascending. ``exp(1j*phases[j])``
-        is the eigenvalue paired with column ``j`` of ``vectors``.
-    vectors : (n, n) complex array
-        Orthonormal eigenvectors as columns.
-    groups : tuple of index tuples
-        Partition of ``range(n)`` into eigenspaces whose phases agree within
-        ``DEGENERACY_TOL``.
-    """
-
-    phases: Array
-    vectors: Array
-    groups: tuple[tuple[int, ...], ...]
-
-    def projector(self, group: tuple[int, ...]) -> Array:
-        """Orthogonal projector onto the eigenspace spanned by ``group``."""
-        v = self.vectors[:, list(group)]
-        return v @ v.conj().T
 
 
 def _cayley(v: Array) -> tuple[Array, Array]:
@@ -174,16 +149,16 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     return phases, vectors, labels
 
 
-def eig_unitary(u) -> EigenSystem:
-    """Eigendecompose one unitary matrix: :func:`eig_unitary_batch` with M = 1.
+def eig_unitary(u) -> tuple[Array, Array, Array]:
+    """Eigendecompose one unitary matrix: :func:`eig_unitary_batch` at M = 1.
 
-    Phases within ``DEGENERACY_TOL`` of each other are grouped into one
-    eigenspace, so eigenspace projectors are basis-independent. Raises as
+    Returns ``(phases, vectors, labels)`` of shapes (n,), (n, n) and (n,),
+    the one node of the batch. The columns ``vectors[:, labels == w]`` span
+    eigenspace ``w``, so its projector is basis-independent. Raises as
     :func:`eig_unitary_batch` does.
     """
     phases, vectors, labels = eig_unitary_batch(as_matrix(u)[None])
-    groups = tuple(tuple(np.flatnonzero(labels[0] == g).tolist()) for g in np.unique(labels[0]))
-    return EigenSystem(phases=phases[0], vectors=vectors[0], groups=groups)
+    return phases[0], vectors[0], labels[0]
 
 
 @dataclass(frozen=True)

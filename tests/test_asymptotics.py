@@ -10,6 +10,7 @@ from coinwalk import (
     DimensionMismatch,
     DistributedState,
     GeneralState,
+    InvalidArgument,
     LocalState,
     QuadratureGrid,
     U2Params,
@@ -23,7 +24,6 @@ from coinwalk import (
     eigenvalues_local_general,
     entropy_of_pair,
     line_walk,
-    psi_k_many,
     rho_asymptotic,
     rho_distributed_example_closed,
     rho_from_characteristic,
@@ -32,6 +32,7 @@ from coinwalk import (
 )
 from coinwalk import states
 from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack
+from coinwalk.states import psi_k_many
 from conftest import random_interior_params, random_unitary, unit_vector
 
 PI = np.pi
@@ -250,6 +251,25 @@ class TestQuadraturePipeline:
                 LocalState(position=(0, 0), chi=[1, 0]),
                 GRID,
             )
+
+    @pytest.mark.parametrize("far, n", [(1, 1), (3, 2), (66, 64)])
+    def test_grid_not_wider_than_the_state_refused(self, far, n):
+        # sites N apart share one bin of an N-point grid: at N = 2, {0, 3} gave I/2
+        state = DistributedState({0: 0.6, far: 0.8}, chi=[1, 0])
+        with pytest.raises(InvalidArgument, match=rf"{far} apart on an axis; a grid of N = {n} "):
+            rho_asymptotic(line_walk(HADAMARD_PARAMS), state, QuadratureGrid(n, 1))
+
+    def test_grid_span_is_checked_per_axis(self):
+        spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], np.full((4, 4), 0.5) - np.eye(4))
+        state = DistributedState({(0, 0): 0.6, (1, 4): 0.8}, chi=[1, 0, 0, 0])
+        with pytest.raises(InvalidArgument, match="4 apart on an axis; a grid of N = 4 "):
+            rho_asymptotic(spec, state, QuadratureGrid(4, 2))
+        assert rho_asymptotic(spec, state, QuadratureGrid(5, 2)).method == "numeric_quadrature"
+
+    def test_span_of_n_minus_one_accepted(self):
+        state = DistributedState({-10: 0.6, 53: 0.8}, chi=[1, 0])
+        result = rho_asymptotic(line_walk(HADAMARD_PARAMS), state, QuadratureGrid(64, 1))
+        assert result.method == "numeric_quadrature"
 
     def test_depends_on_phase_difference_only(self, rng):
         p = random_interior_params(rng)

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 import coinwalk
 from coinwalk import (
     U2Params,
+    c_of_k_u2,
     line_walk,
     parse_state,
     parse_walk_config,
     rho_asymptotic,
     u2_coin,
 )
-from coinwalk.cli import main
-from conftest import format_complex, random_unitary, walk_config_text
+from coinwalk.cli import _flip_f, main
+from conftest import format_complex, random_interior_params, random_unitary, walk_config_text
 
 PI = np.pi
 LOCAL = "local v=0 chi=(1,0)"
@@ -198,6 +199,30 @@ class TestRho:
         assert json.loads(out)["cpe"] >= 0.98
 
 
+class TestGridSpan:
+    @pytest.mark.parametrize(
+        "state, grid_n, span",
+        [
+            ("dist {0:0.6, 1:0.8} chi=(1,0)", "1", 1),  # exited 4 on a trace check
+            ("dist {0:0.6, 3:0.8} chi=(1,0)", "2", 3),  # exited 0 with an aliased I/2
+            ("dist {0:0.7071, 66:0.7071} chi=(1,0)", "64", 66),  # exited 0, 0.12 off
+        ],
+    )
+    def test_grid_not_wider_than_the_state_exits_2(self, capsys, state, grid_n, span):
+        code, out, err = run(capsys, "rho", "--theta", "pi/4", "--state", state, "--grid-n", grid_n)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: the state's positions are {span} apart on an axis; a grid of"
+            f" N = {grid_n} points per axis aliases sites N apart, so N must exceed {span}\n"
+        )
+
+    def test_span_of_grid_n_minus_one_exits_0(self, capsys):
+        state = "dist {0:0.6, 1:0.8} chi=(1,0)"
+        code, out, _ = run(capsys, "rho", "--theta", "pi/4", "--state", state, "--grid-n", "2")
+        assert code == 0
+        assert json.loads(out)["grid_n"] == 2
+
+
 class TestFig:
     def _rows(self, text):
         lines = text.splitlines()
@@ -326,6 +351,18 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_negative_control_negates_exactly_the_f_entries(self, rng):
+        # (Z (x) Z) C (Z (x) Z): the F entries are those whose row and column
+        # have opposite parity in the number of 1s of the index pair
+        f_entries = np.zeros((4, 4), dtype=bool)
+        f_entries[[0, 0, 1, 2, 1, 2, 3, 3], [1, 2, 0, 0, 3, 3, 1, 2]] = True
+        for _ in range(200):
+            c = c_of_k_u2(random_interior_params(rng), rng.uniform(-PI, PI))
+            flipped = _flip_f(c)
+            assert np.all(c[f_entries] != 0)
+            assert np.array_equal(flipped[f_entries], -c[f_entries])
+            assert np.array_equal(flipped[~f_entries], c[~f_entries])
 
 
 class TestBadInput:

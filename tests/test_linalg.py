@@ -12,12 +12,15 @@ from coinwalk import (
     QuadratureGrid,
     WalkSpec,
     build_uk,
+    von_neumann_entropy,
+)
+from coinwalk.linalg import (
+    _FIRST_SHIFT,
+    DEGENERACY_TOL,
     eig_unitary,
     eig_unitary_batch,
     is_unitary,
-    von_neumann_entropy,
 )
-from coinwalk.linalg import _FIRST_SHIFT, DEGENERACY_TOL
 from conftest import partial_trace, random_unitary
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
@@ -47,18 +50,37 @@ class TestPredicates:
         assert is_unitary(np.zeros((0, 3, 3)))  # every matrix of an empty stack passes
 
 
+def eigenspaces(labels) -> list[tuple[int, ...]]:
+    """The column indices of each eigenspace, in label order."""
+    return [tuple(np.flatnonzero(labels == g).tolist()) for g in np.unique(labels)]
+
+
+def projector(vectors, group) -> np.ndarray:
+    """Orthogonal projector onto the span of the columns ``group`` of ``vectors``."""
+    v = vectors[:, list(group)]
+    return v @ v.conj().T
+
+
 class TestEigUnitary:
     def test_identity(self):
-        es = eig_unitary(np.eye(2))
-        assert np.allclose(es.phases, [0.0, 0.0])
-        assert len(es.groups) == 1
-        assert np.allclose(es.projector(es.groups[0]), np.eye(2))
+        phases, vectors, labels = eig_unitary(np.eye(2))
+        assert np.allclose(phases, [0.0, 0.0])
+        assert len(eigenspaces(labels)) == 1
+        assert np.allclose(projector(vectors, eigenspaces(labels)[0]), np.eye(2))
 
     def test_diagonal(self):
         u = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
-        es = eig_unitary(u)
-        assert np.allclose(es.phases, [-np.pi / 4, np.pi / 4])
-        assert np.allclose(np.abs(es.vectors), [[0, 1], [1, 0]])
+        phases, vectors, _ = eig_unitary(u)
+        assert np.allclose(phases, [-np.pi / 4, np.pi / 4])
+        assert np.allclose(np.abs(vectors), [[0, 1], [1, 0]])
+
+    def test_is_the_batch_at_one_node(self, rng):
+        u = random_unitary(rng, 3)
+        single = eig_unitary(u)
+        batch = eig_unitary_batch(u[None])
+        assert [a.shape for a in single] == [(3,), (3, 3), (3,)]
+        for a, b in zip(single, batch):
+            assert np.array_equal(a, b[0])
 
     def test_hadamard_walk_operator_at_half_pi(self):
         # U_k at k=pi/2 for theta=pi/4, alpha=beta=pi/2: by hand, the
@@ -66,8 +88,8 @@ class TestEigUnitary:
         from coinwalk import U2Params, build_uk, line_walk
 
         uk = build_uk(line_walk(U2Params(np.pi / 4, np.pi / 2, np.pi / 2)), np.pi / 2)
-        es = eig_unitary(uk)
-        assert np.allclose(es.phases, [-np.pi / 4, np.pi / 4], atol=1e-12)
+        phases, _, _ = eig_unitary(uk)
+        assert np.allclose(phases, [-np.pi / 4, np.pi / 4], atol=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryInput):
@@ -77,27 +99,27 @@ class TestEigUnitary:
         for i in range(100):
             n = int(rng.integers(2, 7))
             u = random_unitary(rng, n)
-            es = eig_unitary(u)
-            rebuilt = (es.vectors * np.exp(1j * es.phases)) @ es.vectors.conj().T
+            phases, vectors, _ = eig_unitary(u)
+            rebuilt = (vectors * np.exp(1j * phases)) @ vectors.conj().T
             assert np.max(np.abs(u - rebuilt)) <= 1e-11
-            gram = es.vectors.conj().T @ es.vectors
+            gram = vectors.conj().T @ vectors
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
     def test_degenerate_group_projector(self, rng):
         v = random_unitary(rng, 3)
         lam, mu = np.exp(0.4j), np.exp(-1.1j)
         u = v @ np.diag([lam, lam, mu]) @ v.conj().T
-        es = eig_unitary(u)
-        sizes = sorted(len(g) for g in es.groups)
+        _, vectors, labels = eig_unitary(u)
+        sizes = sorted(len(g) for g in eigenspaces(labels))
         assert sizes == [1, 2]
-        big = next(g for g in es.groups if len(g) == 2)
+        big = next(g for g in eigenspaces(labels) if len(g) == 2)
         expected = v[:, :2] @ v[:, :2].conj().T
-        assert np.max(np.abs(es.projector(big) - expected)) <= 1e-10
+        assert np.max(np.abs(projector(vectors, big) - expected)) <= 1e-10
 
     def test_phase_branch(self):
-        es = eig_unitary(np.diag([-1.0 + 0j, 1.0]))
-        assert np.pi in es.phases  # principal value maps -pi to +pi
-        assert all(-np.pi < w <= np.pi for w in es.phases)
+        phases, _, _ = eig_unitary(np.diag([-1.0 + 0j, 1.0]))
+        assert np.pi in phases  # principal value maps -pi to +pi
+        assert all(-np.pi < w <= np.pi for w in phases)
 
 
 class TestEigUnitaryBatch:
@@ -116,10 +138,10 @@ class TestEigUnitaryBatch:
         phases, vectors, labels = eig_unitary_batch(stack)
         sizes = []
         for m, (v, w) in enumerate(zip(bases, spectra)):
-            single = eig_unitary(stack[m])
-            assert np.array_equal(phases[m], single.phases)
-            groups = [tuple(np.flatnonzero(labels[m] == g)) for g in np.unique(labels[m])]
-            assert sorted(groups) == sorted(single.groups)
+            single_phases, single_vectors, single_labels = eig_unitary(stack[m])
+            assert np.array_equal(phases[m], single_phases)
+            groups = eigenspaces(labels[m])
+            assert sorted(groups) == sorted(eigenspaces(single_labels))
             sizes.append(sorted(len(g) for g in groups))
             for g in groups:
                 got = vectors[m][:, g] @ vectors[m][:, g].conj().T
@@ -127,7 +149,7 @@ class TestEigUnitaryBatch:
                 members = np.abs(np.exp(1j * np.array(w)) - np.exp(1j * phases[m, g[0]])) < 1e-6
                 want = v[:, members] @ v[:, members].conj().T
                 assert np.max(np.abs(got - want)) <= 1e-10
-                assert np.max(np.abs(single.projector(g) - want)) <= 1e-10
+                assert np.max(np.abs(projector(single_vectors, g) - want)) <= 1e-10
         assert sizes == [[1, 1, 1, 1], [1, 1, 2], [1, 1, 2], [1, 3]]
 
     def test_rejects_non_unitary_node(self, rng):

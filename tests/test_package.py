@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import tomllib
 from pathlib import Path
 
@@ -9,18 +10,18 @@ from test_cli import run_process
 
 PUBLIC_NAMES = [
     "AsymptoticResult", "BlochCoin", "CoinWalkError", "ConvergenceFailure", "DegenerateDispersion",
-    "DensityMatrix", "DimensionMismatch", "DistributedState", "EigenSystem", "FormatError",
-    "GeneralState", "InitialState", "InvalidArgument", "LatticeState", "LocalState",
-    "NonUnitaryInput", "NormalizationError", "NumericalFailure", "QuadratureGrid", "U2Params",
-    "WalkSpec", "asymptotics", "bloch_coin", "build_uk", "c_local", "c_local_u2", "c_of_k_u2",
-    "cesaro_rho", "characteristic", "characteristic_at_k", "dispersion_gamma", "eig_unitary",
-    "eig_unitary_batch", "eigenvalues_distributed_example", "eigenvalues_entangled_example",
-    "eigenvalues_local_general", "entropy_of_pair", "errors", "grammar", "initial_lattice_state",
-    "is_unitary", "linalg", "line_walk", "parse_angle", "parse_complex", "parse_state",
-    "parse_walk_config", "psi_k_many", "rho_asymptotic", "rho_c_at_t",
-    "rho_distributed_example_closed", "rho_from_characteristic", "rho_local_closed", "rho_series",
-    "simulate", "site_table", "states", "step", "u2_coin", "von_neumann_entropy", "walk",
+    "DensityMatrix", "DimensionMismatch", "DistributedState", "FormatError", "GeneralState",
+    "InitialState", "InvalidArgument", "LocalState", "NonUnitaryInput", "NormalizationError",
+    "NumericalFailure", "QuadratureGrid", "U2Params", "WalkSpec", "asymptotics", "bloch_coin",
+    "build_uk", "c_local", "c_local_u2", "c_of_k_u2", "cesaro_rho", "characteristic",
+    "characteristic_at_k", "dispersion_gamma", "eigenvalues_distributed_example",
+    "eigenvalues_entangled_example", "eigenvalues_local_general", "entropy_of_pair", "errors",
+    "grammar", "linalg", "line_walk", "parse_angle", "parse_complex", "parse_state",
+    "parse_walk_config", "rho_asymptotic", "rho_distributed_example_closed",
+    "rho_from_characteristic", "rho_local_closed", "rho_series", "simulate", "states", "u2_coin",
+    "von_neumann_entropy", "walk",
 ]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_are_pinned():
@@ -31,12 +32,21 @@ def test_public_names_are_pinned():
     assert proc.returncode == 0, proc.stderr
     public = sorted(json.loads(proc.stdout))
     assert public == PUBLIC_NAMES
-    assert len(public) == 61
+    assert len(public) == 51
+
+
+def test_readme_quick_start_runs():
+    # the documented example takes only public names, so a cut in them shows here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    assert block is not None
+    proc = run_process("-c", block.group(1))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("0.8724")
 
 
 def test_console_scripts_resolve_to_callables():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert scripts
     for target in scripts.values():
         module, _, attr = target.partition(":")

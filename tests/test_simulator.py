@@ -13,14 +13,12 @@ from coinwalk import (
     U2Params,
     WalkSpec,
     cesaro_rho,
-    initial_lattice_state,
     line_walk,
     rho_asymptotic,
-    rho_c_at_t,
     rho_local_closed,
     rho_series,
-    step,
 )
+from coinwalk.simulate import initial_lattice_state, rho_c_at_t, step
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)

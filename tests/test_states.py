@@ -13,10 +13,8 @@ from coinwalk import (
     NormalizationError,
     QuadratureGrid,
     bloch_coin,
-    psi_k_many,
-    site_table,
 )
-from coinwalk.states import psi_on_grid, to_origin
+from coinwalk.states import psi_k_many, psi_on_grid, site_table, to_origin
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)

@@ -11,10 +11,10 @@ from coinwalk import (
     WalkSpec,
     build_uk,
     dispersion_gamma,
-    eig_unitary,
     line_walk,
     u2_coin,
 )
+from coinwalk.linalg import eig_unitary
 from conftest import unitarity_error
 
 PI = np.pi
@@ -142,8 +142,8 @@ def test_dispersion_examples():
 def test_eigenphases_match_dispersion(theta, alpha, beta, k):
     p = U2Params(theta, alpha, beta)
     gamma = dispersion_gamma(p, k)
-    es = eig_unitary(build_uk(line_walk(p), k))
-    assert np.allclose(np.sort(es.phases), [-gamma, gamma], atol=1e-10)
+    phases, _, _ = eig_unitary(build_uk(line_walk(p), k))
+    assert np.allclose(np.sort(phases), [-gamma, gamma], atol=1e-10)
 
 
 def test_global_coin_phase_shifts_phases_but_not_projectors(rng):
@@ -157,11 +157,13 @@ def test_global_coin_phase_shifts_phases_but_not_projectors(rng):
         coin=np.exp(1j * phi / 2) * spec.coin,
     )
     for k in rng.uniform(-PI, PI, size=5):
-        a = eig_unitary(build_uk(spec, k))
-        b = eig_unitary(build_uk(shifted, k))
-        assert np.allclose(np.sort(b.phases), np.sort(a.phases) + phi / 2, atol=1e-12)
-        for g_a, g_b in zip(a.groups, b.groups):
-            assert np.max(np.abs(a.projector(g_a) - b.projector(g_b))) <= 1e-12
+        phases_a, vectors_a, labels_a = eig_unitary(build_uk(spec, k))
+        phases_b, vectors_b, labels_b = eig_unitary(build_uk(shifted, k))
+        assert np.allclose(np.sort(phases_b), np.sort(phases_a) + phi / 2, atol=1e-12)
+        assert np.array_equal(np.unique(labels_a), np.unique(labels_b))
+        for g in np.unique(labels_a):
+            v_a, v_b = vectors_a[:, labels_a == g], vectors_b[:, labels_b == g]
+            assert np.max(np.abs(v_a @ v_a.conj().T - v_b @ v_b.conj().T)) <= 1e-12
 
 
 def test_non_unit_steps_accepted():
