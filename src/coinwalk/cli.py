@@ -88,28 +88,29 @@ def _walk_and_params(args):
 def cmd_rho(args) -> int:
     spec, params = _walk_and_params(args)
     state = parse_state(args.state)
-    if args.grid_n is None:
-        grid = QuadratureGrid.default(spec.lattice_dim)
-    else:
-        grid = QuadratureGrid(points_per_axis=args.grid_n, dim=spec.lattice_dim)
     if args.closed_form:
         if params is None or not isinstance(state, LocalState):
             raise FormatError("--closed-form requires angle parameters and a local state")
         result = rho_local_closed(params, state.chi)
+        grid_n = None  # the formula takes no grid
     else:
+        dim = spec.lattice_dim
+        grid = QuadratureGrid(args.grid_n, dim) if args.grid_n else QuadratureGrid.default(dim)
         result = rho_asymptotic(spec, state, grid)
+        grid_n = grid.points_per_axis
 
     rho = result.rho.matrix
     if args.format == "json":
         doc = {
             "state": args.state,
-            "grid_n": grid.points_per_axis,
             "method": result.method,
             "rho_re": [[float(v.real) for v in row] for row in rho],
             "rho_im": [[float(v.imag) for v in row] for row in rho],
             "eigenvalues": [float(v) for v in result.eigenvalues],
             "cpe": float(result.cpe),
         }
+        if grid_n is not None:
+            doc["grid_n"] = grid_n
         if params is not None:
             doc.update(theta=params.theta, alpha=params.alpha, beta=params.beta)
         with _output(args.output) as out:
@@ -121,8 +122,8 @@ def cmd_rho(args) -> int:
         rows += [(f"eigenvalue_{i}", v) for i, v in enumerate(result.eigenvalues)]
         rows += [(f"rho_re_{i}_{j}", rho[i, j].real) for i in range(n) for j in range(n)]
         rows += [(f"rho_im_{i}_{j}", rho[i, j].imag) for i in range(n) for j in range(n)]
-        cfg = f"rho state={args.state!r} grid_n={grid.points_per_axis} method={result.method}"
-        _write_csv(args.output, cfg, ["name", "value"], rows)
+        cfg = f"rho state={args.state!r}" + ("" if grid_n is None else f" grid_n={grid_n}")
+        _write_csv(args.output, f"{cfg} method={result.method}", ["name", "value"], rows)
     return 0
 
 
@@ -183,12 +184,11 @@ def cmd_verify(args) -> int:
         numeric = characteristic_at_k(line_walk(p), k)
         residual_ck = max(residual_ck, float(np.max(np.abs(closed - numeric))))
 
-    grid = QuadratureGrid(points_per_axis=args.grid_n, dim=1)
-    residual_cl = float(np.max(np.abs(c_local(line_walk(hadamard), grid) - c_local_u2(hadamard))))
+    residual_cl = float(np.max(np.abs(c_local(line_walk(hadamard)) - c_local_u2(hadamard))))
 
     state = LocalState(position=0, chi=[1.0, 0.0])
     reference = rho_local_closed(hadamard, state.chi).rho.matrix
-    averaged = cesaro_rho(line_walk(hadamard), state, t_max=args.t_max, burn_in=args.burn_in)
+    averaged = cesaro_rho(line_walk(hadamard), state, args.t_max)
     residual_oracle = float(np.max(np.abs(averaged.matrix - reference)))
 
     checks = [
@@ -227,9 +227,13 @@ def cmd_simulate(args) -> int:
 
 
 def _add_walk_args(sub) -> None:
-    sub.add_argument("--theta", default="0", help="coin angle (radians or pi literal)")
-    sub.add_argument("--alpha", default="0", help="upper coin phase")
-    sub.add_argument("--beta", default="0", help="lower coin phase")
+    # argparse reads "-pi/2" after a flag as an option, and "--theta=-pi/2" as a value
+    for name, what in (
+        ("theta", "coin angle (radians or pi literal)"),
+        ("alpha", "upper coin phase"),
+        ("beta", "lower coin phase"),
+    ):
+        sub.add_argument(f"--{name}", default="0", help=f"{what}; a negative one as --{name}=-pi/2")
     sub.add_argument("--walk-file", help="walk config file (overrides the angle flags)")
 
 
@@ -265,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the cross-check suite")
     verify.add_argument("--draws", type=_int_at_least(0), default=100)
-    verify.add_argument("--grid-n", type=_int_at_least(1), default=4096)
     verify.add_argument("--t-max", type=_int_at_least(1), default=2000)
-    verify.add_argument("--burn-in", type=_int_at_least(0), default=None)
     verify.add_argument("--seed", type=_int_at_least(0), default=0)
     verify.add_argument(
         "--inject-f-sign-error",

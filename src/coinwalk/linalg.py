@@ -12,7 +12,7 @@ orthonormality checked on the whole batch. Its output has one shape,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,6 +171,8 @@ class DensityMatrix:
     """
 
     matrix: Array
+    # ascending; the positivity check's eigensolve, shared by eigenvalues() and the entropy
+    _spectrum: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.matrix)
@@ -180,12 +182,14 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", a)
         if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
             raise NumericalFailure("density matrix trace differs from 1 by more than 1e-10")
-        if np.min(np.linalg.eigvalsh(a)) < -1e-10:
+        spectrum = np.linalg.eigvalsh(a)
+        if np.min(spectrum) < -1e-10:
             raise NumericalFailure("density matrix has an eigenvalue below -1e-10")
+        object.__setattr__(self, "_spectrum", spectrum)
 
     def eigenvalues(self) -> Array:
         """Real eigenvalues, descending."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
+        return self._spectrum[::-1].copy()
 
 
 def von_neumann_entropy(rho) -> float:
@@ -197,6 +201,6 @@ def von_neumann_entropy(rho) -> float:
     1 would otherwise make it negative).
     """
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    lam = np.linalg.eigvalsh(rho.matrix)
+    lam = rho._spectrum
     pos = lam[lam > 0]
     return max(0.0, float(-(pos * np.log2(pos)).sum()))

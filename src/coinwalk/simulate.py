@@ -79,9 +79,6 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     supports therefore cost their whole bounding box. A box, or a series of
     ``t_max + 1`` coin states, too large to allocate raises
     :class:`InvalidArgument`.
-
-    :func:`step` and :func:`rho_c_at_t` stay as the independent per-site
-    reference that the tests compare this stepper against.
     """
     positions, coeffs = checked_site_table(spec, state)
     if as_int(t_max, "t_max") < 0:
@@ -129,16 +126,12 @@ def _coin_state(psi: Array, scratch: Array, out: Array) -> None:
     np.matmul(flat, conj.T, out=out)
 
 
-def cesaro_rho(
-    spec: WalkSpec, state: InitialState, t_max: int, burn_in: int | None = None
-) -> DensityMatrix:
-    """Time-averaged reduced coin state over t = burn_in+1 .. t_max.
+def cesaro_rho(spec: WalkSpec, state: InitialState, t_max: int) -> DensityMatrix:
+    """Time-averaged reduced coin state over t = t_max // 20 + 1 .. t_max (5% transient dropped).
 
-    ``burn_in`` defaults to 5% of ``t_max`` (transient discard).
+    ``t_max < 1`` raises :class:`InvalidArgument`.
     """
     t_max = as_int(t_max, "t_max")
-    burn_in = t_max // 20 if burn_in is None else as_int(burn_in, "burn_in")
-    if not (t_max > burn_in >= 0):
-        raise InvalidArgument(f"need t_max > burn_in >= 0, got t_max={t_max}, burn_in={burn_in}")
-    rhos = rho_series(spec, state, t_max)
-    return DensityMatrix(rhos[burn_in + 1 :].mean(axis=0))
+    if t_max < 1:
+        raise InvalidArgument(f"need t_max >= 1, got {t_max}")
+    return DensityMatrix(rho_series(spec, state, t_max)[t_max // 20 + 1 :].mean(axis=0))

@@ -132,22 +132,27 @@ def site_table(state: InitialState) -> tuple[Array, Array]:
     """Flatten any state variant to (positions (m, d) int, coeffs (m, n)).
 
     The state is ``sum_r |r> (x) coeffs[r]`` with positions sorted, so every
-    downstream reduction is deterministic.
+    downstream reduction is deterministic. Only occupied sites are listed: a
+    site whose coefficients are all zero is dropped, so it widens no span,
+    box or grid requirement downstream.
     """
     if isinstance(state, LocalState):
         return np.array([state.position], dtype=np.int64), state.chi[None, :].copy()
     items = sorted(state.amplitudes.items())
     positions = np.array([r for r, _ in items], dtype=np.int64)
     if isinstance(state, DistributedState):
-        return positions, np.multiply.outer(np.array([a for _, a in items]), state.chi)
-    return positions, np.array([c for _, c in items], dtype=np.complex128)
+        coeffs = np.multiply.outer(np.array([a for _, a in items]), state.chi)
+    else:
+        coeffs = np.array([c for _, c in items], dtype=np.complex128)
+    occupied = coeffs.any(axis=1)
+    return positions[occupied], coeffs[occupied]
 
 
 def to_origin(positions: Array) -> Array:
     """A (m, d) positions array translated so that its smallest entry on each axis is 0.
 
     Every translate of a state has the same translated table, so results built
-    from it agree to the last bit. An array at the origin is returned as it is.
+    from it agree to the last bit.
 
     Raises
     ------
@@ -156,8 +161,6 @@ def to_origin(positions: Array) -> Array:
         separation does not fit in a 64-bit integer.
     """
     low = positions.min(axis=0)
-    if not low.any():
-        return positions
     rel = positions.view(np.uint64) - low.view(np.uint64)  # r - r_min < 2**64: no wrap
     if (span := rel.max()) >= 2**63:
         raise InvalidArgument(f"the state's positions are {span} apart on an axis, beyond int64")
@@ -177,10 +180,7 @@ def psi_k_many(state: InitialState, ks: Array) -> Array:
     low = positions.min(axis=0)
     # r - r_min in uint64 does not wrap, however far apart two int64 positions are
     rel = positions.view(np.uint64) - low.view(np.uint64)
-    psi = np.exp(-1j * (ks @ rel.T)) @ coeffs
-    if low.any():  # at the origin the factor is 1
-        psi *= np.exp(-1j * (ks @ low))[:, None]
-    return psi
+    return np.exp(-1j * (ks @ rel.T)) @ coeffs * np.exp(-1j * (ks @ low))[:, None]
 
 
 def psi_on_grid(table: tuple[Array, Array], grid: QuadratureGrid, start: int, stop: int) -> Array:

@@ -189,10 +189,10 @@ def test_06_simulator_oracle_convergence(capsys):
     spec = line_walk(HADAMARD_PARAMS)
     state = LocalState(position=0, chi=[1, 0])
     res_2000 = float(
-        np.max(np.abs(cesaro_rho(spec, state, 2000, 100).matrix - BALANCED_LOCAL_RHO))
+        np.max(np.abs(cesaro_rho(spec, state, 2000).matrix - BALANCED_LOCAL_RHO))
     )
     res_250 = float(
-        np.max(np.abs(cesaro_rho(spec, state, 250, 12).matrix - BALANCED_LOCAL_RHO))
+        np.max(np.abs(cesaro_rho(spec, state, 250).matrix - BALANCED_LOCAL_RHO))
     )
     elapsed = time.perf_counter() - start
     ok = res_2000 <= 0.02 and res_2000 < res_250 and elapsed < 60.0

@@ -271,6 +271,45 @@ class TestQuadraturePipeline:
         result = rho_asymptotic(line_walk(HADAMARD_PARAMS), state, QuadratureGrid(64, 1))
         assert result.method == "numeric_quadrature"
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            DistributedState({0: 1.0, 5000: 0.0}, chi=[0.6, 0.8j]),
+            GeneralState({3: [0.6, 0.8j], 9000: [0, 0]}),
+        ],
+        ids=["dist", "general"],
+    )
+    def test_sites_with_zero_amplitude_do_not_widen_the_span(self, state):
+        # 5000 and 8997 exceed the default 4096 nodes, yet only one site is occupied
+        spec = line_walk(HADAMARD_PARAMS)
+        got = rho_asymptotic(spec, state)
+        want = rho_asymptotic(spec, LocalState(position=0, chi=[0.6, 0.8j]))
+        assert np.array_equal(got.rho.matrix, want.rho.matrix)
+        assert got.cpe == want.cpe
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rho_local_closed(HADAMARD_PARAMS, [0.6, 0.8j]),
+            lambda rng: rho_asymptotic(line_walk(HADAMARD_PARAMS), local_zero(), GRID),
+            lambda rng: rho_asymptotic(
+                WalkSpec(1, 3, [[1], [0], [-1]], random_unitary(rng, 3)),
+                LocalState(0, unit_vector(rng, 3)),
+                QuadratureGrid(64, 1),
+            ),
+        ],
+        ids=["closed-form", "quadrature-n2", "quadrature-n3"],
+    )
+    def test_one_eigensolve_per_result(self, make, rng, monkeypatch):
+        # the positivity check, eigenvalues and cpe share one spectrum
+        solve, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or solve(a))
+        result = make(rng)
+        assert len(calls) == 1
+        assert np.array_equal(result.eigenvalues, solve(result.rho.matrix)[::-1])
+        lam = result.eigenvalues[result.eigenvalues > 0]
+        assert result.cpe == max(0.0, float(-(lam[::-1] * np.log2(lam[::-1])).sum()))
+
     def test_depends_on_phase_difference_only(self, rng):
         p = random_interior_params(rng)
         delta = 1.37

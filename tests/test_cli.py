@@ -95,6 +95,8 @@ class TestRho:
         assert code_a == code_b == 0
         a, b = json.loads(out_a), json.loads(out_b)
         assert b["method"] == "closed_form_local"
+        # the formula takes no grid, so only the quadrature reports one
+        assert a["grid_n"] == 4096 and "grid_n" not in b
         for key in ("rho_re", "rho_im"):
             assert np.max(np.abs(np.array(a[key]) - np.array(b[key]))) <= 1e-8
 
@@ -113,6 +115,35 @@ class TestRho:
         assert lines[1] == "name,value"
         values = dict(line.split(",") for line in lines[2:])
         assert float(values["cpe"]) == pytest.approx(0.872, abs=1e-3)
+
+    def test_closed_form_csv_names_no_grid(self, capsys):
+        code, out, _ = run(
+            capsys, "rho", "--theta", "pi/4", "--state", LOCAL, "--closed-form", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"# cfg: rho state={LOCAL!r} method=closed_form_local"
+
+    @pytest.mark.parametrize(
+        "command, state, occupied",
+        [
+            # the empty site once made the span 5000 > N = 4096: exit 2
+            ("rho", "dist {0:1, 5000:0} chi=(1,0)", "dist {0:1} chi=(1,0)"),
+            ("rho", "general {3:(0.6,0.8i), 9000:(0,0)}", "general {3:(0.6,0.8i)}"),
+            # and a light cone of 2000000000010 amplitudes: exit 2
+            ("simulate", "dist {0:1, 1000000000000:0} chi=(1,0)", "dist {0:1} chi=(1,0)"),
+        ],
+        ids=["rho-dist", "rho-general", "simulate-dist"],
+    )
+    def test_sites_with_zero_amplitude_give_the_occupied_sites_bytes(
+        self, capsys, command, state, occupied
+    ):
+        extra = ["--t-max", "2"] if command == "simulate" else []
+        outs = []
+        for text in (state, occupied):
+            code, out, err = run(capsys, command, "--theta", "pi/4", "--state", text, *extra)
+            assert code == 0, err
+            outs.append(out.replace(json.dumps(text), "STATE").replace(repr(text), "STATE"))
+        assert outs[0] == outs[1]
 
     def test_degenerate_coin_exit_code(self, capsys):
         code, _, err = run(
@@ -337,7 +368,7 @@ class TestVerify:
     def test_passes_with_small_budget(self, capsys):
         code, out, _ = run(
             capsys,
-            "verify", "--draws", "10", "--grid-n", "1024", "--t-max", "600",
+            "verify", "--draws", "10", "--t-max", "600",
         )
         assert code == 0
         assert out.count("PASS") == 3
@@ -346,11 +377,24 @@ class TestVerify:
     def test_negative_control_fails(self, capsys):
         code, out, _ = run(
             capsys,
-            "verify", "--draws", "10", "--grid-n", "256", "--t-max", "300",
+            "verify", "--draws", "10", "--t-max", "300",
             "--inject-f-sign-error",
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_takes_four_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        options = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+        assert options == {"--help", "--draws", "--t-max", "--seed", "--inject-f-sign-error"}
+
+    @pytest.mark.parametrize("option", [["--grid-n", "64"], ["--burn-in", "5"]])
+    def test_removed_options_exit_2(self, option):
+        proc = run_process("-m", "coinwalk.cli", "verify", *option)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
 
     def test_negative_control_negates_exactly_the_f_entries(self, rng):
         # (Z (x) Z) C (Z (x) Z): the F entries are those whose row and column
@@ -372,7 +416,6 @@ class TestBadInput:
             ["rho", "--theta", "pi/4", "--grid-n", "0", "--state", LOCAL],
             ["simulate", "--state", LOCAL, "--t-max", "4", "--stride", "0"],
             ["simulate", "--state", LOCAL, "--t-max", "-1"],
-            ["verify", "--t-max", "5", "--burn-in", "10"],
             ["rho", "--walk-file", "{tmp}/missing.cfg", "--state", LOCAL],
             ["rho", "--walk-file", "{tmp}/latin1.cfg", "--state", LOCAL],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--output", "{tmp}/missing/rho.json"],
@@ -382,7 +425,7 @@ class TestBadInput:
             ["verify", "--seed", "-1"],
         ],
         ids=[
-            "grid-n-zero", "stride-zero", "negative-t-max", "burn-in-past-t-max",
+            "grid-n-zero", "stride-zero", "negative-t-max",
             "missing-walk-file", "non-utf8-walk-file", "unwritable-output", "one-alpha-point",
             "simulate-coin-dim-mismatch", "simulate-lattice-dim-mismatch", "verify-negative-seed",
         ],
@@ -401,7 +444,6 @@ class TestBadInput:
         [
             ["rho", "--walk-file", "{tmp}/grover.cfg", "--state", "local v=0,0 chi=(1,0,0,0)",
              "--grid-n", "1000000"],
-            ["verify", "--draws", "0", "--grid-n", "100000000000000"],
             ["rho", "--theta", "pi/4", "--state", "local v=, chi=(1,0)"],
             ["rho", "--theta", "pi/4", "--state", "dist {:1} chi=(1,0)"],
             ["rho", "--theta", "nan", "--state", "local v=0 chi=(1,0)"],
@@ -425,7 +467,7 @@ class TestBadInput:
             ["rho", "--theta", "pi/4", "--state", INT64_ENDS],
             ["rho", "--theta", "pi/4", "--state", "dist {1:0, 1:1} chi=(1,0)"],
         ],
-        ids=["rho-grid-too-large", "verify-grid-too-large", "local-empty-position",
+        ids=["rho-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
              "chi-nan", "chi-overflow", "walk-file-nan-coin", "rho-mixed-position-lengths",
              "simulate-mixed-position-lengths", "simulate-series-too-large",
@@ -574,7 +616,12 @@ def test_fuzzed_rho_and_simulate_fail_only_with_one_error_line(data, fuzz_dir):
 
 @st.composite
 def translated_states(draw, d, n):
-    """The text of a dist or general state with spans <= 64, and of a translate within int64."""
+    """The text of a dist or general state with spans <= 64, and of a translate within int64.
+
+    Both texts may also end in one unoccupied site, with zero amplitude, each at
+    its own place up to 96 sites from the origin of its text: it must change no
+    byte. It ends both texts, so the literals normalize alike.
+    """
     sites = draw(st.lists(st.lists(st.integers(-32, 32), min_size=d, max_size=d),
                           min_size=1, max_size=3, unique_by=tuple))
     offset = [
@@ -583,17 +630,27 @@ def translated_states(draw, d, n):
         for axis in zip(*sites)
     ]
     weight = float(1 / np.sqrt(len(sites)))
-    vectors = [vector_text(weight * draw(unit_vectors(n))) for _ in sites]
+    vectors = [weight * draw(unit_vectors(n)) for _ in sites]
     chi = draw(unit_vectors(n).map(vector_text))
     dist = draw(st.booleans())
+    entries = [(r, weight if dist else vector_text(v)) for r, v in zip(sites, vectors)]
+    zero = 0.0 if dist else vector_text(np.zeros(vectors[0].size))
 
-    def text(shift):
-        keys = [";".join(str(x + o) for x, o in zip(r, shift)) for r in sites]
-        if dist:
-            return f"dist {{{', '.join(f'{k}:{weight!r}' for k in keys)}}} chi={chi}"
-        return f"general {{{', '.join(f'{k}:{v}' for k, v in zip(keys, vectors))}}}"
+    def unoccupied(shift):
+        # a site up to 96 from the origin of the text, in int64 and off the occupied sites
+        return st.tuples(*(
+            st.integers(max(-96, -(2**63) - o), min(96, 2**63 - 1 - o)) for o in shift
+        )).filter(lambda r: list(r) not in sites)
 
-    return text([0] * d), text(offset)
+    def text(shift, empty):
+        listed = entries if empty is None else [*entries, (empty, zero)]
+        keys = [";".join(str(x + o) for x, o in zip(r, shift)) for r, _ in listed]
+        body = ", ".join(f"{k}:{v!r}" if dist else f"{k}:{v}" for k, (_, v) in zip(keys, listed))
+        return f"dist {{{body}}} chi={chi}" if dist else f"general {{{body}}}"
+
+    if draw(st.booleans()):
+        return text([0] * d, None), text(offset, None)
+    return text([0] * d, draw(unoccupied([0] * d))), text(offset, draw(unoccupied(offset)))
 
 
 @given(data=st.data())
@@ -623,6 +680,36 @@ def test_translated_states_give_the_same_bytes(data, fuzz_dir):
             for f in (out, err)
         )))
     assert results[0] == results[1], (argv, walk_text, state, moved)
+
+
+@given(data=st.data())
+def test_fuzzed_verify_and_fig_exit_as_documented(data):
+    if data.draw(st.booleans()):
+        argv = ["verify", f"--draws={data.draw(st.integers(0, 3))}",
+                f"--t-max={data.draw(st.integers(1, 60))}",
+                f"--seed={data.draw(st.integers(0, 2**64))}"]
+        argv += data.draw(mostly(st.just([]), st.just(["--inject-f-sign-error"])))
+    else:
+        which = data.draw(st.sampled_from(["cpe-compare", "cpe-3d", "cpe-entangled"]))
+        points = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 5))
+        argv = ["fig", which, f"--theta-points={points[0]}", f"--alpha-points={points[1]}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == "", (argv, err.getvalue())
+    lines = out.getvalue().splitlines()
+    if argv[0] == "verify":
+        # exit 1 means a check failed, and nothing else does
+        statuses = [line.split()[-1] for line in lines[1:]]
+        assert len(statuses) == 3 and set(statuses) <= {"PASS", "FAIL"}, (argv, lines)
+        assert code == (1 if "FAIL" in statuses else 0), (argv, lines)
+    else:
+        assert code == 0, argv
+        assert lines[0].startswith("# cfg: fig ")
+        header, rows = lines[1].split(","), [list(map(float, r.split(","))) for r in lines[2:]]
+        assert len(rows) == points[0] * (points[1] if which == "cpe-3d" else 1), argv
+        cpe_columns = [i for i, name in enumerate(header) if name.startswith("cpe")]
+        assert cpe_columns and all(0 <= row[i] <= 1 for row in rows for i in cpe_columns), argv
 
 
 def test_import_does_not_load_scipy():

@@ -3,9 +3,11 @@
 import importlib
 import json
 import re
+import shlex
 import tomllib
 from pathlib import Path
 
+from coinwalk.cli import main
 from test_cli import run_process
 
 PUBLIC_NAMES = [
@@ -43,6 +45,26 @@ def test_readme_quick_start_runs():
     proc = run_process("-c", block.group(1))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith("0.8724")
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every documented command runs as written, so a removed option or a
+    # mis-quoted literal in the README shows here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S)
+    assert block is not None
+    lines = block.group(1).replace("\\\n", " ").splitlines()  # join continued lines
+    commands = [argv for line in lines if (argv := shlex.split(line, comments=True))]
+    assert len(commands) >= 8 and all(argv[0] == "coinwalk" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        try:
+            code = main(argv[1:])
+        except SystemExit as exc:  # argparse refused the line
+            code = exc.code
+        err = capsys.readouterr().err
+        # the negative control is documented to FAIL
+        assert code == (1 if "--inject-f-sign-error" in argv else 0), (argv, err)
 
 
 def test_console_scripts_resolve_to_callables():

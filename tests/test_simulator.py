@@ -4,6 +4,7 @@ import pytest
 from conftest import random_unitary, unit_vector
 
 from coinwalk import (
+    DensityMatrix,
     DimensionMismatch,
     DistributedState,
     GeneralState,
@@ -187,7 +188,7 @@ class TestStateMustFitTheWalk:
 class TestCesaroAverage:
     def test_converges_to_closed_form(self):
         target = rho_local_closed(HADAMARD_PARAMS, [1, 0]).rho.matrix
-        got = cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 2000, 100).matrix
+        got = cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 2000).matrix
         assert np.max(np.abs(got - target)) <= 0.02
 
     def test_residual_shrinks_with_horizon(self):
@@ -196,7 +197,7 @@ class TestCesaroAverage:
             float(
                 np.max(
                     np.abs(
-                        cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), t, t // 20).matrix
+                        cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), t).matrix
                         - target
                     )
                 )
@@ -225,10 +226,33 @@ class TestCesaroAverage:
         assert np.max(np.abs(quadrature - averaged)) <= 2 / t_max
 
     def test_rejects_bad_window(self):
-        with pytest.raises(InvalidArgument):
-            cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 100, 100)
+        # t_max = 0 leaves no step to average
+        with pytest.raises(InvalidArgument, match="t_max >= 1"):
+            cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 0)
 
-    @pytest.mark.parametrize("t_max, burn_in", [(10.0, None), (10, 2.5)])
-    def test_rejects_a_non_integer_window(self, t_max, burn_in):
+    def test_rejects_a_non_integer_window(self):
         with pytest.raises(InvalidArgument, match="integer"):
-            cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), t_max, burn_in)
+            cesaro_rho(line_walk(HADAMARD_PARAMS), local_zero(), 10.0)
+
+    def test_drops_the_first_twentieth_of_the_steps(self):
+        spec, t_max = line_walk(HADAMARD_PARAMS), 45
+        rhos = rho_series(spec, local_zero(), t_max)
+        got = cesaro_rho(spec, local_zero(), t_max).matrix
+        assert np.array_equal(got, DensityMatrix(rhos[3:].mean(axis=0)).matrix)
+
+
+class TestUnoccupiedSites:
+    """A site with zero amplitude widens no box: both steppers see only occupied sites."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            DistributedState({(0,): 1.0, (10**12,): 0.0}, [1, 0]),
+            GeneralState({(-(2**62),): [0, 0], (0,): [1, 0]}),
+        ],
+        ids=["dist", "general"],
+    )
+    def test_far_empty_site_gives_the_series_of_the_occupied_one(self, state):
+        spec = line_walk(HADAMARD_PARAMS)
+        assert np.array_equal(rho_series(spec, state, 30), rho_series(spec, local_zero(), 30))
+        assert list(initial_lattice_state(state).amplitudes) == [(0,)]

@@ -86,6 +86,19 @@ class TestConstruction:
         assert positions[:, 0].tolist() == [-2, 3]
         assert np.allclose(coeffs, [[0, INV2], [0, INV2]])
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            DistributedState({(0,): 1.0, (5000,): 0.0, (-7,): 0.0}, [0.6, 0.8j]),
+            GeneralState({(9000,): [0, 0], (0,): [0.6, 0.8j], (-(2**63),): [0, 0]}),
+        ],
+        ids=["dist", "general"],
+    )
+    def test_site_table_lists_only_occupied_sites(self, state):
+        positions, coeffs = site_table(state)
+        assert positions.tolist() == [[0]]
+        assert np.array_equal(coeffs, [[0.6, 0.8j]])
+
 
 KS = np.array([[0.0], [0.35], [1.3], [-2.2]])
 
@@ -246,10 +259,6 @@ class TestAtOrigin:
         assert np.array_equal(to_origin(got_positions), want_positions)
         assert to_origin(got_positions).dtype == np.int64
         assert np.array_equal(got_coeffs, want_coeffs)
-
-    def test_state_at_the_origin_is_returned_as_it_is(self):
-        positions, _ = site_table(DistributedState({(0,): INV2, (3,): INV2}, [1, 0]))
-        assert to_origin(positions) is positions
 
     def test_projectors_of_every_translate_agree_to_the_last_bit(self):
         s = GeneralState({(-3, 1): [0.6, 0], (4, 2): [0, 0.8j]})
