@@ -7,7 +7,11 @@ where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1;
 for a 2x2 coin it is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C.
 This module evaluates it by Brillouin-zone quadrature for any walk/state and
 provides the U(2) line walk's closed forms: the local-state density matrix,
-the general local eigenvalue pair and the two worked non-local examples."""
+the general local eigenvalue pair and the two worked non-local examples.
+On a bipartite walk (every shift vector of one coordinate-sum parity) the
+nodes k and k + pi (1, ..., 1) share their eigenprojectors, so on an even
+grid the quadrature solves half the nodes and dephases ``P0(k) + P0(k + pi (1, ..., 1))``
+with each (:func:`~coinwalk.characteristic._half_zone`)."""
 
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .states import (
     psi_on_grid,
     to_origin,
 )
-from .walk import U2Params, WalkSpec
+from .walk import U2Params, WalkSpec, _fold_theta
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,20 @@ def rho_asymptotic(
     coin that is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``
     (:func:`~coinwalk.characteristic._involution_2`): a block of M nodes sums
     to ``X X^dag`` with ``X = [P_1 psi | P_2 psi]``, ``P_1,2 = (I +- D) / 2``,
-    of shape (2, 2M). That is ``[psi | D psi]`` rotated, whose repeated
-    ``psi`` columns (a local state) round ~30 eps in the BLAS sum. Other coins
+    of shape (2, 2M), or (2, 4M) with the columns of the partner nodes. That is
+    ``[psi | D psi]`` rotated, whose repeated ``psi`` columns (a local state)
+    round ~30 eps in the BLAS sum. Other coins
     contract ``C(k)`` (:func:`characteristic_stack`) with ``P0(k)``. ``psi_k``
     comes from one FFT per row of grid nodes (:func:`psi_on_grid`), exact in
-    its phases. Nodes are averaged in fixed-size blocks and a fixed order:
-    the working memory does not grow with the grid (about 4 MiB of C for
-    n > 2) and results are bit-stable. ``grid=None`` takes
+    its phases. On a bipartite walk and an even grid only the nodes with
+    ``j_0 < N/2`` are solved: each also stands for its partner
+    ``k + pi (1, ..., 1)``, whose ``U_k`` differs by a sign, so the projectors
+    of k dephase ``P0(k) + P0(k + pi (1, ..., 1))``; ``psi`` at the partner is
+    :func:`psi_on_grid` of the site table with each coefficient times
+    ``(-1)^(sum r)``. Odd grids and other walks solve every node. Nodes are
+    averaged in fixed-size blocks and a fixed order: the working memory does
+    not grow with the grid (about 4 MiB of C for n > 2) and results are
+    bit-stable. ``grid=None`` takes
     :meth:`QuadratureGrid.default`. The state's positions are moved to the
     origin (:func:`to_origin`), so every translate of a state gives the same
     result to the last bit. A 2x2 coin with a zero off-diagonal entry, whose
@@ -92,18 +103,28 @@ def rho_asymptotic(
             f" so N must exceed {span}"
         )
 
-    def block_sum(kb: Array, start: int) -> Array:
+    table = (positions, coeffs)
+    # psi at k + pi (1, ..., 1): each site's coefficients times (-1)^(sum r)
+    odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
+    partner = (positions, np.where(odd[:, None], -coeffs, coeffs))
+
+    def block_sum(kb: Array, start: int, paired: bool) -> Array:
         m = len(kb)
-        psi = psi_on_grid((positions, coeffs), grid, start, start + m)
+        psi = psi_on_grid(table, grid, start, start + m)
+        if paired:  # the nodes k + pi (1, ..., 1) share the projectors of k
+            psi = np.concatenate([psi, psi_on_grid(partner, grid, start, start + m)])
         if spec.coin_dim == 2:
             d = _involution_2(spec, kb)
-            x = np.empty((2, 2 * m), dtype=np.complex128)
-            x[0, :m] = 0.5 * ((1 + d[:, 0, 0]) * psi[:, 0] + d[:, 0, 1] * psi[:, 1])
-            x[1, :m] = 0.5 * (d[:, 1, 0] * psi[:, 0] + (1 + d[:, 1, 1]) * psi[:, 1])
-            np.subtract(psi.T, x[:, :m], out=x[:, m:])
+            d = np.concatenate([d, d]) if paired else d
+            w = len(psi)
+            x = np.empty((2, 2 * w), dtype=np.complex128)
+            x[0, :w] = 0.5 * ((1 + d[:, 0, 0]) * psi[:, 0] + d[:, 0, 1] * psi[:, 1])
+            x[1, :w] = 0.5 * (d[:, 1, 0] * psi[:, 0] + (1 + d[:, 1, 1]) * psi[:, 1])
+            np.subtract(psi.T, x[:, :w], out=x[:, w:])
             return x @ x.conj().T
         # n > 2 still builds C: perfbench/layers.py divides by this call's time
         p0 = psi[:, :, None] * psi.conj()[:, None, :]
+        p0 = p0[:m] + p0[m:] if paired else p0
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
 
     return _result(_grid_mean(spec, grid, block_sum), "numeric_quadrature")
@@ -143,8 +164,10 @@ def eigenvalues_local_general(p: U2Params, b: BlochCoin) -> tuple[float, float]:
 
     ``1/2 +- sqrt(1 + cos 2t cos 2xi + sin 2t cos(a - b - eta) sin 2xi)
     / (2 sqrt(2) (sin t + 1))``; reduces at xi = 0 to
-    ``1/2 +- |cos t| / (2 sin t + 2)``.
+    ``1/2 +- |cos t| / (2 sin t + 2)``. An angle with ``sin t < 0`` is first
+    folded to ``sin t > 0`` as in :func:`~coinwalk.characteristic.c_local_u2`.
     """
+    p = _fold_theta(p)
     radical = (
         1.0
         + np.cos(2 * p.theta) * np.cos(2 * b.xi)
@@ -159,8 +182,10 @@ def eigenvalues_distributed_example(p: U2Params) -> tuple[float, float]:
 
     ``1/2 +- |cos t| sqrt(4 sin^2 t sin^2 a + 4 sin t sin^2 a + 1)
     / (2 (sin t + 1)^2)``. Collapses to ``1/2 +- |cos t|/(2 (sin t + 1)^2)``
-    at alpha = 0. Derivation regime: theta in (0, pi/2).
+    at alpha = 0. Derivation regime: theta in (0, pi/2); an angle with
+    ``sin t < 0`` is first folded as in :func:`eigenvalues_local_general`.
     """
+    p = _fold_theta(p)
     s, sa = np.sin(p.theta), np.sin(p.alpha)
     radical = 4 * s**2 * sa**2 + 4 * s * sa**2 + 1
     delta = abs(np.cos(p.theta)) * np.sqrt(radical) / (2 * (s + 1) ** 2)
@@ -172,15 +197,20 @@ def eigenvalues_entangled_example(theta: float) -> tuple[float, float]:
 
     State ``(|-1>|0> + |+1>|1>)/sqrt(2)``:
     ``1/2 +- sin t (1 - sin t) / (2 (1 + sin t)^2)``, independent of the coin
-    phases.
+    phases. So folding ``sin t < 0`` (:func:`eigenvalues_local_general`) takes
+    ``|sin t|``.
     """
-    s = np.sin(theta)
+    s = abs(np.sin(theta))
     delta = s * (1 - s) / (2 * (1 + s) ** 2)
     return (0.5 + float(delta), 0.5 - float(delta))
 
 
 def rho_distributed_example_closed(p: U2Params) -> AsymptoticResult:
-    """Reference density matrix for the chi=|0>, x = +-1 distributed example."""
+    """Reference density matrix for the chi=|0>, x = +-1 distributed example.
+
+    An angle with ``sin t < 0`` is first folded as in :func:`eigenvalues_local_general`.
+    """
+    p = _fold_theta(p)
     s, c = np.sin(p.theta), np.cos(p.theta)
     sa, ca = np.sin(p.alpha), np.cos(p.alpha)
     bterm = s * sa**2 + ca**2

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDispersion, InvalidArgument, as_int
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
-from .walk import U2Params, WalkSpec, build_uk, dispersion_gamma
+from .walk import U2Params, WalkSpec, _fold_theta, build_uk, dispersion_gamma
 
 #: sin^2(gamma) below this is treated as a degenerate dispersion point
 DEGENERATE_SIN2 = 1e-14
@@ -95,21 +95,40 @@ def _require_nondegenerate_coin(spec: WalkSpec) -> None:
         )
 
 
-#: bytes of the C(k) stack built per block of grid nodes: 16384 nodes for
-#: n = 2, 1024 for n = 4, 202 for n = 6
+#: bytes of the C(k) stack a block of grid nodes would take, 16 n^4 per node:
+#: blocks of 16384 nodes for n = 2 (which builds no C), 1024 for n = 4, 202 for n = 6
 _BLOCK_BYTES = 4 * 2**20
+
+
+def _half_zone(spec: WalkSpec, grid: QuadratureGrid) -> bool:
+    """True when the nodes k and k + pi (1, ..., 1) of ``grid`` share their eigenprojectors.
+
+    That holds on a bipartite walk, one whose shift vectors all have the same
+    coordinate-sum parity p: then ``U_(k + pi (1, ..., 1)) = (-1)^p U_k``. The
+    +-1 line, the square and cubic lattices and the tetrahedral walk are
+    bipartite; lazy, hexagonal and triangular shift tables are not. On an even
+    grid the partner of node ``(j_0, j_1, ...)`` is ``(j_0 + N/2, j_1 + N/2, ...) mod N``,
+    so the nodes with ``j_0 < N/2`` (the first half of the node array) pair off
+    every node.
+    """
+    parity = spec.shifts.sum(axis=1) % 2
+    return grid.points_per_axis % 2 == 0 and bool(np.all(parity == parity[0]))
 
 
 def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
     """Mean over the nodes of ``grid`` of a per-node quantity of ``spec``.
 
-    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``block_sum(kb, start)``
-    returns the quantity summed over a (B, d) block of nodes, ``kb``, that
-    holds the nodes ``[start, start + B)`` of the grid. A block holds
-    as many nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the working
-    memory does not grow with the grid; only the (N^d, d) node array does,
-    at 8 d bytes per node. Blocks are summed in node order, so results are
-    bit-stable across runs.
+    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``block_sum(kb, start,
+    paired)`` returns the quantity summed over a (B, d) block of nodes, ``kb``,
+    that holds the nodes ``[start, start + B)`` of the grid, and, when
+    ``paired`` is true, over their partners ``k + pi (1, ..., 1)`` as well.
+    Pairs are taken when :func:`_half_zone` holds: then only the first half of
+    the node array is walked, and each eigensolve serves two nodes. The sum is
+    still divided by :attr:`QuadratureGrid.node_count`. A block holds as many
+    nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the working memory does
+    not grow with the grid; only the (N^d, d) node array does, at 8 d bytes
+    per node. Blocks are summed in node order, so results are bit-stable
+    across runs.
 
     Raises
     ------
@@ -125,9 +144,11 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
         nodes = grid.nodes
     except (MemoryError, ValueError) as exc:
         raise InvalidArgument(too_large) from exc
+    paired = _half_zone(spec, grid)
+    nodes = nodes[: grid.node_count // 2] if paired else nodes
     size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
     try:
-        total = sum(block_sum(nodes[i : i + size], i) for i in range(0, len(nodes), size))
+        total = sum(block_sum(nodes[i : i + size], i, paired) for i in range(0, len(nodes), size))
     except MemoryError as exc:
         raise InvalidArgument(too_large) from exc
     return total / grid.node_count
@@ -232,7 +253,9 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     """Uniform k-integral of C(k): the constant (n^2, n^2) matrix for local states.
 
     C(k) is built one fixed-size block of nodes at a time, so the working
-    memory is that of one block (about 4 MiB of C) whatever the grid.
+    memory is that of one block (about 4 MiB of C) whatever the grid. On a
+    bipartite walk and an even grid, ``C(k + pi (1, ..., 1)) = C(k)``, so C is
+    built on half the nodes and counted twice (:func:`_half_zone`).
 
     Raises
     ------
@@ -241,15 +264,20 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     InvalidArgument
         If the (N^d, d) array of grid nodes does not fit in memory.
     """
-    return _grid_mean(spec, grid, lambda kb, _: characteristic_stack(spec, kb).sum(axis=0))
+    return _grid_mean(
+        spec, grid, lambda kb, _, paired: (1 + paired) * characteristic_stack(spec, kb).sum(axis=0)
+    )
 
 
 def c_local_u2(p: U2Params) -> Array:
     """Closed-form k-integrated characteristic matrix of the U(2) line walk.
 
-    Total formula; the quoted derivation regime is theta in (0, pi/2).
-    Depends on alpha and beta only through alpha - beta.
+    Total formula; the quoted derivation regime is theta in (0, pi/2), and it
+    holds wherever ``sin(theta) > 0``. Other angles are first folded there
+    (:func:`~coinwalk.walk._fold_theta`: theta to -theta and beta to beta + pi,
+    the same coin). Depends on alpha and beta only through alpha - beta.
     """
+    p = _fold_theta(p)
     s = np.sin(p.theta)
     f = s * np.cos(p.theta) / (s + 1) * np.exp(1j * (p.alpha - p.beta))
     g = s * (s - 1) / (s + 1) * np.exp(2j * (p.alpha - p.beta))

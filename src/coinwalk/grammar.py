@@ -114,10 +114,20 @@ def parse_walk_config(text: str) -> WalkSpec:
 
 
 def _renormalize(values: np.ndarray, what: str) -> np.ndarray:
-    norm = float(np.linalg.norm(values))
+    """``values`` over its norm; axis 0 runs over listed sites (a coin vector is one site).
+
+    The norm skips sites whose entries are all zero, so listing an unoccupied
+    site changes no byte of the result.
+    """
+    occupied = values.reshape(len(values), -1).any(axis=1)
+    norm = float(np.linalg.norm(values[occupied]))
     if abs(norm - 1.0) > 1e-3:
         raise FormatError(f"{what} has norm {norm:.6f}; must be within 1e-3 of 1")
     return values / norm
+
+
+def _parse_chi(text: str) -> np.ndarray:
+    return _renormalize(_parse_vector_literal(text)[None], "chi")[0]
 
 
 def _parse_vector_literal(text: str) -> np.ndarray:
@@ -157,7 +167,7 @@ def parse_state(text: str) -> InitialState:
             m = re.match(r"^v=(?P<v>[-\d,\s]+?)\s+chi=(?P<chi>\(.*\))$", rest.strip())
             if not m:
                 raise FormatError(f"bad local state {text!r}")
-            chi = _renormalize(_parse_vector_literal(m.group("chi")), "chi")
+            chi = _parse_chi(m.group("chi"))
             return LocalState(position=_parse_int_vector(m.group("v")), chi=chi)
         if kind == "dist":
             m = re.match(r"^\{(?P<map>.*)\}\s+chi=(?P<chi>\(.*\))$", rest.strip())
@@ -166,7 +176,7 @@ def parse_state(text: str) -> InitialState:
             entries = _split_map_entries(m.group("map"))
             amps = np.array([parse_complex(v) for v in entries.values()])
             amps = _renormalize(amps, "position amplitudes")
-            chi = _renormalize(_parse_vector_literal(m.group("chi")), "chi")
+            chi = _parse_chi(m.group("chi"))
             return DistributedState(
                 amplitudes={pos: complex(a) for pos, a in zip(entries, amps)}, chi=chi
             )

@@ -45,6 +45,19 @@ def u2_coin(p: U2Params) -> Array:
     )
 
 
+def _fold_theta(p: U2Params) -> U2Params:
+    """The parameters of the same coin with ``sin(theta) >= 0``.
+
+    ``u2_coin(t, a, b)`` is ``u2_coin(-t, a, b + pi)``, so an angle with
+    ``sin(theta) < 0`` is negated and pi is added to beta; other parameters are
+    returned as they are. The U(2) closed forms take this before their
+    formulas, which assume ``sin(theta) >= 0``.
+    """
+    if np.sin(p.theta) >= 0:
+        return p
+    return U2Params(-p.theta, p.alpha, p.beta + np.pi)
+
+
 @dataclass(frozen=True)
 class WalkSpec:
     """Definition of a coined walk.

@@ -17,6 +17,7 @@ from coinwalk import (
     WalkSpec,
     bloch_coin,
     c_local,
+    c_local_u2,
     cesaro_rho,
     characteristic_at_k,
     eigenvalues_distributed_example,
@@ -30,7 +31,7 @@ from coinwalk import (
     rho_local_closed,
     u2_coin,
 )
-from coinwalk import states
+from coinwalk import characteristic, states
 from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack
 from coinwalk.states import psi_k_many
 from conftest import random_interior_params, random_unitary, unit_vector
@@ -90,6 +91,21 @@ class TestLocalClosedForm:
             worst = max(worst, float(np.max(np.abs(closed - numeric))))
         assert worst <= 1e-8
 
+    @given(
+        theta=st.floats(-PI, PI).filter(lambda t: abs(np.sin(t)) >= 0.05),
+        alpha=phase,
+        beta=phase,
+        xi=st.floats(0, PI),
+        eta=phase,
+    )
+    def test_any_angle_away_from_sin_zero_matches_quadrature(self, theta, alpha, beta, xi, eta):
+        # sin(theta) < 0 is folded to theta -> -theta, beta -> beta + pi, the same coin
+        p, b = U2Params(theta, alpha, beta), BlochCoin(xi, eta)
+        numeric = c_local(line_walk(p), GRID)
+        assert np.max(np.abs(c_local_u2(p) - numeric)) <= 1e-12
+        pipeline = rho_from_characteristic(bloch_coin(b), numeric, "numeric").eigenvalues
+        assert np.max(np.abs(np.array(eigenvalues_local_general(p, b)) - pipeline)) <= 1e-12
+
     def test_position_does_not_matter(self):
         a = rho_asymptotic(line_walk(HADAMARD_PARAMS), local_zero(), GRID).rho.matrix
         b = rho_asymptotic(
@@ -123,6 +139,17 @@ class TestEigenvalueFormulas:
             pipeline = rho_local_closed(p, bloch_coin(b)).eigenvalues
             worst = max(worst, float(np.max(np.abs(np.array(formula) - pipeline))))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("theta", [-0.4, -PI / 2, -2.2, 4.0])
+    def test_worked_examples_with_a_negative_sine_match_the_pipeline(self, theta):
+        # the formulas assume sin(theta) > 0; theta -> -theta, beta -> beta + pi is the same coin
+        p = U2Params(theta, 0.5, -0.3)
+        dist = rho_asymptotic(line_walk(p), DistributedState({-1: INV2, 1: INV2}, [1, 0]), GRID)
+        assert np.max(np.abs(np.array(eigenvalues_distributed_example(p)) - dist.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(rho_distributed_example_closed(p).rho.matrix - dist.rho.matrix)) <= 1e-12
+        entangled = GeneralState({-1: np.array([INV2, 0]), 1: np.array([0, INV2])})
+        got = rho_asymptotic(line_walk(p), entangled, GRID).eigenvalues
+        assert np.max(np.abs(np.array(eigenvalues_entangled_example(theta)) - got)) <= 1e-12
 
     def test_distributed_collapses_at_alpha_zero(self, rng):
         p = random_interior_params(rng)
@@ -361,14 +388,24 @@ class TestBlockedQuadrature:
         got = rho_asymptotic(spec, state, grid).rho.matrix
         assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
 
+    @staticmethod
+    def walked_nodes(spec, grid) -> int:
+        """N^d / 2 on a bipartite walk (one coordinate-sum parity) and an even grid, else N^d."""
+        bipartite = len(set(spec.shifts.sum(axis=1) % 2)) == 1
+        return grid.node_count // (2 if bipartite and grid.points_per_axis % 2 == 0 else 1)
+
     @pytest.mark.parametrize(
-        "n, d, points", [(4, 2, 33), (6, 2, 15), (3, 1, 5000), (2, 1, 20000)]
+        # the +-1 line and the square lattice are bipartite, the lazy line and the
+        # triangular lattice are not; odd grids always walk every node
+        "n, d, points",
+        [(4, 2, 33), (4, 2, 48), (6, 2, 15), (6, 2, 22), (3, 1, 5000), (2, 1, 40000)],
     )
     def test_blocks_match_one_stack_over_every_node(self, n, d, points, rng):
         grid = QuadratureGrid(points, d)
         block = _BLOCK_BYTES // (16 * n**4)
-        assert grid.node_count > block and grid.node_count % block  # the last block is partial
         spec = WalkSpec(d, n, self.SHIFTS[n, d], random_unitary(rng, n))
+        walked = self.walked_nodes(spec, grid)
+        assert walked > block and walked % block  # the last block is partial
         c = characteristic_stack(spec, grid.nodes)
         assert np.max(np.abs(c_local(spec, grid) - c.mean(axis=0))) <= 1e-13
         for state in self.states(rng, n, d):
@@ -420,6 +457,71 @@ class TestBlockedQuadrature:
             want += np.einsum("acbd,b,c->ad", c, psi, psi.conj()) / grid.node_count
         got = rho_asymptotic(spec, state, grid).rho.matrix
         assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
+
+    @staticmethod
+    def shift_tables(draw, n: int, d: int, bipartite: bool) -> list:
+        """n shift vectors in [-2, 2]^d whose coordinate sums share one parity, or not."""
+        rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=n, max_size=n))
+        rows = [list(r) for r in rows]
+        for r in rows[1:] if bipartite else rows[1:2]:
+            if (sum(r) - sum(rows[0])) % 2 != (0 if bipartite else 1):
+                r[0] += -1 if r[0] > 0 else 1
+        return rows
+
+    @given(data=st.data())
+    def test_any_coin_matches_the_per_node_sum_over_every_node(self, data):
+        # bipartite walks on even grids walk half the nodes; the reference takes
+        # characteristic_at_k and psi_k_many at each of the N^d nodes
+        n = data.draw(st.sampled_from([3, 4]), label="n")
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        bipartite = data.draw(st.booleans(), label="bipartite")
+        shifts = self.shift_tables(data.draw, n, d, bipartite)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spec = WalkSpec(d, n, shifts, random_unitary(rng, n))
+        sites = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=4, unique=True),
+            label="sites",
+        )
+        state = GeneralState(dict(zip(sites, unit_vector(rng, n * len(sites)).reshape(-1, n))))
+        span = int(np.ptp(np.array(sites), axis=0).max())
+        size = data.draw(st.integers(span + 1, span + 8 if d == 2 else 40), label="N")
+        grid = QuadratureGrid(size, d)
+        want_c = np.zeros((n * n, n * n), dtype=complex)
+        want_rho = np.zeros((n, n), dtype=complex)
+        for k, psi in zip(grid.nodes, psi_k_many(state, grid.nodes)):
+            c = characteristic_at_k(spec, k)
+            want_c += c / grid.node_count
+            want_rho += np.einsum("acbd,b,c->ad", c.reshape(n, n, n, n), psi, psi.conj()) / grid.node_count
+        assert np.max(np.abs(c_local(spec, grid) - want_c)) <= 1e-13
+        got = rho_asymptotic(spec, state, grid).rho.matrix
+        assert np.max(np.abs(got - (want_rho + want_rho.conj().T) / 2)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n, d, points, walked",
+        [
+            (2, 1, 64, 32),  # the +-1 line
+            (2, 1, 63, 63),
+            (3, 1, 64, 64),  # the lazy line: shifts 1, 0, -1
+            (4, 2, 16, 128),  # the square lattice
+            (4, 2, 15, 225),
+            (6, 2, 16, 256),  # the triangular lattice: +-(1, 1) has even parity
+        ],
+    )
+    def test_bipartite_walks_on_even_grids_solve_half_the_nodes(
+        self, n, d, points, walked, rng, monkeypatch
+    ):
+        build, rows = characteristic.build_uk, []
+        monkeypatch.setattr(
+            characteristic, "build_uk", lambda spec, ks: rows.append(len(ks)) or build(spec, ks)
+        )
+        spec = WalkSpec(d, n, self.SHIFTS[n, d], random_unitary(rng, n))
+        grid = QuadratureGrid(points, d)
+        assert self.walked_nodes(spec, grid) == walked
+        c_local(spec, grid)
+        assert sum(rows) == walked
+        rows.clear()
+        rho_asymptotic(spec, LocalState((0,) * d, unit_vector(rng, n)), grid)
+        assert sum(rows) == walked
 
     def test_reads_the_site_table_once(self, rng, monkeypatch):
         read, calls = states.site_table, []

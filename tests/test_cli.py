@@ -145,6 +145,47 @@ class TestRho:
             outs.append(out.replace(json.dumps(text), "STATE").replace(repr(text), "STATE"))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_a_listed_zero_site_changes_no_byte(self, capsys, position):
+        # BLAS sums a strided vector in groups of four, so a zero site counted in
+        # the renormalizing norm can move the last digits of cpe
+        sites = [
+            "1:(0.57735026918962584+0i, 0+0i)",
+            "-1:(0+0i, 0+0.57735026918962584i)",
+            "2:(0.32991443953692906+0.082478609884232265i, 0.32991443953692906+0.32991443953692906i)",
+        ]
+        listed = list(sites)
+        listed.insert({"first": 0, "middle": 2, "last": 3}[position], "0:(0+0i, 0+0i)")
+        outs = []
+        for entries in (sites, listed):
+            text = "general {" + ", ".join(entries) + "}"
+            code, out, err = run(capsys, "rho", "--theta=1.0", "--state", text)
+            assert code == 0, err
+            outs.append(out.replace(json.dumps(text), "STATE"))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("theta", ["-pi/4", "-2.0", "4.0", "-5pi/6"])
+    def test_closed_form_with_a_negative_sine_matches_quadrature(self, capsys, theta):
+        # the formula assumes sin(theta) > 0; theta -> -theta, beta -> beta + pi is the same coin
+        common = ["rho", f"--theta={theta}", "--alpha", "0.3", "--state", LOCAL]
+        code_a, out_a, _ = run(capsys, *common)
+        code_b, out_b, err = run(capsys, *common, "--closed-form")
+        assert code_a == code_b == 0, err
+        a, b = json.loads(out_a), json.loads(out_b)
+        for key in ("rho_re", "rho_im", "eigenvalues"):
+            assert np.max(np.abs(np.array(a[key]) - np.array(b[key]))) <= 1e-12
+        assert abs(a["cpe"] - b["cpe"]) <= 1e-12
+
+    def test_closed_form_at_minus_half_pi_warns_nothing(self):
+        # sin(theta) + 1 = 0 here: the formula divides by it unless the angle is folded
+        proc = run_process(
+            "-W", "error", "-m", "coinwalk.cli", "rho", "--theta=-pi/2", "--state", LOCAL,
+            "--closed-form",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["cpe"] == pytest.approx(1.0, abs=1e-12)
+
     def test_degenerate_coin_exit_code(self, capsys):
         code, _, err = run(
             capsys, "rho", "--theta", "0", "--state", "local v=0 chi=(1,0)"
