@@ -7,11 +7,7 @@ where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1;
 for a 2x2 coin it is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C.
 This module evaluates it by Brillouin-zone quadrature for any walk/state and
 provides the U(2) line walk's closed forms: the local-state density matrix,
-the general local eigenvalue pair and the two worked non-local examples.
-On a bipartite walk (every shift vector of one coordinate-sum parity) the
-nodes k and k + pi (1, ..., 1) share their eigenprojectors, so on an even
-grid the quadrature solves half the nodes and dephases ``P0(k) + P0(k + pi (1, ..., 1))``
-with each (:func:`~coinwalk.characteristic._half_zone`)."""
+the general local eigenvalue pair and the two worked non-local examples."""
 
 from __future__ import annotations
 
@@ -26,7 +22,7 @@ from .characteristic import (
     c_local_u2,
     characteristic_stack,
 )
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import DimensionMismatch
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import (
     BlochCoin,
@@ -34,8 +30,6 @@ from .states import (
     _as_vector,
     checked_site_table,
     psi_k_many,  # noqa: F401  (the pointwise route; perfbench's tracer patches this name)
-    psi_on_grid,
-    to_origin,
 )
 from .walk import U2Params, WalkSpec, _fold_theta
 
@@ -66,68 +60,36 @@ def rho_asymptotic(
     """Asymptotic reduced coin state via Brillouin-zone quadrature.
 
     At every node the initial projector ``P0(k) = |psi_k><psi_k|`` is
-    dephased to ``sum_w P_w P0 P_w``; the nodes are then averaged. For a 2x2
-    coin that is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``
+    dephased to ``sum_w P_w P0 P_w``; the nodes are then averaged by
+    :func:`~coinwalk.characteristic._grid_mean`, which also sets out the grid,
+    the half zone of bipartite walks and the refusals. For a 2x2 coin that is
+    ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``
     (:func:`~coinwalk.characteristic._involution_2`): a block of M nodes sums
     to ``X X^dag`` with ``X = [P_1 psi | P_2 psi]``, ``P_1,2 = (I +- D) / 2``,
-    of shape (2, 2M), or (2, 4M) with the columns of the partner nodes. That is
+    of shape (2, 2gM) over the g columns of psi that share each ``D``. That is
     ``[psi | D psi]`` rotated, whose repeated ``psi`` columns (a local state)
-    round ~30 eps in the BLAS sum. Other coins
-    contract ``C(k)`` (:func:`characteristic_stack`) with ``P0(k)``. ``psi_k``
-    comes from one FFT per row of grid nodes (:func:`psi_on_grid`), exact in
-    its phases. On a bipartite walk and an even grid only the nodes with
-    ``j_0 < N/2`` are solved: each also stands for its partner
-    ``k + pi (1, ..., 1)``, whose ``U_k`` differs by a sign, so the projectors
-    of k dephase ``P0(k) + P0(k + pi (1, ..., 1))``; ``psi`` at the partner is
-    :func:`psi_on_grid` of the site table with each coefficient times
-    ``(-1)^(sum r)``. Odd grids and other walks solve every node. Nodes are
-    averaged in fixed-size blocks and a fixed order: the working memory does
-    not grow with the grid (about 4 MiB of C for n > 2) and results are
-    bit-stable. ``grid=None`` takes
-    :meth:`QuadratureGrid.default`. The state's positions are moved to the
-    origin (:func:`to_origin`), so every translate of a state gives the same
-    result to the last bit. A 2x2 coin with a zero off-diagonal entry, whose
-    bands cross, raises :class:`DegenerateDispersion`. A grid whose (N^d, d)
-    node array numpy cannot allocate, a state whose positions are 2**63 or
-    more apart, or a grid of N points per axis for a state whose positions
-    are N or more apart on some axis (the grid aliases sites N apart)
-    raises :class:`InvalidArgument`.
+    round ~30 eps in the BLAS sum. Other coins contract ``C(k)``
+    (:func:`characteristic_stack`) with ``P0(k)`` summed over g. A state
+    whose coin or lattice dimension differs from the walk's raises
+    :class:`DimensionMismatch`; the grid's refusals (:class:`InvalidArgument`,
+    :class:`DegenerateDispersion`) are those of ``_grid_mean``.
     """
-    positions, coeffs = checked_site_table(spec, state)
-    positions = to_origin(positions)
-    grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
-    if (span := int(positions.max())) >= grid.points_per_axis:
-        raise InvalidArgument(
-            f"the state's positions are {span} apart on an axis; a grid of"
-            f" N = {grid.points_per_axis} points per axis aliases sites N apart,"
-            f" so N must exceed {span}"
-        )
 
-    table = (positions, coeffs)
-    # psi at k + pi (1, ..., 1): each site's coefficients times (-1)^(sum r)
-    odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
-    partner = (positions, np.where(odd[:, None], -coeffs, coeffs))
-
-    def block_sum(kb: Array, start: int, paired: bool) -> Array:
-        m = len(kb)
-        psi = psi_on_grid(table, grid, start, start + m)
-        if paired:  # the nodes k + pi (1, ..., 1) share the projectors of k
-            psi = np.concatenate([psi, psi_on_grid(partner, grid, start, start + m)])
+    def block_sum(kb: Array, psi: Array) -> Array:
         if spec.coin_dim == 2:
             d = _involution_2(spec, kb)
-            d = np.concatenate([d, d]) if paired else d
-            w = len(psi)
-            x = np.empty((2, 2 * w), dtype=np.complex128)
-            x[0, :w] = 0.5 * ((1 + d[:, 0, 0]) * psi[:, 0] + d[:, 0, 1] * psi[:, 1])
-            x[1, :w] = 0.5 * (d[:, 1, 0] * psi[:, 0] + (1 + d[:, 1, 1]) * psi[:, 1])
-            np.subtract(psi.T, x[:, :w], out=x[:, w:])
+            x = np.empty((2, 2, *psi.shape[:2]), dtype=np.complex128)  # (row, P_1 | P_2, g, M)
+            x[0, 0] = 0.5 * ((1 + d[:, 0, 0]) * psi[..., 0] + d[:, 0, 1] * psi[..., 1])
+            x[1, 0] = 0.5 * (d[:, 1, 0] * psi[..., 0] + (1 + d[:, 1, 1]) * psi[..., 1])
+            np.subtract(psi.transpose(2, 0, 1), x[:, 0], out=x[:, 1])
+            x = x.reshape(2, -1)
             return x @ x.conj().T
         # n > 2 still builds C: perfbench/layers.py divides by this call's time
-        p0 = psi[:, :, None] * psi.conj()[:, None, :]
-        p0 = p0[:m] + p0[m:] if paired else p0
+        p0 = (psi[..., :, None] * psi.conj()[..., None, :]).sum(axis=0)
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
 
-    return _result(_grid_mean(spec, grid, block_sum), "numeric_quadrature")
+    table = checked_site_table(spec, state)
+    return _result(_grid_mean(spec, grid, block_sum, table), "numeric_quadrature")
 
 
 def _dephase(c: Array, p0: Array) -> Array:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDispersion, InvalidArgument, as_int
+from .errors import DegenerateDispersion, DimensionMismatch, InvalidArgument, as_int
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
+from .states import to_origin
 from .walk import U2Params, WalkSpec, _fold_theta, build_uk, dispersion_gamma
 
 #: sin^2(gamma) below this is treated as a degenerate dispersion point
@@ -56,7 +57,7 @@ class QuadratureGrid:
     def axis(self) -> Array:
         """The N node coordinates ``-pi + 2 pi j / N`` shared by every axis.
 
-        :func:`~coinwalk.states.psi_on_grid` evaluates ``psi_k`` on this form
+        :func:`psi_on_grid` evaluates ``psi_k`` on this form
         (origin ``-pi``, step ``2 pi / N``) by an FFT; a change here changes it.
         """
         return -np.pi + 2 * np.pi * np.arange(self.points_per_axis) / self.points_per_axis
@@ -101,57 +102,122 @@ _BLOCK_BYTES = 4 * 2**20
 
 
 def _half_zone(spec: WalkSpec, grid: QuadratureGrid) -> bool:
-    """True when the nodes k and k + pi (1, ..., 1) of ``grid`` share their eigenprojectors.
-
-    That holds on a bipartite walk, one whose shift vectors all have the same
-    coordinate-sum parity p: then ``U_(k + pi (1, ..., 1)) = (-1)^p U_k``. The
-    +-1 line, the square and cubic lattices and the tetrahedral walk are
-    bipartite; lazy, hexagonal and triangular shift tables are not. On an even
-    grid the partner of node ``(j_0, j_1, ...)`` is ``(j_0 + N/2, j_1 + N/2, ...) mod N``,
-    so the nodes with ``j_0 < N/2`` (the first half of the node array) pair off
-    every node.
-    """
+    """True on a bipartite walk (one coordinate-sum parity for all shifts) and an even grid."""
     parity = spec.shifts.sum(axis=1) % 2
     return grid.points_per_axis % 2 == 0 and bool(np.all(parity == parity[0]))
 
 
-def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum) -> Array:
-    """Mean over the nodes of ``grid`` of a per-node quantity of ``spec``.
+def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=None) -> Array:
+    """Mean over the nodes of ``grid`` of a per-node quantity of ``spec`` (and of a state).
 
-    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``block_sum(kb, start,
-    paired)`` returns the quantity summed over a (B, d) block of nodes, ``kb``,
-    that holds the nodes ``[start, start + B)`` of the grid, and, when
-    ``paired`` is true, over their partners ``k + pi (1, ..., 1)`` as well.
-    Pairs are taken when :func:`_half_zone` holds: then only the first half of
-    the node array is walked, and each eigensolve serves two nodes. The sum is
-    still divided by :attr:`QuadratureGrid.node_count`. A block holds as many
-    nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the working memory does
-    not grow with the grid; only the (N^d, d) node array does, at 8 d bytes
-    per node. Blocks are summed in node order, so results are bit-stable
-    across runs.
+    ``grid=None`` takes :meth:`QuadratureGrid.default`. ``table`` is a state's
+    :func:`~coinwalk.states.site_table`; its positions are moved to the origin
+    (:func:`~coinwalk.states.to_origin`), so every translate of a state gives
+    the same result to the last bit. ``block_sum(kb, psi)`` returns the
+    quantity summed over an (M, d) block of nodes ``kb``, where ``psi`` is
+    ``None`` without a table and else the (g, M, n) momentum components of
+    :func:`psi_on_grid` at the block's nodes (g = 1), and at their partners
+    ``k + pi (1, ..., 1)`` as well (g = 2).
+
+    Partners are taken on a bipartite walk, one whose shift vectors all have
+    the same coordinate-sum parity p: then ``U_(k + pi (1, ..., 1)) = (-1)^p U_k``,
+    so k and its partner share their eigenprojectors, ``C`` and ``D``. The
+    +-1 line, the square and cubic lattices and the tetrahedral walk are
+    bipartite; lazy, hexagonal and triangular shift tables are not. On an
+    even grid the partner of node ``(j_0, j_1, ...)`` is
+    ``(j_0 + N/2, j_1 + N/2, ...) mod N``, so only the nodes with
+    ``j_0 < N/2`` (the first half of the node array) are walked, and each
+    eigensolve serves two nodes (:func:`_half_zone`). With a table the sum
+    still covers every node and is divided by :attr:`QuadratureGrid.node_count`;
+    without one the integrand is the same at k and its partner, so the mean
+    over the walked nodes is the mean over the grid. Odd grids and other
+    walks walk every node.
+
+    A block holds as many nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the
+    working memory does not grow with the grid; only the (N^d, d) node array
+    does, at 8 d bytes per node. Blocks are summed in node order, so results
+    are bit-stable across runs.
 
     Raises
     ------
-    DegenerateDispersion
-        For a 2x2 coin with a zero off-diagonal entry, whose bands cross.
     InvalidArgument
-        If numpy cannot allocate the node array (or a block).
+        If the state's positions are 2**63 or more apart, or N or more apart
+        on some axis (the grid aliases sites N apart), or if numpy cannot
+        allocate the node array (or a block).
+    DegenerateDispersion
+        For a 2x2 coin with a zero off-diagonal entry, whose bands cross;
+        checked after the positions and before any node is allocated.
     """
-    _require_nondegenerate_coin(spec)
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
+    if table is not None:
+        table = to_origin(table[0]), table[1]
+        if (span := int(table[0].max())) >= grid.points_per_axis:
+            raise InvalidArgument(
+                f"the state's positions are {span} apart on an axis; a grid of"
+                f" N = {grid.points_per_axis} points per axis aliases sites N apart,"
+                f" so N must exceed {span}"
+            )
+    _require_nondegenerate_coin(spec)
     too_large = f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
     try:
         nodes = grid.nodes
     except (MemoryError, ValueError) as exc:
         raise InvalidArgument(too_large) from exc
-    paired = _half_zone(spec, grid)
-    nodes = nodes[: grid.node_count // 2] if paired else nodes
+    half = _half_zone(spec, grid)
+    nodes = nodes[: grid.node_count // 2] if half else nodes
     size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
+
+    def block(i: int) -> Array:
+        kb = nodes[i : i + size]
+        psi = None if table is None else psi_on_grid(table, grid, i, i + len(kb), half)
+        return block_sum(kb, psi)
+
     try:
-        total = sum(block_sum(nodes[i : i + size], i, paired) for i in range(0, len(nodes), size))
+        total = sum(block(i) for i in range(0, len(nodes), size))
     except MemoryError as exc:
         raise InvalidArgument(too_large) from exc
-    return total / grid.node_count
+    return total / (len(nodes) if table is None else grid.node_count)
+
+
+def psi_on_grid(
+    table: tuple[Array, Array], grid: QuadratureGrid, start: int, stop: int, partners: bool
+) -> Array:
+    """Momentum components at the nodes ``[start, stop)`` of ``grid``, (g, stop - start, n).
+
+    The state is given by its :func:`~coinwalk.states.site_table`. The nodes
+    are taken in :attr:`QuadratureGrid.nodes` order and the values are those
+    of :func:`~coinwalk.states.psi_k_many`, computed exactly in the phases;
+    with ``partners`` (g = 2) the second slab holds them at the nodes
+    ``k + pi (1, ..., 1)``. Every node coordinate is ``k_j = -pi + 2 pi j / N``
+    (:attr:`QuadratureGrid.axis`), so
+    ``exp(-1j k.r) = (-1)^(sum r) exp(-2 pi i (j.r mod N) / N)``, and at the
+    partners the sign drops out. Along a row of nodes (the leading coordinates
+    fixed, the last one running) that is a DFT: the coefficients, times one
+    phase per site for the leading axes and the sign, are folded onto
+    ``r_last mod N``, and one FFT gives the whole row. Sites N or more apart
+    fold onto one bin and alias exactly as in the direct sum. The working
+    memory is (rows spanned) N n complex values, one slab at a time.
+    """
+    positions, coeffs = table
+    if positions.shape[1] != grid.dim:
+        raise DimensionMismatch("grid dimension does not match the state")
+    size = grid.points_per_axis
+    first, end = start // size, (stop - 1) // size + 1
+    rows = np.arange(first, end)
+    turns = np.zeros((len(rows), len(positions)), dtype=np.int64)  # j.r mod N, leading axes
+    for a in range(grid.dim - 1):
+        j = rows // size ** (grid.dim - 2 - a) % size
+        turns = (turns + np.multiply.outer(j, positions[:, a] % size)) % size
+    odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
+    phase = np.exp(-2j * np.pi / size * turns)[:, :, None]
+    n = coeffs.shape[1]
+    lo, hi = start - first * size, stop - first * size
+    psi = np.empty((1 + partners, stop - start, n), dtype=np.complex128)
+    for slab, signed in zip(psi, (np.where(odd[:, None], -coeffs, coeffs), coeffs)):
+        folded = np.zeros((len(rows), size, n), dtype=np.complex128)
+        np.add.at(folded, (slice(None), positions[:, -1] % size), phase * signed)
+        slab[:] = np.fft.fft(folded, axis=1).reshape(-1, n)[lo:hi]
+    return psi
 
 
 def characteristic_at_k(spec: WalkSpec, k) -> Array:
@@ -253,9 +319,8 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     """Uniform k-integral of C(k): the constant (n^2, n^2) matrix for local states.
 
     C(k) is built one fixed-size block of nodes at a time, so the working
-    memory is that of one block (about 4 MiB of C) whatever the grid. On a
-    bipartite walk and an even grid, ``C(k + pi (1, ..., 1)) = C(k)``, so C is
-    built on half the nodes and counted twice (:func:`_half_zone`).
+    memory is that of one block (about 4 MiB of C) whatever the grid; on a
+    bipartite walk and an even grid only half the nodes (:func:`_grid_mean`).
 
     Raises
     ------
@@ -264,9 +329,7 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     InvalidArgument
         If the (N^d, d) array of grid nodes does not fit in memory.
     """
-    return _grid_mean(
-        spec, grid, lambda kb, _, paired: (1 + paired) * characteristic_stack(spec, kb).sum(axis=0)
-    )
+    return _grid_mean(spec, grid, lambda kb, _: characteristic_stack(spec, kb).sum(axis=0))
 
 
 def c_local_u2(p: U2Params) -> Array:

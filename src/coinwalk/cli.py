@@ -91,6 +91,8 @@ def cmd_rho(args) -> int:
     if args.closed_form:
         if params is None or not isinstance(state, LocalState):
             raise FormatError("--closed-form requires angle parameters and a local state")
+        if args.grid_n is not None:
+            raise FormatError("--closed-form takes no --grid-n: the formula uses no grid")
         result = rho_local_closed(params, state.chi)
         grid_n = None  # the formula takes no grid
     else:

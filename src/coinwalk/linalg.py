@@ -6,7 +6,7 @@ the eigensolver works on a whole (M, n, n) stack at once: a Cayley transform
 maps each unitary to a Hermitian matrix with the same eigenvectors, one
 batched ``numpy.linalg.eigh`` solves them all, and phase grouping by
 vectorised gap tests labels the eigenspaces, with the residual and
-orthonormality checked on the whole batch. Its output has one shape,
+orthonormality checked at every node. Its output has one shape,
 ``(phases, vectors, labels)``; a single matrix is a stack of one.
 """
 
@@ -88,7 +88,8 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     orthonormal eigenvectors, also inside degenerate eigenspaces, and the
     phases ``psi = a + 2 arctan(w)``. The pole ``psi = a + pi`` is avoided
     node by node: a node with some ``|w| > 100`` (an eigenphase within
-    ~0.02 rad of the pole) is solved again with the next of the n + 1 shifts
+    ~0.02 rad of the pole), or with an eigenvector residual above 1e-12 (an
+    eigenphase on the pole), is solved again with the next of the n + 1 shifts
     ``a_j = 0.7 + 2 pi j / (n + 1)``. Its n eigenphases cannot lie near all
     n + 1 poles, so some shift leaves each of them at least ``pi / (n + 1)``
     from its pole and every node is done within n + 1 rounds. The
@@ -101,8 +102,9 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     NonUnitaryInput
         If some matrix is not unitary within 1e-10.
     ConvergenceFailure
-        If the solver fails, or the eigenvector residual or the deviation of
-        ``V^dag V`` from the identity exceeds 1e-12 at some node.
+        If the solver fails, if some node's eigenvector residual exceeds 1e-12
+        at every shift, or if ``V^dag V`` deviates from the identity by more
+        than 1e-12 at some node.
     """
     a = np.asarray(u, dtype=np.complex128)
     if a.size == 0:
@@ -115,13 +117,18 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     todo = np.arange(m)
     for j in range(n + 1):
         shift = _FIRST_SHIFT + 2 * np.pi * j / (n + 1)
-        h, regular = _cayley(np.exp(-1j * shift) * a[todo])
+        b = a[todo]
+        h, regular = _cayley(np.exp(-1j * shift) * b)
         try:
             w, x = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-        done = regular & (np.max(np.abs(w), axis=1) <= _POLE_BOUND)
-        phases[todo[done]] = shift + 2 * np.arctan(w[done])
+        psi = shift + 2 * np.arctan(w)
+        # an eigenphase on the pole itself can leave I + V singular only up to
+        # rounding, and H small and wrong; the node's residual shows it
+        fits = np.max(np.abs(b @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-12
+        done = regular & (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
+        phases[todo[done]] = psi[done]
         vectors[todo[done]] = x[done]
         todo = todo[~done]
         if todo.size == 0:
@@ -140,12 +147,9 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
     labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
 
-    residual = np.max(np.abs(a @ vectors - vectors * np.exp(1j * phases)[:, None, :]))
     gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)))
-    if not (residual <= 1e-12 and gram <= 1e-12):
-        raise ConvergenceFailure(
-            f"eigenvector residual {residual:.3e} or orthonormality error {gram:.3e} exceeds 1e-12"
-        )
+    if not gram <= 1e-12:
+        raise ConvergenceFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
     return phases, vectors, labels
 
 

@@ -7,10 +7,9 @@ entangled) amplitude maps. The momentum component is
 ``exp(-1j k.s_j)`` phases of the step operator) and the projector is its
 outer square, which depends on the separations of the sites only.
 
-Two evaluations: :func:`psi_k_many` sums over the sites at any k-points, and
-:func:`psi_on_grid` takes the nodes of a quadrature grid from one FFT per row
-of nodes, with exact phases and O(N) memory per row; the quadrature uses the
-second, and the tests compare it with the first.
+:func:`psi_k_many` sums over the sites at any k-points; the quadrature takes
+the nodes of its grid from one FFT per row of nodes instead
+(:func:`~coinwalk.characteristic.psi_on_grid`), and the tests compare the two.
 
 Positions are sparse integer tuples, so far-apart supports cost O(support).
 """
@@ -18,16 +17,12 @@ Positions are sparse integer tuples, so far-apart supports cost O(support).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NormalizationError, as_int
 from .linalg import Array
 from .walk import WalkSpec
-
-if TYPE_CHECKING:
-    from .characteristic import QuadratureGrid
 
 
 def _as_position(pos) -> tuple[int, ...]:
@@ -181,37 +176,3 @@ def psi_k_many(state: InitialState, ks: Array) -> Array:
     # r - r_min in uint64 does not wrap, however far apart two int64 positions are
     rel = positions.view(np.uint64) - low.view(np.uint64)
     return np.exp(-1j * (ks @ rel.T)) @ coeffs * np.exp(-1j * (ks @ low))[:, None]
-
-
-def psi_on_grid(table: tuple[Array, Array], grid: QuadratureGrid, start: int, stop: int) -> Array:
-    """Momentum components at the nodes ``[start, stop)`` of ``grid``, (stop - start, n).
-
-    The state is given by its :func:`site_table`. The nodes are taken in
-    :attr:`QuadratureGrid.nodes` order and the values are those of
-    :func:`psi_k_many`, computed exactly in the phases. Every node
-    coordinate is ``k_j = -pi + 2 pi j / N``, so
-    ``exp(-1j k.r) = (-1)^(sum r) exp(-2 pi i (j.r mod N) / N)``. Along a row
-    of nodes (the leading coordinates fixed, the last one running) that is a
-    DFT: the coefficients, times one phase per site for the leading axes and
-    the sign of the parity of ``r``, are folded onto ``r_last mod N``, and one
-    FFT gives the whole row. Sites N or more apart fold onto one bin and alias
-    exactly as in the direct sum. The working memory is (rows spanned) N n
-    complex values.
-    """
-    positions, coeffs = table
-    if positions.shape[1] != grid.dim:
-        raise DimensionMismatch("grid dimension does not match the state")
-    size = grid.points_per_axis
-    first, end = start // size, (stop - 1) // size + 1
-    rows = np.arange(first, end)
-    turns = np.zeros((len(rows), len(positions)), dtype=np.int64)  # j.r mod N, leading axes
-    for a in range(grid.dim - 1):
-        j = rows // size ** (grid.dim - 2 - a) % size
-        turns = (turns + np.multiply.outer(j, positions[:, a] % size)) % size
-    odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
-    signed = np.where(odd[:, None], -coeffs, coeffs)
-    folded = np.zeros((len(rows), size, coeffs.shape[1]), dtype=np.complex128)
-    weights = np.exp(-2j * np.pi / size * turns)[:, :, None] * signed
-    np.add.at(folded, (slice(None), positions[:, -1] % size), weights)
-    psi = np.fft.fft(folded, axis=1).reshape(-1, coeffs.shape[1])
-    return psi[start - first * size : stop - first * size]

@@ -523,6 +523,31 @@ class TestBlockedQuadrature:
         rho_asymptotic(spec, LocalState((0,) * d, unit_vector(rng, n)), grid)
         assert sum(rows) == walked
 
+    @pytest.mark.parametrize(
+        "shifts, points",
+        [
+            ([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], 8),
+            ([[2], [0]], 64),
+            ([[2], [-2]], 64),
+            ([[1, 1], [-1, -1]], 16),
+            ([[1], [-1], [3]], 64),
+        ],
+        ids=["tetrahedral", "shifts-2-0", "shifts-2-minus-2", "diagonal-2d", "odd-parity-n3"],
+    )
+    def test_half_zone_matches_the_full_zone(self, shifts, points, rng, monkeypatch):
+        n, d = np.shape(shifts)
+        spec = WalkSpec(d, n, shifts, random_unitary(rng, n))
+        grid = QuadratureGrid(points, d)
+        assert characteristic._half_zone(spec, grid)
+        # the sites' coordinate sums are 0, 1 and d - 3: both parities
+        sites = [(0,) * d, (1,) + (0,) * (d - 1), (-2,) + (1,) * (d - 1)]
+        state = GeneralState(dict(zip(sites, unit_vector(rng, 3 * n).reshape(3, n))))
+        half = c_local(spec, grid), rho_asymptotic(spec, state, grid).rho.matrix
+        monkeypatch.setattr(characteristic, "_half_zone", lambda spec, grid: False)
+        full = c_local(spec, grid), rho_asymptotic(spec, state, grid).rho.matrix
+        for got, want in zip(half, full):
+            assert np.max(np.abs(got - want)) <= 1e-14
+
     def test_reads_the_site_table_once(self, rng, monkeypatch):
         read, calls = states.site_table, []
         monkeypatch.setattr(states, "site_table", lambda state: calls.append(state) or read(state))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinwalk import (
@@ -106,6 +106,8 @@ class TestPointwise:
             c_of_k_u2(U2Params(0.0, 0.0, 0.0), 0.0)
 
     @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
+    # an eigenphase within ~1e-12 of the first Cayley pole
+    @example(theta=0.7, alpha=-3.1415926535897927, beta=0.6953125, k=1e-12)
     def test_structural_invariants(self, theta, alpha, beta, k):
         c = characteristic_at_k(line_walk(U2Params(theta, alpha, beta)), k)
         assert np.max(np.abs(c - c.conj().T)) <= 1e-10

@@ -507,6 +507,7 @@ class TestBadInput:
             ["simulate", "--walk-file", "{tmp}/shifts62.cfg", "--state", LOCAL, "--t-max", "2"],
             ["rho", "--theta", "pi/4", "--state", INT64_ENDS],
             ["rho", "--theta", "pi/4", "--state", "dist {1:0, 1:1} chi=(1,0)"],
+            ["rho", "--theta", "pi/4", "--state", LOCAL, "--closed-form", "--grid-n", "64"],
         ],
         ids=["rho-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
@@ -514,7 +515,7 @@ class TestBadInput:
              "simulate-mixed-position-lengths", "simulate-series-too-large",
              "position-beyond-int64", "shift-beyond-int64", "grid-n-2-60", "grid-n-2-70",
              "simulate-span-beyond-int64", "simulate-shifts-2-62", "rho-span-beyond-int64",
-             "rho-repeated-position"],
+             "rho-repeated-position", "closed-form-with-grid-n"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
@@ -527,6 +528,19 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    # theta = 0 is refused (exit 3) only after the grid is checked against the
+    # state's span (exit 2), and before a node of a 10**11-node grid is allocated
+    @pytest.mark.parametrize(
+        "grid_n, code, message",
+        [("2", 2, "aliases sites N apart"), ("100000000000", 3, "bands cross")],
+        ids=["span-before-coin", "coin-before-nodes"],
+    )
+    def test_quadrature_refusals_keep_their_order(self, capsys, grid_n, code, message):
+        state = "dist {0:0.6, 3:0.8} chi=(1,0)"
+        got, out, err = run(capsys, "rho", "--theta", "0", "--state", state, "--grid-n", grid_n)
+        assert got == code, err
+        assert out == "" and message in err
 
     @pytest.mark.parametrize(
         "cfg, defect",

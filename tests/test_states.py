@@ -14,7 +14,8 @@ from coinwalk import (
     QuadratureGrid,
     bloch_coin,
 )
-from coinwalk.states import psi_k_many, psi_on_grid, site_table, to_origin
+from coinwalk.characteristic import psi_on_grid
+from coinwalk.states import psi_k_many, site_table, to_origin
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -224,16 +225,19 @@ class TestPsiOnGrid:
         grid = QuadratureGrid(size, d)
         start = data.draw(st.integers(0, grid.node_count - 1), label="start")  # may begin mid-row
         stop = data.draw(st.integers(start + 1, grid.node_count), label="stop")
-        got = psi_on_grid((positions, table_coeffs), grid, start, stop)
-        want = psi_k_many(state, grid.nodes[start:stop])
-        assert got.shape == want.shape
-        # the direct sum rounds each phase k.r, |k.r| <= pi d span, by about eps |k.r|
-        rounding = 2 * np.finfo(float).eps * PI * d * span * np.abs(coeffs).sum()
-        assert np.max(np.abs(got - want)) <= 1e-13 + rounding
+        partners = data.draw(st.booleans(), label="partners")
+        got = psi_on_grid((positions, table_coeffs), grid, start, stop, partners)
+        assert got.shape == (1 + partners, stop - start, n)
+        # the second slab holds psi at the partner nodes k + pi (1, ..., 1)
+        for slab, shift in zip(got, (0.0, PI)):
+            want = psi_k_many(state, grid.nodes[start:stop] + shift)
+            # the direct sum rounds each phase k.r, |k.r| <= (pi + shift) d span, by about eps |k.r|
+            rounding = 2 * np.finfo(float).eps * (PI + shift) * d * span * np.abs(coeffs).sum()
+            assert np.max(np.abs(slab - want)) <= 1e-13 + rounding
 
     def test_rejects_a_grid_of_another_dimension(self):
         with pytest.raises(DimensionMismatch):
-            psi_on_grid(site_table(entangled_state()), QuadratureGrid(4, 2), 0, 16)
+            psi_on_grid(site_table(entangled_state()), QuadratureGrid(4, 2), 0, 16, False)
 
 
 class TestAtOrigin:
@@ -267,8 +271,8 @@ class TestAtOrigin:
 
         def projectors_on_grid(state):
             positions, coeffs = site_table(state)
-            psi = psi_on_grid((to_origin(positions), coeffs), grid, 0, grid.node_count)
-            return psi[:, :, None] * psi.conj()[:, None, :]
+            psi = psi_on_grid((to_origin(positions), coeffs), grid, 0, grid.node_count, True)
+            return psi[..., :, None] * psi.conj()[..., None, :]
 
         assert np.array_equal(projectors_on_grid(s), projectors_on_grid(far))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinwalk import (
@@ -139,6 +139,8 @@ def test_dispersion_examples():
 
 
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
+# theta = 0.7, alpha = -pi, k = 0 puts an eigenphase exactly on the first Cayley pole
+@example(theta=0.7, alpha=-PI, beta=1.0, k=0.0)
 def test_eigenphases_match_dispersion(theta, alpha, beta, k):
     p = U2Params(theta, alpha, beta)
     gamma = dispersion_gamma(p, k)
