@@ -93,6 +93,8 @@ def parse_walk_config(text: str) -> WalkSpec:
             continue
         key, _, rest = line.partition(" ")
         if key == "dim":
+            if dim is not None:
+                raise FormatError(f"line {lineno}: repeated dim")
             try:
                 dim = int(rest)
             except ValueError as exc:

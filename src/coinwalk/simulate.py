@@ -6,7 +6,9 @@ state oscillates forever; its running (Cesaro) average is what converges to
 the asymptotic quadrature result.
 
 Every lattice dimension runs on one dense stepper over the box the walker
-can have reached (:func:`rho_series`). The per-site map stepper
+can have reached (:func:`rho_series`), counted on the sublattice its shifts
+can reach: on the +-1 line a walker started on one parity meets every other
+site only, so the box keeps one site in two. The per-site map stepper
 (:func:`step`, :func:`rho_c_at_t`) is kept as its independent reference.
 """
 
@@ -66,29 +68,34 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
 
     One dense stepper serves every lattice dimension. The walker at step t
     is a contiguous coin-major array ``(n, *box_t)`` over the box it can have
-    reached: the bounding box of the initial support, widened on each axis
-    by ``reach = max_j s_j - min_j s_j`` per step. A step applies the coin to
-    that box with one matrix product, then writes coin component j into the
-    step-t box at offset ``s_j - min_j s_j`` by slice assignment; nothing
-    wraps. ``rho_c(t) = W W^dag`` is taken over the reached box only.
+    reached, counted on the sublattice its shifts reach (:func:`_sublattice`):
+    on axis a only sites ``g_a = gcd_j (s_j - s_0)_a`` apart. The box starts
+    as the bounding box of the initial support and widens on each axis by
+    ``reach / g`` per step, where ``reach = max_j s_j - min_j s_j``. A step
+    applies the coin to that box with one matrix product, then writes coin
+    component j into the step-t box at its shift's offset by slice
+    assignment; nothing wraps. ``rho_c(t) = W W^dag`` is taken over the
+    reached box only.
 
     Memory is allocated once, up front: two buffers of
-    ``n * prod_axis(span + reach * t_max)`` complex amplitudes, that is
-    ``2 n prod_axis(span + reach t_max) 16`` bytes. One holds the walker, the
-    other the coin-mixed amplitudes and then their conjugate. Far-apart
-    supports therefore cost their whole bounding box. A box, or a series of
-    ``t_max + 1`` coin states, too large to allocate raises
-    :class:`InvalidArgument`.
+    ``n * c * prod_axis(span / g + reach * t_max / g)`` complex amplitudes,
+    where ``span / g = (x_max - x_min) // g + 1`` and ``c`` is the number of
+    residue classes mod ``g`` the initial sites occupy (1 for a local state).
+    One holds the walker, the other the coin-mixed amplitudes and then their
+    conjugate. The box of the +-1 line is half the plain one, that of the
+    tetrahedral walk an eighth; the square, cubic, hexagonal, triangular and
+    lazy walks have every ``g_a = 1`` and keep the plain box. A checkerboard
+    sublattice that is not a product of axis steps (``+-e_1, +-e_2`` meet one
+    site in two) is not compressed, and far-apart supports still cost their
+    whole bounding box. A box, or a series of ``t_max + 1`` coin states, too
+    large to allocate raises :class:`InvalidArgument`.
     """
     positions, coeffs = checked_site_table(spec, state)
     if as_int(t_max, "t_max") < 0:
         raise InvalidArgument(f"need t_max >= 0, got {t_max}")
     n = spec.coin_dim
-    low = spec.shifts.min(axis=0)
-    origin = positions.min(axis=0)
-    # Python ints: spans and reaches of int64 positions and shifts can exceed int64
-    reach = [int(hi) - int(lo) for hi, lo in zip(spec.shifts.max(axis=0), low)]
-    shape = tuple(int(hi) - int(lo) + 1 for hi, lo in zip(positions.max(axis=0), origin))
+    index, shape, offsets = _sublattice(spec.shifts, positions)
+    reach = [max(col) for col in zip(*offsets)]
     size = n * math.prod(s + r * t_max for s, r in zip(shape, reach))
     try:
         walker, scratch = np.zeros((2, size), dtype=np.complex128)
@@ -98,10 +105,9 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
             f"the light cone of {size} amplitudes and the series of {t_max + 1} coin states"
             f" up to t_max={t_max} do not fit in memory"
         ) from exc
-    offsets = [[int(o) for o in row] for row in spec.shifts - low]
 
     psi = walker[: n * math.prod(shape)].reshape(n, *shape)
-    psi[(slice(None), *(positions - origin).T)] = coeffs.T
+    psi[(slice(None), *index)] = coeffs.T
     _coin_state(psi, scratch, rhos[0])
     for t in range(1, t_max + 1):
         flat = psi.reshape(n, -1)
@@ -116,6 +122,43 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
         shape = new_shape
         _coin_state(psi, scratch, rhos[t])
     return rhos
+
+
+def _sublattice(shifts: Array, positions: Array) -> tuple[tuple, tuple[int, ...], list[list[int]]]:
+    """The site table as a box on the sublattice the shifts reach: (index, shape, offsets).
+
+    ``index`` places each site in the box of shape ``shape``, and
+    ``offsets[j]`` is where shift j moves the box's origin, >= 0 on every axis.
+
+    Every step moves a site by ``s_0`` plus an integer combination of the
+    differences ``s_j - s_0``, so on axis a the walker meets only sites
+    ``g_a = gcd_j (s_j - s_0)_a`` apart (``g_a = 1`` where that gcd is 0).
+    Dropping the common ``s_0`` translates the walker, which leaves ``W W^dag``
+    unchanged, so a site ``x`` sits at ``(x - x_min) // g`` and each shift
+    becomes ``(s_j - s_0) // g``, offset to start at 0 on every axis. Where
+    the sites' residues ``(x - x_min) mod g`` differ, a leading axis numbers
+    the residue classes they occupy; no shift moves along it. With every
+    ``g_a = 1`` this is the plain box of ``x - x_min`` and ``s_j - min_j s_j``.
+    """
+    # Python ints: differences of int64 shifts can exceed int64
+    rows = shifts.tolist()
+    steps = [[x - x0 for x, x0 in zip(row, rows[0])] for row in rows]
+    g = [math.gcd(*col) or 1 for col in zip(*steps)]
+    steps = [[x // ga for x, ga in zip(row, g)] for row in steps]
+    low = [min(col) for col in zip(*steps)]
+    offsets = [[x - lo for x, lo in zip(row, low)] for row in steps]
+    # r - r_min in uint64 does not wrap, however far apart two int64 positions are
+    rel = positions.view(np.uint64) - positions.min(axis=0).view(np.uint64)
+    rel, residue = np.divmod(rel, np.array(g, dtype=np.uint64))
+    shape = tuple(x + 1 for x in rel.max(axis=0).tolist())
+    # a box that fits in memory has indices below 2**63
+    index = tuple(rel.view(np.int64).T)
+    if residue.any():
+        classes, label = np.unique(residue, axis=0, return_inverse=True)
+        index = (label.reshape(-1), *index)
+        shape = (len(classes), *shape)
+        offsets = [[0, *row] for row in offsets]
+    return index, shape, offsets
 
 
 def _coin_state(psi: Array, scratch: Array, out: Array) -> None:

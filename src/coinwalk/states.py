@@ -33,9 +33,21 @@ def _as_position(pos) -> tuple[int, ...]:
     return tuple(as_int(x, "a position component") for x in components)
 
 
-def _require_one_lattice_dim(positions) -> None:
-    if len({len(r) for r in positions}) > 1:
+def _site_map(amplitudes: dict, value) -> dict:
+    """``{position: value(a)}`` over a map's entries, with every key as a position tuple.
+
+    Two keys that name one site (``0`` and ``(0,)``) raise :class:`InvalidArgument`
+    rather than the later one silently replacing the earlier.
+    """
+    out = {}
+    for r, a in amplitudes.items():
+        pos = _as_position(r)
+        if pos in out:
+            raise InvalidArgument(f"position {';'.join(map(str, pos))} is repeated in the map")
+        out[pos] = value(a)
+    if len({len(r) for r in out}) > 1:
         raise DimensionMismatch("all positions must have the same number of components")
+    return out
 
 
 def _as_vector(v) -> Array:
@@ -68,8 +80,7 @@ class DistributedState:
     chi: Array
 
     def __post_init__(self):
-        amps = {_as_position(r): complex(a) for r, a in self.amplitudes.items()}
-        _require_one_lattice_dim(amps)
+        amps = _site_map(self.amplitudes, complex)
         if abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) > 1e-12:
             raise NormalizationError("position amplitudes are not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
@@ -86,8 +97,7 @@ class GeneralState:
     amplitudes: dict[tuple[int, ...], Array]
 
     def __post_init__(self):
-        amps = {_as_position(r): _as_vector(c) for r, c in self.amplitudes.items()}
-        _require_one_lattice_dim(amps)
+        amps = _site_map(self.amplitudes, _as_vector)
         dims = {c.size for c in amps.values()}
         if len(dims) != 1:
             raise DimensionMismatch("all coin vectors must have the same dimension")

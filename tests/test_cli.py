@@ -40,6 +40,11 @@ SQUARE_SHIFTS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 # two sites at the ends of int64, and a line walk whose shifts are 2**63 apart
 INT64_ENDS = "dist {-9223372036854775808:0.7071067811865476, 9223372036854775807:0.7071067811865476} chi=(1,0)"
 SHIFTS_62_CFG = f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**62}\nshift {-(2**62)}\n"
+# the same shifts and a third one of 1: their differences have gcd 1, so no
+# sublattice shrinks the light cone, which widens by 2**63 a step
+SHIFTS_62_AND_1_CFG = (
+    f"dim 1\ncoin 0, 1, 0\ncoin 0, 0, 1\ncoin 1, 0, 0\nshift {2**62}\nshift {-(2**62)}\nshift 1\n"
+)
 # a Hadamard walk along the diagonal of the square lattice
 DIAGONAL_CFG = """dim 2
 coin 0.7071067811865476, 0.7071067811865476
@@ -389,13 +394,13 @@ class TestSimulate:
         [
             # two coin components over 2**64 sites widened by 2 per step
             (["--theta", "pi/4"], INT64_ENDS, 2 * (2**64 + 2 * 2)),
-            # one site widened by 2**63 per step
-            (["--walk-file", "{tmp}/shifts62.cfg"], LOCAL, 2 * (1 + 2**63 * 2)),
+            # three coin components at one site widened by 2**63 per step
+            (["--walk-file", "{tmp}/shifts62and1.cfg"], "local v=0 chi=(1,0,0)", 3 * (1 + 2**63 * 2)),
         ],
         ids=["span", "shifts"],
     )
     def test_light_cone_beyond_int64_reports_its_size(self, capsys, tmp_path, walk, state, amplitudes):
-        (tmp_path / "shifts62.cfg").write_text(SHIFTS_62_CFG)
+        (tmp_path / "shifts62and1.cfg").write_text(SHIFTS_62_AND_1_CFG)
         walk = [a.replace("{tmp}", str(tmp_path)) for a in walk]
         code, out, err = run(capsys, "simulate", *walk, "--state", state, "--t-max", "2")
         assert code == 2 and out == ""
@@ -403,6 +408,17 @@ class TestSimulate:
             f"error: the light cone of {amplitudes} amplitudes and the series of 3 coin states"
             " up to t_max=2 do not fit in memory\n"
         )
+
+    def test_shifts_2_62_apart_step_on_their_sublattice(self, capsys, tmp_path):
+        # shifts +-2**62 reach only sites 2**63 apart: the box widens by 1 a step
+        (tmp_path / "shifts62.cfg").write_text(SHIFTS_62_CFG)
+        code, out, err = run(capsys, "simulate", "--walk-file", str(tmp_path / "shifts62.cfg"),
+                             "--state", LOCAL, "--t-max", "2")
+        assert code == 0, err
+        # the swap coin moves the walker between the coin states at every step
+        assert out.splitlines()[2:] == [
+            "0,1,0,0,0,0,0,0,0", "1,0,0,0,1,0,0,0,0", "2,1,0,0,0,0,0,0,0",
+        ]
 
 
 class TestVerify:
@@ -504,7 +520,8 @@ class TestBadInput:
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**60)],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**70)],
             ["simulate", "--theta", "pi/4", "--state", INT64_ENDS, "--t-max", "2"],
-            ["simulate", "--walk-file", "{tmp}/shifts62.cfg", "--state", LOCAL, "--t-max", "2"],
+            ["simulate", "--walk-file", "{tmp}/shifts62and1.cfg", "--state", "local v=0 chi=(1,0,0)",
+             "--t-max", "2"],
             ["rho", "--theta", "pi/4", "--state", INT64_ENDS],
             ["rho", "--theta", "pi/4", "--state", "dist {1:0, 1:1} chi=(1,0)"],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--closed-form", "--grid-n", "64"],
@@ -521,7 +538,7 @@ class TestBadInput:
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
         (tmp_path / "nan.cfg").write_text("dim 1\ncoin nan, 0\ncoin 0, 1\nshift 1\nshift -1\n")
         (tmp_path / "far.cfg").write_text(f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**70}\nshift -1\n")
-        (tmp_path / "shifts62.cfg").write_text(SHIFTS_62_CFG)
+        (tmp_path / "shifts62and1.cfg").write_text(SHIFTS_62_AND_1_CFG)
         # both shifts 0: the light cone stays two amplitudes, the series of coin states does not
         (tmp_path / "standstill.cfg").write_text("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 0\nshift 0\n")
         proc = run_process("-m", "coinwalk.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -549,8 +566,10 @@ class TestBadInput:
             ("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 1\n", "(one per coin state), got 1"),
             ("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 1 0\nshift -1\n",
              "every shift vector must have 1 components"),
+            # a 2-d walk file whose last line would turn it into a 1-d walk
+            ("dim 2\ncoin 0, 1\ncoin 1, 0\nshift 1\nshift -1\ndim 1\n", "line 6: repeated dim"),
         ],
-        ids=["ragged-coin", "missing-shift-line", "wrong-shift-width"],
+        ids=["ragged-coin", "missing-shift-line", "wrong-shift-width", "repeated-dim"],
     )
     def test_malformed_walk_file_names_the_defect(self, cfg, defect, tmp_path):
         (tmp_path / "walk.cfg").write_text(cfg)

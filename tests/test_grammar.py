@@ -106,11 +106,16 @@ shift -1
             lambda t: t.replace("coin 0.7071067811865476, -", "coin -"),  # ragged
             lambda t: t.replace("dim 1", "dims 1"),  # unknown key
             lambda t: t.replace("-0.7071067811865476", "-0.9"),  # non-unitary
+            lambda t: t.replace("dim 1\n", "dim 2\n") + "dim 1\n",  # repeated dim
         ],
     )
     def test_rejects_malformed(self, mutation):
         with pytest.raises(FormatError):
             parse_walk_config(mutation(self.HADAMARD_CFG))
+
+    def test_names_the_line_of_a_repeated_dim(self):
+        with pytest.raises(FormatError, match="^line 8: repeated dim$"):
+            parse_walk_config(self.HADAMARD_CFG + "dim 1\n")
 
 
 class TestStateGrammar:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,12 +61,38 @@ def walk_case(name: str, rng: np.random.Generator):
     if name == "1d-lazy":
         lazy = [[1], [0], [-1]]
         return WalkSpec(1, 3, lazy, random_unitary(rng, 3)), LocalState(0, unit_vector(rng, 3))
+    # the cases below step on a sublattice: some shift differences share a factor g > 1
+    if name == "1d-line-both-parities":
+        spec = WalkSpec(1, 2, [[1], [-1]], random_unitary(rng, 2))
+        return spec, general_state(rng, [(0,), (1,), (2,), (3,)], 2)
+    if name == "1d-shifts-2":
+        spec = WalkSpec(1, 2, [[2], [-2]], random_unitary(rng, 2))
+        return spec, DistributedState(amplitudes={(1,): 0.6, (4,): 0.8j}, chi=unit_vector(rng, 2))
+    if name == "1d-shifts-3-three-residues":
+        spec = WalkSpec(1, 3, [[3], [0], [-3]], random_unitary(rng, 3))
+        return spec, general_state(rng, [(-2,), (0,), (1,), (4,), (6,)], 3)
+    if name == "3d-tetra-two-residues":
+        tetra = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+        return WalkSpec(3, 4, tetra, random_unitary(rng, 4)), general_state(rng, [(0, 0, 0), (1, 0, 0)], 4)
+    if name == "2d-long-first-axis":
+        spec = WalkSpec(2, 4, [[2, 0], [-2, 0], [0, 1], [0, -1]], random_unitary(rng, 4))
+        return spec, general_state(rng, [(0, 0), (1, 2), (3, -1)], 4)
     # asymmetric long shifts: the box grows by 3 a step, and far-apart sites
     spec = WalkSpec(1, 2, [[2], [-1]], random_unitary(rng, 2))
     return spec, DistributedState(amplitudes={(-40,): 0.6, (37,): 0.8j}, chi=unit_vector(rng, 2))
 
 
-WALK_CASES = ["2d-e2-haar-two-sites", "3d-tetra", "2d-hex", "2d-tri", "1d-lazy", "1d-long-shift"]
+def general_state(rng: np.random.Generator, sites: list, n: int) -> GeneralState:
+    """Random coin vectors of dimension n on the given sites, normalized together."""
+    coeffs = np.array([unit_vector(rng, n) for _ in sites]) / np.sqrt(len(sites))
+    return GeneralState(amplitudes=dict(zip(sites, coeffs)))
+
+
+WALK_CASES = [
+    "2d-e2-haar-two-sites", "3d-tetra", "2d-hex", "2d-tri", "1d-lazy", "1d-long-shift",
+    "1d-line-both-parities", "1d-shifts-2", "1d-shifts-3-three-residues", "3d-tetra-two-residues",
+    "2d-long-first-axis",
+]
 
 
 class TestStep:
@@ -151,6 +179,27 @@ class TestDenseSeries:
         assert stack.shape == (1, spec.coin_dim, spec.coin_dim)
         assert np.max(np.abs(stack[0] - sparse_series(spec, state, 0)[0])) <= 1e-12
 
+    def test_tetrahedral_walk_steps_on_an_eighth_of_its_box(self, rng):
+        # the shifts differ by even vectors, so the walker meets one site in 8;
+        # the full box would take two buffers of 4 * 121**3 amplitudes, 227 MB
+        spec, state = walk_case("3d-tetra", rng)
+        tracemalloc.start()
+        try:
+            rho_series(spec, state, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_sites_at_the_ends_of_int64_on_a_coarse_sublattice(self, rng):
+        # shifts +-2**62 meet sites 2**63 apart: the two ends of int64 lie on
+        # two residue classes of one 2-site box, and no difference wraps
+        spec = WalkSpec(1, 2, [[2**62], [-(2**62)]], random_unitary(rng, 2))
+        state = DistributedState({(-(2**63),): 0.6, (2**63 - 1,): 0.8j}, unit_vector(rng, 2))
+        stack = rho_series(spec, state, 6)
+        for t, reference in enumerate(sparse_series(spec, state, 6)):
+            assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
+
     def test_traces_stay_one_in_two_dimensions(self, rng):
         spec, state = walk_case("2d-e2-haar-two-sites", rng)
         stack = rho_series(spec, state, 200)
@@ -161,7 +210,7 @@ class TestDenseSeries:
         "t_max", [-1, 10**7, 2.5], ids=["negative", "box-too-large", "non-integer"]
     )
     def test_rejects_horizon(self, t_max):
-        # at 10**7 steps the 3-d box holds ~6e22 amplitudes: numpy refuses
+        # at 10**7 steps the 3-d box holds ~2e21 amplitudes: numpy refuses
         # the size before it allocates anything
         spec = WalkSpec(3, 2, [[1, 1, 1], [-1, -1, -1]], np.eye(2))
         with pytest.raises(InvalidArgument):

@@ -75,6 +75,19 @@ class TestConstruction:
         with pytest.raises(NormalizationError):
             GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 1]})
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DistributedState({0: 1.0, (0,): 1.0}, [1, 0]),
+            lambda: GeneralState({(-3,): [1, 0], -3: [0, 1]}),
+        ],
+        ids=["dist", "general"],
+    )
+    def test_rejects_two_keys_for_one_site(self, make):
+        # each key alone is a normalized state; the second must not replace the first
+        with pytest.raises(InvalidArgument, match="position (0|-3) is repeated in the map"):
+            make()
+
     def test_bloch_coin(self):
         assert np.allclose(bloch_coin(BlochCoin(0, 0)), [1, 0])
         assert np.allclose(bloch_coin(BlochCoin(PI, 0.4)), [0, np.exp(0.4j)])
