@@ -8,14 +8,17 @@ the asymptotic quadrature result.
 Every lattice dimension runs on one dense stepper over the box the walker
 can have reached (:func:`rho_series`), counted on the sublattice its shifts
 can reach: on the +-1 line a walker started on one parity meets every other
-site only, so the box keeps one site in two. The per-site map stepper
-(:func:`step`, :func:`rho_c_at_t`) is kept as its independent reference.
+site only, so the box keeps one site in two. The stepper keeps its last
+few walkers in a ring of fixed size and takes their coin states a block of
+steps at a time. The per-site map stepper (:func:`step`, :func:`rho_c_at_t`)
+is kept as its independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -63,32 +66,44 @@ def rho_c_at_t(s: LatticeState) -> DensityMatrix:
     return DensityMatrix(sum(np.outer(c, c.conj()) for _, c in sorted(s.amplitudes.items())))
 
 
+# rho_series keeps at most this many recent walkers, in at most this many
+# bytes, and reduces them to coin states a block at a time
+_RING_SLOTS = 8
+_RING_BYTES = 256 * 2**10
+
+
 def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     """Instantaneous reduced coin states rho_c(t) for t = 0..t_max, stacked.
 
     One dense stepper serves every lattice dimension. The walker at step t
-    is a contiguous coin-major array ``(n, *box_t)`` over the box it can have
-    reached, counted on the sublattice its shifts reach (:func:`_sublattice`):
-    on axis a only sites ``g_a = gcd_j (s_j - s_0)_a`` apart. The box starts
-    as the bounding box of the initial support and widens on each axis by
+    is a coin-major array ``(n, *box_t)`` over the box it can have reached,
+    counted on the sublattice its shifts reach (:func:`_sublattice`): on
+    axis a only sites ``g_a = gcd_j (s_j - s_0)_a`` apart. The box starts as
+    the bounding box of the initial support and widens on each axis by
     ``reach / g`` per step, where ``reach = max_j s_j - min_j s_j``. A step
     applies the coin to that box with one matrix product, then writes coin
     component j into the step-t box at its shift's offset by slice
     assignment; nothing wraps. ``rho_c(t) = W W^dag`` is taken over the
-    reached box only.
+    reached box only, for a block of up to 8 steps at once with one batched
+    matrix product, and each block is symmetrised as ``(R + R^dag) / 2``, so
+    every diagonal is exactly real.
 
-    Memory is allocated once, up front: two buffers of
+    Memory is allocated once, up front. A slab holds the walker at t_max,
     ``n * c * prod_axis(span / g + reach * t_max / g)`` complex amplitudes,
     where ``span / g = (x_max - x_min) // g + 1`` and ``c`` is the number of
     residue classes mod ``g`` the initial sites occupy (1 for a local state).
-    One holds the walker, the other the coin-mixed amplitudes and then their
-    conjugate. The box of the +-1 line is half the plain one, that of the
-    tetrahedral walk an eighth; the square, cubic, hexagonal, triangular and
-    lazy walks have every ``g_a = 1`` and keep the plain box. A checkerboard
-    sublattice that is not a product of axis steps (``+-e_1, +-e_2`` meet one
-    site in two) is not compressed, and far-apart supports still cost their
-    whole bounding box. A box, or a series of ``t_max + 1`` coin states, too
-    large to allocate raises :class:`InvalidArgument`.
+    The last k walkers sit in a ring of k slabs, where k is the number of
+    slabs, up to 8, that fit in 256 KiB, and 1 for a slab larger than that;
+    one scratch of the ring's size holds the coin-mixed amplitudes and then a
+    block's conjugates. So the stepper needs at most twice 256 KiB, or twice
+    one slab, besides the ``t_max + 1`` coin states it returns. The box of the
+    +-1 line is half the plain one, that of the tetrahedral walk an eighth;
+    the square, cubic, hexagonal, triangular and lazy walks have every
+    ``g_a = 1`` and keep the plain box. A checkerboard sublattice that is not
+    a product of axis steps (``+-e_1, +-e_2`` meet one site in two) is not
+    compressed, and far-apart supports still cost their whole bounding box. A
+    box, or a series of ``t_max + 1`` coin states, too large to allocate
+    raises :class:`InvalidArgument`.
     """
     positions, coeffs = checked_site_table(spec, state)
     if as_int(t_max, "t_max") < 0:
@@ -96,31 +111,57 @@ def rho_series(spec: WalkSpec, state: InitialState, t_max: int) -> Array:
     n = spec.coin_dim
     index, shape, offsets = _sublattice(spec.shifts, positions)
     reach = [max(col) for col in zip(*offsets)]
-    size = n * math.prod(s + r * t_max for s, r in zip(shape, reach))
+    slab = math.prod(s + r * t_max for s, r in zip(shape, reach))
+    k = min(_RING_SLOTS, t_max + 1, max(1, _RING_BYTES // (16 * n * slab)))
     try:
-        walker, scratch = np.zeros((2, size), dtype=np.complex128)
+        ring = np.zeros(k * n * slab, dtype=np.complex128)
+        scratch = np.empty_like(ring)
         rhos = np.empty((t_max + 1, n, n), dtype=np.complex128)
     except (MemoryError, ValueError) as exc:
         raise InvalidArgument(
-            f"the light cone of {size} amplitudes and the series of {t_max + 1} coin states"
+            f"the light cone of {n * slab} amplitudes and the series of {t_max + 1} coin states"
             f" up to t_max={t_max} do not fit in memory"
         ) from exc
+    # the old box sits at offset o of the new one on every step, so the
+    # targets of the shifts are the same slices throughout
+    targets = [
+        (j, *(slice(o, o - r or None) for o, r in zip(off, reach))) for j, off in enumerate(offsets)
+    ]
 
-    psi = walker[: n * math.prod(shape)].reshape(n, *shape)
-    psi[(slice(None), *index)] = coeffs.T
-    _coin_state(psi, scratch, rhos[0])
-    for t in range(1, t_max + 1):
-        flat = psi.reshape(n, -1)
-        mixed = scratch[: flat.size].reshape(flat.shape)
-        np.matmul(spec.coin, flat, out=mixed)
-        mixed = mixed.reshape(n, *shape)
-        new_shape = tuple(s + r for s, r in zip(shape, reach))
-        psi = walker[: n * math.prod(new_shape)].reshape(n, *new_shape)
-        psi[...] = 0
-        for j, off in enumerate(offsets):
-            psi[(j, *(slice(o, o + s) for o, s in zip(off, shape)))] = mixed[j]
-        shape = new_shape
-        _coin_state(psi, scratch, rhos[t])
+    grow = (0, *reach)
+    box = (n, *shape)
+    size = math.prod(shape)
+    for first in range(0, t_max + 1, k):
+        end = min(first + k, t_max + 1)
+        # every walker of the block takes the row length of its last box, so
+        # the block is one contiguous (end - first, n, width) array
+        width = math.prod(s + r * (end - 1) for s, r in zip(shape, reach))
+        block = ring[: k * n * width].reshape(k, n, width)[: end - first]
+        for t, slot in enumerate(block, first):
+            if t:
+                mixed = scratch[: n * size].reshape(n, size)
+                np.matmul(spec.coin, walker, out=mixed)
+                mixed = mixed.reshape(box)
+                box = tuple(map(add, box, grow))
+                size = math.prod(box[1:])
+                # zeroed after the product: the slot may hold the last walker
+                slot.fill(0)
+                walker = slot[:, :size]
+                psi = walker.reshape(box)
+                for target, component in zip(targets, mixed):
+                    psi[target] = component
+            else:
+                walker = slot[:, :size]
+                walker.reshape(box)[(slice(None), *index)] = coeffs.T
+        # rho(t) = W W^dag for the whole block at once: each row is zero beyond
+        # its walker's box, as every slot is zeroed whole before it is written
+        # (the first by np.zeros)
+        conj = scratch[: block.size].reshape(block.shape)
+        np.conjugate(block, out=conj)
+        out = rhos[first:end]
+        np.matmul(block, conj.transpose(0, 2, 1), out=out)
+        out += out.conj().transpose(0, 2, 1)
+        out *= 0.5
     return rhos
 
 
@@ -159,14 +200,6 @@ def _sublattice(shifts: Array, positions: Array) -> tuple[tuple, tuple[int, ...]
         shape = (len(classes), *shape)
         offsets = [[0, *row] for row in offsets]
     return index, shape, offsets
-
-
-def _coin_state(psi: Array, scratch: Array, out: Array) -> None:
-    # out = W W^dag for the (n, *box) walker W, conjugating into scratch
-    flat = psi.reshape(psi.shape[0], -1)
-    conj = scratch[: flat.size].reshape(flat.shape)
-    np.conjugate(flat, out=conj)
-    np.matmul(flat, conj.T, out=out)
 
 
 def cesaro_rho(spec: WalkSpec, state: InitialState, t_max: int) -> DensityMatrix:

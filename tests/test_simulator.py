@@ -21,6 +21,7 @@ from coinwalk import (
     rho_local_closed,
     rho_series,
 )
+from coinwalk import simulate
 from coinwalk.simulate import initial_lattice_state, rho_c_at_t, step
 
 PI = np.pi
@@ -87,6 +88,9 @@ def general_state(rng: np.random.Generator, sites: list, n: int) -> GeneralState
     coeffs = np.array([unit_vector(rng, n) for _ in sites]) / np.sqrt(len(sites))
     return GeneralState(amplitudes=dict(zip(sites, coeffs)))
 
+
+# the most steps whose coin states rho_series takes in one block
+K = simulate._RING_SLOTS
 
 WALK_CASES = [
     "2d-e2-haar-two-sites", "3d-tetra", "2d-hex", "2d-tri", "1d-lazy", "1d-long-shift",
@@ -178,6 +182,56 @@ class TestDenseSeries:
         stack = rho_series(spec, state, 0)
         assert stack.shape == (1, spec.coin_dim, spec.coin_dim)
         assert np.max(np.abs(stack[0] - sparse_series(spec, state, 0)[0])) <= 1e-12
+
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_series_is_exactly_hermitian(self, case, rng):
+        # W W^dag summed in floating point can leave a diagonal imaginary part
+        # of ~1e-17; each block is symmetrised, so none is left
+        spec, state = walk_case(case, rng)
+        stack = rho_series(spec, state, 50)
+        assert np.all(np.diagonal(stack, axis1=1, axis2=2).imag == 0)
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize(
+        "t_max", [0, 1, K - 1, K, K + 1, 2 * K + 3], ids=lambda t: f"t{t}"
+    )
+    @pytest.mark.parametrize(
+        "case", ["1d-line-both-parities", "1d-lazy", "2d-e2-haar-two-sites", "3d-tetra"]
+    )
+    def test_matches_sparse_stepper_across_block_edges(self, case, t_max, rng):
+        # the coin states are taken K steps at a time, or fewer where K slabs
+        # do not fit the ring: every step before, on and after a block's end
+        spec, state = walk_case(case, rng)
+        stack = rho_series(spec, state, t_max)
+        assert stack.shape == (t_max + 1, spec.coin_dim, spec.coin_dim)
+        for t, reference in enumerate(sparse_series(spec, state, t_max)):
+            assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
+
+    def test_a_slab_beyond_the_ring_budget_steps_in_one_slot(self, rng):
+        # a 2-d 4-state walk at t = 40 has an 81 x 81 box, 420 KB a slab
+        spec = WalkSpec(2, 4, E2, random_unitary(rng, 4))
+        state = LocalState((0, 0), unit_vector(rng, 4))
+        assert 16 * 4 * 81**2 > simulate._RING_BYTES
+        stack = rho_series(spec, state, 40)
+        for t, reference in enumerate(sparse_series(spec, state, 40)):
+            assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
+
+    def test_ring_bounds_the_memory_of_a_long_series(self):
+        # at t = 4000 the +-1 line's slab is 4001 sites, 128 KB: two fit the
+        # ring, and the scratch is as large; a ring of every step would take 512 MB
+        t_max = 4000
+        series = (t_max + 1) * 4 * 16
+        spec = line_walk(HADAMARD_PARAMS)
+        # a first call fills the interpreter's and numpy's caches, up to ~100 KB
+        # that later calls reuse, outside the peak
+        rho_series(spec, local_zero(), t_max)
+        tracemalloc.start()
+        try:
+            rho_series(spec, local_zero(), t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < series + 2 * simulate._RING_BYTES + 64 * 2**10
 
     def test_tetrahedral_walk_steps_on_an_eighth_of_its_box(self, rng):
         # the shifts differ by even vectors, so the walker meets one site in 8;
