@@ -27,13 +27,9 @@ from .characteristic import (
 )
 from .errors import (
     CoinWalkError,
-    ConvergenceFailure,
     DegenerateDispersion,
-    DimensionMismatch,
     FormatError,
     InvalidArgument,
-    NonUnitaryInput,
-    NormalizationError,
     NumericalFailure,
 )
 from .grammar import (

@@ -22,7 +22,7 @@ from .characteristic import (
     c_local_u2,
     characteristic_stack,
 )
-from .errors import DimensionMismatch
+from .errors import InvalidArgument
 from .linalg import Array, DensityMatrix, von_neumann_entropy
 from .states import (
     BlochCoin,
@@ -71,8 +71,7 @@ def rho_asymptotic(
     round ~30 eps in the BLAS sum. Other coins contract ``C(k)``
     (:func:`characteristic_stack`) with ``P0(k)`` summed over g. A state
     whose coin or lattice dimension differs from the walk's raises
-    :class:`DimensionMismatch`; the grid's refusals (:class:`InvalidArgument`,
-    :class:`DegenerateDispersion`) are those of ``_grid_mean``.
+    :class:`InvalidArgument`; the grid's refusals are those of ``_grid_mean``.
     """
 
     def block_sum(kb: Array, psi: Array) -> Array:
@@ -107,7 +106,7 @@ def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResu
     """Contract a constant (n^2, n^2) characteristic matrix with the coin projector of ``chi``."""
     chi = _as_vector(chi)
     if np.shape(c) != (chi.size**2, chi.size**2):
-        raise DimensionMismatch(f"c has shape {np.shape(c)}, expected {(chi.size**2,) * 2}")
+        raise InvalidArgument(f"c has shape {np.shape(c)}, expected {(chi.size**2,) * 2}")
     p0 = np.outer(chi, chi.conj())
     return _result(_dephase(c, p0[None])[0], method)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDispersion, DimensionMismatch, InvalidArgument, as_int
+from .errors import DegenerateDispersion, InvalidArgument, as_int
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
 from .states import to_origin
 from .walk import U2Params, WalkSpec, _fold_theta, build_uk, dispersion_gamma
@@ -141,14 +141,17 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=Non
     Raises
     ------
     InvalidArgument
-        If the state's positions are 2**63 or more apart, or N or more apart
-        on some axis (the grid aliases sites N apart), or if numpy cannot
-        allocate the node array (or a block).
+        If the grid's dimension is not the walk's (checked first), if the
+        state's positions are 2**63 or more apart, or N or more apart on some
+        axis (the grid aliases sites N apart), or if numpy cannot allocate the
+        node array (or a block).
     DegenerateDispersion
         For a 2x2 coin with a zero off-diagonal entry, whose bands cross;
         checked after the positions and before any node is allocated.
     """
     grid = grid if grid is not None else QuadratureGrid.default(spec.lattice_dim)
+    if grid.dim != spec.lattice_dim:
+        raise InvalidArgument("grid dimension does not match the walk")
     if table is not None:
         table = to_origin(table[0]), table[1]
         if (span := int(table[0].max())) >= grid.points_per_axis:
@@ -199,8 +202,6 @@ def psi_on_grid(
     memory is (rows spanned) N n complex values, one slab at a time.
     """
     positions, coeffs = table
-    if positions.shape[1] != grid.dim:
-        raise DimensionMismatch("grid dimension does not match the state")
     size = grid.points_per_axis
     first, end = start // size, (stop - 1) // size + 1
     rows = np.arange(first, end)
@@ -327,7 +328,7 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     DegenerateDispersion
         For a 2x2 coin with a zero off-diagonal entry, whose bands cross.
     InvalidArgument
-        If the (N^d, d) array of grid nodes does not fit in memory.
+        If the grid's dimension is not the walk's or its nodes do not fit in memory.
     """
     return _grid_mean(spec, grid, lambda kb, _: characteristic_stack(spec, kb).sum(axis=0))
 

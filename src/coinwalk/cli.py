@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InvalidArgument, OSError, UnicodeDecodeError) as exc:
+    except (InvalidArgument, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDispersion as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, one per CLI exit code, and an integer check."""
 
 import operator
 
@@ -7,20 +7,22 @@ class CoinWalkError(Exception):
     """Base class for every error raised by coinwalk."""
 
 
-class NonUnitaryInput(CoinWalkError):
-    """A matrix that must be unitary failed the unitarity check."""
+class InvalidArgument(CoinWalkError):
+    """Bad input (CLI exit code 2).
+
+    A size, count, position, shift or time window out of range, dimensions
+    that do not fit each other or the walk, a coin that is not unitary, a
+    state that is not normalized, or an amplitude or coin entry that is not
+    a number.
+    """
 
 
-class ConvergenceFailure(CoinWalkError):
-    """The eigensolver did not converge or produced an invalid decomposition."""
-
-
-class DimensionMismatch(CoinWalkError):
-    """Vector/matrix dimensions are inconsistent with the walk definition."""
+class FormatError(InvalidArgument):
+    """A text input (walk config, state grammar, angle literal) did not parse."""
 
 
 class DegenerateDispersion(CoinWalkError):
-    """The bands of the walk cross where the computation needs them apart.
+    """The bands of the walk cross where the computation needs them apart (CLI exit code 3).
 
     Raised by the closed form at a k where sin^2(gamma) ~ 0, and by the
     quadrature for a 2x2 coin with a zero off-diagonal entry, whose two bands
@@ -28,20 +30,13 @@ class DegenerateDispersion(CoinWalkError):
     """
 
 
-class NormalizationError(CoinWalkError):
-    """A state or weight function is not normalized to within tolerance."""
-
-
 class NumericalFailure(CoinWalkError):
-    """An internal numerical consistency check failed."""
+    """A consistency check failed on valid input (CLI exit code 4).
 
-
-class InvalidArgument(CoinWalkError):
-    """A size, count or time-window argument is outside its valid range."""
-
-
-class FormatError(CoinWalkError):
-    """A text input (walk config, state grammar, angle literal) did not parse."""
+    The eigensolver failed, left some node with an eigenphase on every
+    Cayley pole or gave eigenvectors that are not orthonormal, or a density
+    matrix is not Hermitian, of unit trace and positive.
+    """
 
 
 def as_int(value, what: str) -> int:

@@ -32,7 +32,7 @@ import re
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError
+from .errors import FormatError, InvalidArgument
 from .states import DistributedState, GeneralState, InitialState, LocalState
 from .walk import WalkSpec
 
@@ -148,6 +148,8 @@ def _split_map_entries(body: str) -> dict[tuple[int, ...], str]:
     parts = _TOP_LEVEL_COMMA.split(body)
     if not parts[-1].strip():
         parts.pop()
+    if not parts:
+        raise FormatError("the map lists no site")
     entries: dict[tuple[int, ...], str] = {}
     for part in parts:
         pos_s, sep, val_s = part.partition(":")
@@ -189,7 +191,7 @@ def parse_state(text: str) -> InitialState:
             entries = _split_map_entries(m.group("map"))
             vectors = [_parse_vector_literal(v) for v in entries.values()]
             if len({v.size for v in vectors}) > 1:
-                raise DimensionMismatch("all coin vectors must have the same dimension")
+                raise InvalidArgument("all coin vectors must have the same dimension")
             coeffs = _renormalize(np.array(vectors), "general state")
             return GeneralState(amplitudes=dict(zip(entries, coeffs)))
     except FormatError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NonUnitaryInput, NumericalFailure
+from .errors import InvalidArgument, NumericalFailure
 
 Array = np.ndarray
 
@@ -34,7 +34,7 @@ def as_matrix(m) -> Array:
     """Coerce input to a 2-d complex128 array."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
+        raise InvalidArgument(f"expected a 2-d matrix, got shape {a.shape}")
     return a
 
 
@@ -97,20 +97,18 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
 
     Raises
     ------
-    DimensionMismatch
-        If the stack is empty.
-    NonUnitaryInput
-        If some matrix is not unitary within 1e-10.
-    ConvergenceFailure
+    InvalidArgument
+        If the stack is empty or some matrix is not unitary within 1e-10.
+    NumericalFailure
         If the solver fails, if some node's eigenvector residual exceeds 1e-12
         at every shift, or if ``V^dag V`` deviates from the identity by more
         than 1e-12 at some node.
     """
     a = np.asarray(u, dtype=np.complex128)
     if a.size == 0:
-        raise DimensionMismatch(f"expected a non-empty stack of matrices, got shape {a.shape}")
+        raise InvalidArgument(f"expected a non-empty stack of matrices, got shape {a.shape}")
     if a.ndim != 3 or not is_unitary(a):
-        raise NonUnitaryInput(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
+        raise InvalidArgument(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
     m, n, _ = a.shape
     phases = np.empty((m, n))
     vectors = np.empty_like(a)
@@ -122,7 +120,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         try:
             w, x = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
         psi = shift + 2 * np.arctan(w)
         # an eigenphase on the pole itself can leave I + V singular only up to
         # rounding, and H small and wrong; the node's residual shows it
@@ -134,7 +132,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         if todo.size == 0:
             break
     else:
-        raise ConvergenceFailure(f"{todo.size} nodes keep an eigenphase on every Cayley pole")
+        raise NumericalFailure(f"{todo.size} nodes keep an eigenphase on every Cayley pole")
 
     phases = np.mod(phases + np.pi, 2 * np.pi) - np.pi
     phases = np.where(phases <= -np.pi, phases + 2 * np.pi, phases)  # into (-pi, pi]
@@ -149,7 +147,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
 
     gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)))
     if not gram <= 1e-12:
-        raise ConvergenceFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
+        raise NumericalFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
     return phases, vectors, labels
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NormalizationError, as_int
+from .errors import InvalidArgument, as_int
 from .linalg import Array
 from .walk import WalkSpec
 
@@ -36,24 +36,32 @@ def _as_position(pos) -> tuple[int, ...]:
 def _site_map(amplitudes: dict, value) -> dict:
     """``{position: value(a)}`` over a map's entries, with every key as a position tuple.
 
-    Two keys that name one site (``0`` and ``(0,)``) raise :class:`InvalidArgument`
-    rather than the later one silently replacing the earlier.
+    An empty map, two keys that name one site (``0`` and ``(0,)``: the later would
+    replace the earlier) or a non-numeric amplitude raise :class:`InvalidArgument`.
     """
+    if not amplitudes:
+        raise InvalidArgument("the map lists no site")
     out = {}
     for r, a in amplitudes.items():
         pos = _as_position(r)
         if pos in out:
             raise InvalidArgument(f"position {';'.join(map(str, pos))} is repeated in the map")
-        out[pos] = value(a)
+        try:
+            out[pos] = value(a)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"amplitudes must be numbers: {exc}") from exc
     if len({len(r) for r in out}) > 1:
-        raise DimensionMismatch("all positions must have the same number of components")
+        raise InvalidArgument("all positions must have the same number of components")
     return out
 
 
 def _as_vector(v) -> Array:
-    arr = np.atleast_1d(np.asarray(v, dtype=np.complex128))
+    try:
+        arr = np.atleast_1d(np.asarray(v, dtype=np.complex128))
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"amplitudes must be numbers: {exc}") from exc
     if arr.ndim > 1 or arr.size < 1:
-        raise DimensionMismatch(f"coin vector must be 1-d and non-empty, got shape {arr.shape}")
+        raise InvalidArgument(f"coin vector must be 1-d and non-empty, got shape {arr.shape}")
     return arr
 
 
@@ -67,8 +75,8 @@ class LocalState:
     def __post_init__(self):
         object.__setattr__(self, "position", _as_position(self.position))
         chi = _as_vector(self.chi)
-        if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-            raise NormalizationError("local coin state is not normalized within 1e-12")
+        if not abs(np.linalg.norm(chi) - 1.0) <= 1e-12:
+            raise InvalidArgument("local coin state is not normalized within 1e-12")
         object.__setattr__(self, "chi", chi)
 
 
@@ -81,12 +89,12 @@ class DistributedState:
 
     def __post_init__(self):
         amps = _site_map(self.amplitudes, complex)
-        if abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) > 1e-12:
-            raise NormalizationError("position amplitudes are not normalized within 1e-12")
+        if not abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) <= 1e-12:
+            raise InvalidArgument("position amplitudes are not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
         chi = _as_vector(self.chi)
-        if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-            raise NormalizationError("coin state is not normalized within 1e-12")
+        if not abs(np.linalg.norm(chi) - 1.0) <= 1e-12:
+            raise InvalidArgument("coin state is not normalized within 1e-12")
         object.__setattr__(self, "chi", chi)
 
 
@@ -100,9 +108,9 @@ class GeneralState:
         amps = _site_map(self.amplitudes, _as_vector)
         dims = {c.size for c in amps.values()}
         if len(dims) != 1:
-            raise DimensionMismatch("all coin vectors must have the same dimension")
-        if abs(sum(np.linalg.norm(c) ** 2 for c in amps.values()) - 1.0) > 1e-12:
-            raise NormalizationError("total amplitude is not normalized within 1e-12")
+            raise InvalidArgument("all coin vectors must have the same dimension")
+        if not abs(sum(np.linalg.norm(c) ** 2 for c in amps.values()) - 1.0) <= 1e-12:
+            raise InvalidArgument("total amplitude is not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -124,12 +132,12 @@ def bloch_coin(b: BlochCoin) -> Array:
 
 
 def checked_site_table(spec: WalkSpec, state: InitialState) -> tuple[Array, Array]:
-    """The :func:`site_table` of ``state``; :class:`DimensionMismatch` unless it fits the walk."""
+    """The :func:`site_table` of ``state``; :class:`InvalidArgument` unless it fits the walk."""
     positions, coeffs = site_table(state)
     if coeffs.shape[1] != spec.coin_dim:
-        raise DimensionMismatch("state coin dimension does not match the walk")
+        raise InvalidArgument("state coin dimension does not match the walk")
     if positions.shape[1] != spec.lattice_dim:
-        raise DimensionMismatch("state lattice dimension does not match the walk")
+        raise InvalidArgument("state lattice dimension does not match the walk")
     return positions, coeffs
 
 
@@ -181,7 +189,7 @@ def psi_k_many(state: InitialState, ks: Array) -> Array:
     """
     positions, coeffs = site_table(state)
     if ks.shape[1] != positions.shape[1]:
-        raise DimensionMismatch("k-grid dimension does not match the state")
+        raise InvalidArgument("k-grid dimension does not match the state")
     low = positions.min(axis=0)
     # r - r_min in uint64 does not wrap, however far apart two int64 positions are
     rel = positions.view(np.uint64) - low.view(np.uint64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NonUnitaryInput, as_int
+from .errors import InvalidArgument, as_int
 from .linalg import Array, is_unitary
 
 
@@ -74,10 +74,9 @@ class WalkSpec:
     coin : (n, n) complex array
         Unitary coin operator.
 
-    Construction raises :class:`DimensionMismatch` unless ``coin`` is an (n, n)
-    and ``shifts`` an (n, d) table, :class:`InvalidArgument` for a non-integer
-    shift or a non-numeric coin entry and :class:`NonUnitaryInput` for a coin
-    not unitary within 1e-10.
+    Construction raises :class:`InvalidArgument` unless ``coin`` is an (n, n)
+    and ``shifts`` an (n, d) table, for a non-integer shift or a non-numeric
+    coin entry and for a coin not unitary within 1e-10.
     """
 
     lattice_dim: int
@@ -91,14 +90,14 @@ class WalkSpec:
             raise InvalidArgument("lattice_dim and coin_dim must be >= 1")
         rows = _row_lengths(self.coin, "coin")
         if len(rows) != n or any(m != n for m in rows):
-            raise DimensionMismatch(f"coin rows do not form a square {n}x{n} matrix")
+            raise InvalidArgument(f"coin rows do not form a square {n}x{n} matrix")
         widths = _row_lengths(self.shifts, "shifts")
         if len(widths) != n:
-            raise DimensionMismatch(
+            raise InvalidArgument(
                 f"expected {n} shift vectors (one per coin state), got {len(widths)}"
             )
         if any(w != d for w in widths):
-            raise DimensionMismatch(f"every shift vector must have {d} components")
+            raise InvalidArgument(f"every shift vector must have {d} components")
         shifts = [[as_int(x, "a shift component") for x in row] for row in self.shifts]
         object.__setattr__(self, "shifts", np.array(shifts, dtype=np.int64))
         try:
@@ -106,7 +105,7 @@ class WalkSpec:
         except (TypeError, ValueError) as exc:
             raise InvalidArgument(f"coin entries must be numbers: {exc}") from exc
         if not is_unitary(coin):
-            raise NonUnitaryInput("coin is not unitary within 1e-10")
+            raise InvalidArgument("coin is not unitary within 1e-10")
         object.__setattr__(self, "coin", coin)
 
 
@@ -115,7 +114,7 @@ def _row_lengths(table, what: str) -> list[int]:
     try:
         return [len(row) if np.ndim(row) == 1 else -1 for row in table]
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{what} must be a table of rows") from exc
+        raise InvalidArgument(f"{what} must be a table of rows") from exc
 
 
 def line_walk(p: U2Params) -> WalkSpec:
@@ -131,7 +130,7 @@ def build_uk(spec: WalkSpec, k) -> Array:
     """
     kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if kv.shape[-1] != spec.lattice_dim:
-        raise DimensionMismatch(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
+        raise InvalidArgument(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
     return np.exp(-1j * (kv @ spec.shifts.T))[..., :, None] * spec.coin
 
 

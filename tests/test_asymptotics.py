@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     BlochCoin,
-    DimensionMismatch,
     DistributedState,
     GeneralState,
     InvalidArgument,
@@ -263,21 +262,37 @@ class TestQuadraturePipeline:
         )
 
     def test_characteristic_of_the_wrong_size_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match=r"c has shape \(4, 4\), expected \(9, 9\)"):
             rho_from_characteristic([1, 0, 0], np.eye(4), "x")
 
     def test_two_dimensional_chi_rejected(self):
         # flattened, this chi would pass as a 4-component coin for a 16x16 c
-        with pytest.raises(DimensionMismatch, match="1-d"):
+        with pytest.raises(InvalidArgument, match="coin vector must be 1-d"):
             rho_from_characteristic([[1, 0], [0, 0]], np.eye(16), "x")
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="state lattice dimension does not match"):
             rho_asymptotic(
                 line_walk(HADAMARD_PARAMS),
                 LocalState(position=(0, 0), chi=[1, 0]),
                 GRID,
             )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda spec, grid: rho_asymptotic(spec, local_zero(), grid), c_local],
+        ids=["rho_asymptotic", "c_local"],
+    )
+    def test_grid_of_another_dimension_is_refused_before_its_nodes(self, entry):
+        # the nodes of a 64^3 grid take 6 MiB; the refusal allocates none of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgument, match="^grid dimension does not match the walk$"):
+                entry(line_walk(HADAMARD_PARAMS), QuadratureGrid(64, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("far, n", [(1, 1), (3, 2), (66, 64)])
     def test_grid_not_wider_than_the_state_refused(self, far, n):

@@ -12,7 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coinwalk
+import coinwalk.cli
+import coinwalk.linalg
 from coinwalk import (
+    CoinWalkError,
+    DegenerateDispersion,
+    FormatError,
+    InvalidArgument,
+    NumericalFailure,
     U2Params,
     c_of_k_u2,
     line_walk,
@@ -382,12 +389,15 @@ class TestSimulate:
         rows = out.splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["0", "5", "10"]
 
-    @pytest.mark.parametrize("state", ["local v=0 chi=(1,0,0)", "local v=0,0 chi=(1,0)"])
-    def test_state_that_does_not_fit_the_walk_exits_4(self, capsys, state):
+    @pytest.mark.parametrize(
+        "state, defect",
+        [("local v=0 chi=(1,0,0)", "coin"), ("local v=0,0 chi=(1,0)", "lattice")],
+    )
+    def test_state_that_does_not_fit_the_walk_exits_2(self, capsys, state, defect):
         code, out, err = run(capsys, "simulate", "--theta", "0.3", "--state", state, "--t-max", "2")
-        assert code == 4
+        assert code == 2
         assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err == f"error: state {defect} dimension does not match the walk\n"
 
     @pytest.mark.parametrize(
         "walk, state, amplitudes",
@@ -477,14 +487,12 @@ class TestBadInput:
             ["rho", "--walk-file", "{tmp}/latin1.cfg", "--state", LOCAL],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--output", "{tmp}/missing/rho.json"],
             ["fig", "cpe-3d", "--alpha-points", "1"],
-            ["simulate", "--theta", "0.3", "--state", "local v=0 chi=(1,0,0)", "--t-max", "3"],
-            ["simulate", "--theta", "0.3", "--state", "local v=0,0 chi=(1,0)", "--t-max", "2"],
             ["verify", "--seed", "-1"],
         ],
         ids=[
             "grid-n-zero", "stride-zero", "negative-t-max",
             "missing-walk-file", "non-utf8-walk-file", "unwritable-output", "one-alpha-point",
-            "simulate-coin-dim-mismatch", "simulate-lattice-dim-mismatch", "verify-negative-seed",
+            "verify-negative-seed",
         ],
     )
     def test_exit_code_without_traceback(self, argv, tmp_path):
@@ -525,6 +533,12 @@ class TestBadInput:
             ["rho", "--theta", "pi/4", "--state", INT64_ENDS],
             ["rho", "--theta", "pi/4", "--state", "dist {1:0, 1:1} chi=(1,0)"],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--closed-form", "--grid-n", "64"],
+            ["simulate", "--theta", "0.3", "--state", "local v=0 chi=(1,0,0)", "--t-max", "3"],
+            ["simulate", "--theta", "0.3", "--state", "local v=0,0 chi=(1,0)", "--t-max", "2"],
+            ["rho", "--theta", "pi/4", "--state", "local v=0,0 chi=(1,0)"],
+            ["rho", "--theta", "pi/4", "--state", "local v=0 chi=(1,0,0)", "--closed-form"],
+            ["rho", "--theta", "pi/4", "--state", "dist {} chi=(1,0)"],
+            ["rho", "--theta", "pi/4", "--state", "general {}"],
         ],
         ids=["rho-grid-too-large", "local-empty-position",
              "dist-empty-position", "theta-nan", "theta-inf", "alpha-overflow", "angle-div-zero",
@@ -532,7 +546,10 @@ class TestBadInput:
              "simulate-mixed-position-lengths", "simulate-series-too-large",
              "position-beyond-int64", "shift-beyond-int64", "grid-n-2-60", "grid-n-2-70",
              "simulate-span-beyond-int64", "simulate-shifts-2-62", "rho-span-beyond-int64",
-             "rho-repeated-position", "closed-form-with-grid-n"],
+             "rho-repeated-position", "closed-form-with-grid-n",
+             "simulate-coin-dim-mismatch", "simulate-lattice-dim-mismatch",
+             "rho-lattice-dim-mismatch", "closed-form-coin-dim-mismatch",
+             "dist-empty-map", "general-empty-map"],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path):
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
@@ -545,6 +562,32 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(InvalidArgument, 2), (FormatError, 2), (DegenerateDispersion, 3),
+         (NumericalFailure, 4), (CoinWalkError, 4)],
+    )
+    def test_each_error_type_has_its_exit_code(self, capsys, monkeypatch, error, code):
+        def refuse(text):
+            raise error("refused")
+
+        monkeypatch.setattr(coinwalk.cli, "parse_state", refuse)
+        got, out, err = run(capsys, "rho", "--theta", "pi/4", "--state", LOCAL)
+        assert got == code and out == ""
+        assert err.startswith("error: ") and err.endswith("refused\n") and err.count("\n") == 1
+
+    def test_eigensolver_failure_exits_4(self, capsys, monkeypatch, tmp_path):
+        # no node is ever regular: every node keeps an eigenphase on every Cayley pole
+        def singular(v):
+            return np.zeros_like(v), np.zeros(len(v), dtype=bool)
+
+        monkeypatch.setattr(coinwalk.linalg, "_cayley", singular)
+        (tmp_path / "grover.cfg").write_text(GROVER_CFG)
+        code, out, err = run(capsys, "rho", "--walk-file", str(tmp_path / "grover.cfg"),
+                             "--state", "local v=0,0 chi=(1,0,0,0)", "--grid-n", "4")
+        assert code == 4 and out == ""
+        assert err == "error: 8 nodes keep an eigenphase on every Cayley pole\n"
 
     # theta = 0 is refused (exit 3) only after the grid is checked against the
     # state's span (exit 2), and before a node of a 10**11-node grid is allocated

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 import coinwalk.linalg
 from coinwalk import (
     DensityMatrix,
-    DimensionMismatch,
+    InvalidArgument,
     NumericalFailure,
-    NonUnitaryInput,
     QuadratureGrid,
     WalkSpec,
     build_uk,
@@ -92,7 +91,7 @@ class TestEigUnitary:
         assert np.allclose(phases, [-np.pi / 4, np.pi / 4], atol=1e-12)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitaryInput):
+        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
             eig_unitary([[1, 0], [0, 2]])
 
     def test_roundtrip_random_unitaries(self, rng):
@@ -154,11 +153,11 @@ class TestEigUnitaryBatch:
 
     def test_rejects_non_unitary_node(self, rng):
         stack = np.stack([random_unitary(rng, 3), np.diag([1.0, 1.0, 2.0])])
-        with pytest.raises(NonUnitaryInput):
+        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
             eig_unitary_batch(stack)
 
     def test_rejects_an_empty_stack(self):
-        with pytest.raises(DimensionMismatch, match="non-empty"):
+        with pytest.raises(InvalidArgument, match="expected a non-empty stack of matrices"):
             eig_unitary_batch(np.zeros((0, 2, 2)))
 
 
@@ -312,7 +311,17 @@ class TestCayleySolve:
     def test_non_unitary_node_raises(self, rng):
         stack = np.stack([random_unitary(rng, 5) for _ in range(3)])
         stack[1] *= 1 + 1e-9
-        with pytest.raises(NonUnitaryInput):
+        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
+            eig_unitary_batch(stack)
+
+    def test_a_node_on_every_pole_is_a_numerical_failure(self, rng, monkeypatch):
+        # no node is ever regular, so every one is left for the next shift
+        def singular(v):
+            return np.zeros_like(v), np.zeros(len(v), dtype=bool)
+
+        monkeypatch.setattr(coinwalk.linalg, "_cayley", singular)
+        stack = np.stack([random_unitary(rng, 3) for _ in range(5)])
+        with pytest.raises(NumericalFailure, match="^5 nodes keep an eigenphase on every Cayley"):
             eig_unitary_batch(stack)
 
 

@@ -11,11 +11,10 @@ from coinwalk.cli import main
 from test_cli import run_process
 
 PUBLIC_NAMES = [
-    "AsymptoticResult", "BlochCoin", "CoinWalkError", "ConvergenceFailure", "DegenerateDispersion",
-    "DensityMatrix", "DimensionMismatch", "DistributedState", "FormatError", "GeneralState",
-    "InitialState", "InvalidArgument", "LocalState", "NonUnitaryInput", "NormalizationError",
-    "NumericalFailure", "QuadratureGrid", "U2Params", "WalkSpec", "asymptotics", "bloch_coin",
-    "build_uk", "c_local", "c_local_u2", "c_of_k_u2", "cesaro_rho", "characteristic",
+    "AsymptoticResult", "BlochCoin", "CoinWalkError", "DegenerateDispersion", "DensityMatrix",
+    "DistributedState", "FormatError", "GeneralState", "InitialState", "InvalidArgument",
+    "LocalState", "NumericalFailure", "QuadratureGrid", "U2Params", "WalkSpec", "asymptotics",
+    "bloch_coin", "build_uk", "c_local", "c_local_u2", "c_of_k_u2", "cesaro_rho", "characteristic",
     "characteristic_at_k", "dispersion_gamma", "eigenvalues_distributed_example",
     "eigenvalues_entangled_example", "eigenvalues_local_general", "entropy_of_pair", "errors",
     "grammar", "linalg", "line_walk", "parse_angle", "parse_complex", "parse_state",
@@ -34,7 +33,7 @@ def test_public_names_are_pinned():
     assert proc.returncode == 0, proc.stderr
     public = sorted(json.loads(proc.stdout))
     assert public == PUBLIC_NAMES
-    assert len(public) == 51
+    assert len(public) == 47
 
 
 def test_readme_quick_start_runs():

@@ -7,7 +7,6 @@ from conftest import random_unitary, unit_vector
 
 from coinwalk import (
     DensityMatrix,
-    DimensionMismatch,
     DistributedState,
     GeneralState,
     InvalidArgument,
@@ -279,12 +278,12 @@ class TestStateMustFitTheWalk:
     )
     @pytest.mark.parametrize("run", [rho_series, cesaro_rho])
     def test_line_walk_rejects(self, run, state):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="state (lattice|coin) dimension does not match"):
             run(line_walk(HADAMARD_PARAMS), state, 10)
 
     def test_planar_walk_rejects_a_line_state(self, rng):
         spec = WalkSpec(2, 4, E2, random_unitary(rng, 4))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="state lattice dimension does not match"):
             cesaro_rho(spec, LocalState(position=0, chi=[1, 0, 0, 0]), 10)
 
 

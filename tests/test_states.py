@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     BlochCoin,
-    DimensionMismatch,
     DistributedState,
     GeneralState,
     InvalidArgument,
     LocalState,
-    NormalizationError,
     QuadratureGrid,
     bloch_coin,
 )
@@ -47,33 +45,62 @@ class TestConstruction:
         with pytest.raises(InvalidArgument):
             make()
 
-    def test_local_rejects_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            LocalState(position=0, chi=[1, 1])
+    # abs(nan - 1) > 1e-12 is False: a NaN amplitude must fail the check as well
+    @pytest.mark.parametrize("chi", [[1, 1], [np.nan, 0]], ids=["norm-2", "nan"])
+    def test_local_rejects_unnormalized(self, chi):
+        with pytest.raises(InvalidArgument, match="local coin state is not normalized"):
+            LocalState(position=0, chi=chi)
 
-    def test_distributed_rejects_unnormalized_amplitudes(self):
-        with pytest.raises(NormalizationError):
-            DistributedState(amplitudes={(0,): 1.0, (1,): 1.0}, chi=[1, 0])
+    @pytest.mark.parametrize(
+        "amplitudes", [{(0,): 1.0, (1,): 1.0}, {0: np.nan}], ids=["norm-2", "nan"]
+    )
+    def test_distributed_rejects_unnormalized_amplitudes(self, amplitudes):
+        with pytest.raises(InvalidArgument, match="position amplitudes are not normalized"):
+            DistributedState(amplitudes=amplitudes, chi=[1, 0])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LocalState(0, "x"),
+            lambda: DistributedState({0: "a"}, [1, 0]),
+            lambda: GeneralState({0: "ab"}),
+        ],
+        ids=["local", "dist", "general"],
+    )
+    def test_rejects_an_amplitude_that_is_not_a_number(self, make):
+        with pytest.raises(InvalidArgument, match="amplitudes must be numbers"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make", [lambda: DistributedState({}, [1, 0]), lambda: GeneralState({})],
+        ids=["dist", "general"],
+    )
+    def test_rejects_an_empty_map(self, make):
+        with pytest.raises(InvalidArgument, match="^the map lists no site$"):
+            make()
 
     def test_rejects_a_coin_vector_that_is_not_1d(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="coin vector must be 1-d and non-empty"):
             LocalState(0, [[1, 0], [0, 0]])
 
     def test_general_rejects_mixed_coin_dims(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="all coin vectors must have the same dimension"):
             GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 0, 0]})
 
     def test_distributed_rejects_mixed_position_lengths(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="all positions must have the same number"):
             DistributedState(amplitudes={(0,): INV2, (0, 0): INV2}, chi=[1, 0])
 
     def test_general_rejects_mixed_position_lengths(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="all positions must have the same number"):
             GeneralState(amplitudes={(0,): [INV2, 0], (1, 2): [0, INV2]})
 
-    def test_general_rejects_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            GeneralState(amplitudes={(0,): [1, 0], (1,): [0, 1]})
+    @pytest.mark.parametrize(
+        "amplitudes", [{(0,): [1, 0], (1,): [0, 1]}, {0: [np.nan, 0]}], ids=["norm-2", "nan"]
+    )
+    def test_general_rejects_unnormalized(self, amplitudes):
+        with pytest.raises(InvalidArgument, match="total amplitude is not normalized"):
+            GeneralState(amplitudes=amplitudes)
 
     @pytest.mark.parametrize(
         "make",
@@ -176,7 +203,7 @@ class TestMomentumComponent:
         assert abs(abs(got[1, 0]) - abs(want)) <= 1e-12
 
     def test_many_rejects_wrong_dim(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="k-grid dimension does not match the state"):
             psi_k_many(entangled_state(), np.zeros((4, 2)))
 
 
@@ -247,10 +274,6 @@ class TestPsiOnGrid:
             # the direct sum rounds each phase k.r, |k.r| <= (pi + shift) d span, by about eps |k.r|
             rounding = 2 * np.finfo(float).eps * (PI + shift) * d * span * np.abs(coeffs).sum()
             assert np.max(np.abs(slab - want)) <= 1e-13 + rounding
-
-    def test_rejects_a_grid_of_another_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            psi_on_grid(site_table(entangled_state()), QuadratureGrid(4, 2), 0, 16, False)
 
 
 class TestAtOrigin:
