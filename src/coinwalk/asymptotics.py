@@ -4,7 +4,9 @@ The long-time coin state is the k-average of the dephased initial projector,
 ``rho_ad = integral dk/(2pi)^d sum_bc C_(a,c),(b,d)(k) P0_bc(k)``, that is
 ``sum_w P_w P0 P_w`` averaged over k: right for eigenspaces of any rank,
 where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1;
-for a 2x2 coin it is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C.
+for a 2x2 coin it is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C, so
+``rho_ad = [rho_c(0) + <D P0 D>_k] / 2``: by Parseval the k-mean of P0 is the
+initial reduced coin state ``rho_c(0) = sum_x c_x c_x^dag``, exactly.
 This module evaluates it by Brillouin-zone quadrature for any walk/state and
 provides the U(2) line walk's closed forms: the local-state density matrix,
 the general local eigenvalue pair and the two worked non-local examples."""
@@ -64,11 +66,12 @@ def rho_asymptotic(
     :func:`~coinwalk.characteristic._grid_mean`, which also sets out the grid,
     the half zone of bipartite walks and the refusals. For a 2x2 coin that is
     ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``
-    (:func:`~coinwalk.characteristic._involution_2`): a block of M nodes sums
-    to ``X X^dag`` with ``X = [P_1 psi | P_2 psi]``, ``P_1,2 = (I +- D) / 2``,
-    of shape (2, 2gM) over the g columns of psi that share each ``D``. That is
-    ``[psi | D psi]`` rotated, whose repeated ``psi`` columns (a local state)
-    round ~30 eps in the BLAS sum. Other coins contract ``C(k)``
+    (:func:`~coinwalk.characteristic._involution_2`). The grid mean of ``P0``
+    is the initial coin state ``sum_r c_r c_r^dag`` exactly (Parseval: the grid
+    holds more points per axis than the state spans, which ``_grid_mean``
+    enforces), so it is added once from the site table, and a block of M nodes
+    sums only ``y y^dag`` with ``y = D psi`` of shape (2, gM) over the g
+    columns of psi that share each ``D``. Other coins contract ``C(k)``
     (:func:`characteristic_stack`) with ``P0(k)`` summed over g. A state
     whose coin or lattice dimension differs from the walk's raises
     :class:`InvalidArgument`; the grid's refusals are those of ``_grid_mean``.
@@ -77,18 +80,21 @@ def rho_asymptotic(
     def block_sum(kb: Array, psi: Array) -> Array:
         if spec.coin_dim == 2:
             d = _involution_2(spec, kb)
-            x = np.empty((2, 2, *psi.shape[:2]), dtype=np.complex128)  # (row, P_1 | P_2, g, M)
-            x[0, 0] = 0.5 * ((1 + d[:, 0, 0]) * psi[..., 0] + d[:, 0, 1] * psi[..., 1])
-            x[1, 0] = 0.5 * (d[:, 1, 0] * psi[..., 0] + (1 + d[:, 1, 1]) * psi[..., 1])
-            np.subtract(psi.transpose(2, 0, 1), x[:, 0], out=x[:, 1])
-            x = x.reshape(2, -1)
-            return x @ x.conj().T
+            y = np.empty((2, *psi.shape[:2]), dtype=np.complex128)  # (row, g, M)
+            for a in range(2):
+                y[a] = d[:, a, 0] * psi[..., 0] + d[:, a, 1] * psi[..., 1]
+            y = y.reshape(2, -1)
+            return y @ y.conj().T
         # n > 2 still builds C: perfbench/layers.py divides by this call's time
         p0 = (psi[..., :, None] * psi.conj()[..., None, :]).sum(axis=0)
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
 
     table = checked_site_table(spec, state)
-    return _result(_grid_mean(spec, grid, block_sum, table), "numeric_quadrature")
+    rho = _grid_mean(spec, grid, block_sum, table)
+    if spec.coin_dim == 2:  # the grid mean of P0, by Parseval: sum_r c_r c_r^dag
+        coeffs = table[1]
+        rho = 0.5 * (coeffs.T @ coeffs.conj() + rho)
+    return _result(rho, "numeric_quadrature")
 
 
 def _dephase(c: Array, p0: Array) -> Array:

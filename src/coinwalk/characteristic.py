@@ -190,34 +190,59 @@ def psi_on_grid(
     The state is given by its :func:`~coinwalk.states.site_table`. The nodes
     are taken in :attr:`QuadratureGrid.nodes` order and the values are those
     of :func:`~coinwalk.states.psi_k_many`, computed exactly in the phases;
-    with ``partners`` (g = 2) the second slab holds them at the nodes
-    ``k + pi (1, ..., 1)``. Every node coordinate is ``k_j = -pi + 2 pi j / N``
-    (:attr:`QuadratureGrid.axis`), so
-    ``exp(-1j k.r) = (-1)^(sum r) exp(-2 pi i (j.r mod N) / N)``, and at the
-    partners the sign drops out. Along a row of nodes (the leading coordinates
-    fixed, the last one running) that is a DFT: the coefficients, times one
-    phase per site for the leading axes and the sign, are folded onto
-    ``r_last mod N``, and one FFT gives the whole row. Sites N or more apart
-    fold onto one bin and alias exactly as in the direct sum. The working
-    memory is (rows spanned) N n complex values, one slab at a time.
+    with ``partners`` (g = 2, an even grid) the second slab holds them at the
+    partner nodes ``k + pi (1, ..., 1)``. Every node coordinate is
+    ``k_j = -pi + 2 pi j / N`` (:attr:`QuadratureGrid.axis`), so
+    ``exp(-1j k.r) = (-1)^(sum r) exp(-2 pi i (j.r mod N) / N)``. Along a row
+    of nodes (the leading coordinates fixed, the last one running) that is a
+    DFT: the coefficients, times one phase per site for the leading axes and
+    the sign, are folded onto ``r_last mod N``, and one FFT gives the whole
+    row. The partner of node ``(j_0, ..., j_last)`` is
+    ``(j_0 + N/2, ..., j_last + N/2) mod N``, so the partner slab is the same
+    signed transform on the partner rows, N/2 along each. In 1-d the partner
+    row is the node row itself and one FFT serves both slabs. In d > 1 the
+    partner rows' leading phases are the node rows' times
+    ``(-1)^(sum of the leading r)``, and reading N/2 along a row multiplies by
+    ``(-1)^(r_last)``; together they cancel the sign, so the partner slab is
+    the node rows' transform of the unsigned coefficients, one more FFT per
+    row. Sites N or more apart fold onto one bin and alias exactly as in the
+    direct sum. The working memory is (rows spanned) N n complex values, one
+    transform at a time.
+
+    Raises
+    ------
+    InvalidArgument
+        For ``partners`` on an odd grid, which holds no partner nodes.
     """
     positions, coeffs = table
     size = grid.points_per_axis
+    if partners and size % 2:
+        raise InvalidArgument(f"a grid of N = {size} points per axis has no partner nodes")
     first, end = start // size, (stop - 1) // size + 1
     rows = np.arange(first, end)
     turns = np.zeros((len(rows), len(positions)), dtype=np.int64)  # j.r mod N, leading axes
     for a in range(grid.dim - 1):
         j = rows // size ** (grid.dim - 2 - a) % size
         turns = (turns + np.multiply.outer(j, positions[:, a] % size)) % size
-    odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
     phase = np.exp(-2j * np.pi / size * turns)[:, :, None]
+    odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
+    signed = np.where(odd[:, None], -coeffs, coeffs)
     n = coeffs.shape[1]
-    lo, hi = start - first * size, stop - first * size
-    psi = np.empty((1 + partners, stop - start, n), dtype=np.complex128)
-    for slab, signed in zip(psi, (np.where(odd[:, None], -coeffs, coeffs), coeffs)):
+
+    def transform(c: Array) -> Array:
+        """The rows' FFTs, (rows, N, n), of ``phase * c`` folded onto ``r_last mod N``."""
         folded = np.zeros((len(rows), size, n), dtype=np.complex128)
-        np.add.at(folded, (slice(None), positions[:, -1] % size), phase * signed)
-        slab[:] = np.fft.fft(folded, axis=1).reshape(-1, n)[lo:hi]
+        np.add.at(folded, (slice(None), positions[:, -1] % size), phase * c)
+        return np.fft.fft(folded, axis=1)
+
+    lo, hi = start - first * size, stop - first * size
+    values = transform(signed)
+    psi = np.empty((1 + partners, stop - start, n), dtype=np.complex128)
+    psi[0] = values.reshape(-1, n)[lo:hi]
+    if partners and grid.dim == 1:  # the partner of node j is node j + N/2 mod N
+        psi[1] = np.roll(values, -(size // 2), axis=1).reshape(-1, n)[lo:hi]
+    elif partners:  # N/2 along the partner rows, whose phases differ by (-1)^(leading sum)
+        psi[1] = transform(coeffs).reshape(-1, n)[lo:hi]
     return psi
 
 

@@ -16,6 +16,7 @@ Positions are sparse integer tuples, so far-apart supports cost O(support).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,15 @@ def _as_vector(v) -> Array:
     return arr
 
 
+def _norm(values) -> float:
+    """Euclidean norm of complex values, taken with scaling (``math.hypot``).
+
+    A Python float: amplitudes too large to square give a large norm, or inf,
+    and no overflow error or warning, so the callers' checks refuse them.
+    """
+    return math.hypot(*np.ravel(np.asarray(values, dtype=np.complex128)).view(np.float64))
+
+
 @dataclass(frozen=True)
 class LocalState:
     """Unit coin vector ``chi`` localized at one lattice site."""
@@ -75,7 +85,7 @@ class LocalState:
     def __post_init__(self):
         object.__setattr__(self, "position", _as_position(self.position))
         chi = _as_vector(self.chi)
-        if not abs(np.linalg.norm(chi) - 1.0) <= 1e-12:
+        if not abs(_norm(chi) - 1.0) <= 1e-12:
             raise InvalidArgument("local coin state is not normalized within 1e-12")
         object.__setattr__(self, "chi", chi)
 
@@ -89,11 +99,12 @@ class DistributedState:
 
     def __post_init__(self):
         amps = _site_map(self.amplitudes, complex)
-        if not abs(sum(abs(a) ** 2 for a in amps.values()) - 1.0) <= 1e-12:
+        norm = _norm(list(amps.values()))
+        if not abs(norm * norm - 1.0) <= 1e-12:
             raise InvalidArgument("position amplitudes are not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
         chi = _as_vector(self.chi)
-        if not abs(np.linalg.norm(chi) - 1.0) <= 1e-12:
+        if not abs(_norm(chi) - 1.0) <= 1e-12:
             raise InvalidArgument("coin state is not normalized within 1e-12")
         object.__setattr__(self, "chi", chi)
 
@@ -109,7 +120,8 @@ class GeneralState:
         dims = {c.size for c in amps.values()}
         if len(dims) != 1:
             raise InvalidArgument("all coin vectors must have the same dimension")
-        if not abs(sum(np.linalg.norm(c) ** 2 for c in amps.values()) - 1.0) <= 1e-12:
+        norm = _norm(list(amps.values()))
+        if not abs(norm * norm - 1.0) <= 1e-12:
             raise InvalidArgument("total amplitude is not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
 

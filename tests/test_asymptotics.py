@@ -105,6 +105,24 @@ class TestLocalClosedForm:
         pipeline = rho_from_characteristic(bloch_coin(b), numeric, "numeric").eigenvalues
         assert np.max(np.abs(np.array(eigenvalues_local_general(p, b)) - pipeline)) <= 1e-12
 
+    @given(
+        theta=st.floats(-PI, PI).filter(lambda t: abs(np.sin(t)) >= 0.05),
+        alpha=phase,
+        beta=phase,
+        xi=st.floats(0, PI),
+        eta=phase,
+        x=st.integers(-8, 8),
+    )
+    def test_default_grid_sits_within_rounding_of_the_closed_form(
+        self, theta, alpha, beta, xi, eta, x
+    ):
+        # half of rho is chi chi^dag from the site table, exactly; the grid sums
+        # only the D P0 D half. Summing both halves over the nodes reached 7.8e-16
+        # in a targeted search, and 5.6e-16 this way
+        p, chi = U2Params(theta, alpha, beta), bloch_coin(BlochCoin(xi, eta))
+        got = rho_asymptotic(line_walk(p), LocalState(x, chi)).rho.matrix
+        assert np.max(np.abs(got - rho_local_closed(p, chi).rho.matrix)) <= 6e-16
+
     def test_position_does_not_matter(self):
         a = rho_asymptotic(line_walk(HADAMARD_PARAMS), local_zero(), GRID).rho.matrix
         b = rho_asymptotic(
@@ -470,6 +488,40 @@ class TestBlockedQuadrature:
         for k, psi in zip(grid.nodes, psi_k_many(state, grid.nodes)):
             c = characteristic_at_k(spec, k).reshape(2, 2, 2, 2)
             want += np.einsum("acbd,b,c->ad", c, psi, psi.conj()) / grid.node_count
+        got = rho_asymptotic(spec, state, grid).rho.matrix
+        assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
+
+    @given(data=st.data())
+    def test_two_band_walks_match_the_mean_of_p0_and_d_p0_d(self, data):
+        # rho = mean_k (P0 + D P0 D) / 2 node by node, with D (x) D = 2 C - I (x) I
+        # from characteristic_at_k; rho_asymptotic takes the mean of P0 from the
+        # site table instead, which the grid reproduces once N exceeds the span
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        bipartite = data.draw(st.booleans(), label="bipartite")
+        shifts = self.shift_tables(data.draw, 2, d, bipartite)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spec = WalkSpec(d, 2, shifts, random_unitary(rng, 2))
+        sites = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=4, unique=True),
+            label="sites",
+        )
+        if data.draw(st.booleans(), label="local"):
+            sites = sites[:1]
+            state = LocalState(sites[0], unit_vector(rng, 2))
+        else:
+            state = GeneralState(dict(zip(sites, unit_vector(rng, 2 * len(sites)).reshape(-1, 2))))
+        span = int(np.ptp(np.array(sites), axis=0).max())
+        # even or odd N; N > span, as the grid requires
+        size = data.draw(st.integers(span + 1, span + 8 if d == 2 else 48), label="N")
+        grid = QuadratureGrid(size, d)
+        p0_mean = np.zeros((2, 2), dtype=complex)
+        dp0d_mean = np.zeros((2, 2), dtype=complex)
+        for k, psi in zip(grid.nodes, psi_k_many(state, grid.nodes)):
+            dd = (2 * characteristic_at_k(spec, k) - np.eye(4)).reshape(2, 2, 2, 2)
+            p0 = np.outer(psi, psi.conj())
+            p0_mean += p0 / grid.node_count
+            dp0d_mean += np.einsum("acbd,bc->ad", dd, p0) / grid.node_count
+        want = (p0_mean + dp0d_mean) / 2
         got = rho_asymptotic(spec, state, grid).rho.matrix
         assert np.max(np.abs(got - (want + want.conj().T) / 2)) <= 1e-13
 

@@ -58,6 +58,23 @@ class TestConstruction:
         with pytest.raises(InvalidArgument, match="position amplitudes are not normalized"):
             DistributedState(amplitudes=amplitudes, chi=[1, 0])
 
+    # the norm is taken with scaling: no square of 1e200 overflows to a bare
+    # OverflowError or to numpy's overflow warning (an error in these tests)
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: LocalState(0, [1e200, 0]), "local coin state is"),
+            (lambda: DistributedState({0: 1e200}, [1, 0]), "position amplitudes are"),
+            (lambda: DistributedState({0: 1.0}, [1e200j, 0]), "coin state is"),
+            (lambda: GeneralState({0: [1e200, 0]}), "total amplitude is"),
+            (lambda: GeneralState({0: [1e308 + 1e308j, 0]}), "total amplitude is"),
+        ],
+        ids=["local", "dist", "dist-chi", "general", "general-near-max"],
+    )
+    def test_rejects_huge_amplitudes_as_unnormalized(self, make, message):
+        with pytest.raises(InvalidArgument, match=f"^{message} not normalized"):
+            make()
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -266,6 +283,10 @@ class TestPsiOnGrid:
         start = data.draw(st.integers(0, grid.node_count - 1), label="start")  # may begin mid-row
         stop = data.draw(st.integers(start + 1, grid.node_count), label="stop")
         partners = data.draw(st.booleans(), label="partners")
+        if partners and size % 2:  # k + pi (1, ..., 1) is a node of even grids only
+            with pytest.raises(InvalidArgument, match="has no partner nodes"):
+                psi_on_grid((positions, table_coeffs), grid, start, stop, partners)
+            return
         got = psi_on_grid((positions, table_coeffs), grid, start, stop, partners)
         assert got.shape == (1 + partners, stop - start, n)
         # the second slab holds psi at the partner nodes k + pi (1, ..., 1)
@@ -274,6 +295,24 @@ class TestPsiOnGrid:
             # the direct sum rounds each phase k.r, |k.r| <= (pi + shift) d span, by about eps |k.r|
             rounding = 2 * np.finfo(float).eps * (PI + shift) * d * span * np.abs(coeffs).sum()
             assert np.max(np.abs(slab - want)) <= 1e-13 + rounding
+
+
+    @pytest.mark.parametrize("d, ffts", [(1, 1), (2, 2)])
+    def test_partner_slab_is_psi_at_k_plus_pi(self, d, ffts, monkeypatch):
+        # in 1-d the partner row is the node row, N/2 along, and one FFT
+        # serves both slabs; in 2-d the partners take one more FFT
+        fft, calls = np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+        # smallest coordinate 0 on each axis: the table is its own to_origin
+        sites = [(0,) * d, (3,) + (1,) * (d - 1), (4,) + (2,) * (d - 1)]
+        state = GeneralState(dict(zip(sites, [[0.6, 0], [0, 0.64j], [0.48, 0]])))
+        grid = QuadratureGrid(4096 if d == 1 else 16, d)
+        half = grid.node_count // 2
+        psi = psi_on_grid(site_table(state), grid, 0, half, True)
+        assert len(calls) == ffts
+        nodes = grid.nodes[:half]
+        for slab, shift in zip(psi, (0.0, PI)):
+            assert np.max(np.abs(slab - psi_k_many(state, nodes + shift))) <= 1e-13
 
 
 class TestAtOrigin:
