@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Minor page faults per benchmark op, and per check of its result.
+"""Minor page faults per line-sweep op, and per check of its result.
 
-Runs the ops of ``perfbench``'s line-sweep (or lattice) workload in a loop,
-the way ``perfbench/run.py`` does, timed op then untimed check, and reads
+Runs the ops of ``perfbench``'s line-sweep workload (seed 7) in a loop, the
+way ``perfbench/run.py`` does, timed op then untimed check, and reads
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` around each. A fault is a page
 the process touches for the first time since the OS handed it over, so the
 count shows how often an op's temporaries come back from the OS instead of
 being reused from the heap. Run it from the root of a checkout::
 
-    python3 scripts/op_page_faults.py --workload line-sweep --seed 7 --cycles 40
+    python3 scripts/op_page_faults.py
 
-It imports ``coinwalk`` from this checkout's ``src`` and the workloads from
-its ``perfbench``. The first cycle warms up and is not counted.
+It imports ``coinwalk`` from this checkout's ``src`` and the workload from
+its ``perfbench``. The first of 41 cycles warms up and is not counted.
 """
 
-import argparse
 import os
 import resource
 import sys
@@ -28,21 +27,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
+SEED, CYCLES = 7, 40
+
 
 def faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=("line-sweep", "lattice"), default="line-sweep")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--cycles", type=int, default=40)
-    args = ap.parse_args()
-    kind = {"line-sweep": workloads.LineSweep, "lattice": workloads.Lattice}[args.workload]
-    source = kind(np.random.default_rng(args.seed), {})
+    source = workloads.LineSweep(np.random.default_rng(SEED), {})
     op_faults, check_faults = [], []
-    for cycle in range(args.cycles + 1):
+    for cycle in range(CYCLES + 1):
         for op in source.cycle():
             before = faults()
             out = op.fn(*op.args)
@@ -52,7 +47,7 @@ def main() -> None:
                 op_faults.append(between - before)
                 check_faults.append(faults() - between)
     print(
-        f"{args.workload} seed={args.seed} ops={len(op_faults)}: minor faults per op"
+        f"line-sweep seed={SEED} ops={len(op_faults)}: minor faults per op"
         f" mean {np.mean(op_faults):.1f} median {np.median(op_faults):.0f};"
         f" per check mean {np.mean(check_faults):.1f}"
     )

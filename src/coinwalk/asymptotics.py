@@ -77,23 +77,25 @@ def rho_asymptotic(
     :class:`InvalidArgument`; the grid's refusals are those of ``_grid_mean``.
     """
 
-    def block_sum(kb: Array, psi: Array) -> Array:
-        if spec.coin_dim == 2:
-            d = _involution_2(spec, kb)
-            y = np.empty((2, *psi.shape[:2]), dtype=np.complex128)  # (row, g, M)
-            for a in range(2):
-                y[a] = d[:, a, 0] * psi[..., 0] + d[:, a, 1] * psi[..., 1]
-            y = y.reshape(2, -1)
-            return y @ y.conj().T
+    def d_p0_d_sum(kb: Array, psi: Array) -> Array:
+        d = _involution_2(spec, kb)
+        y = np.empty((2, *psi.shape[:2]), dtype=np.complex128)  # (row, g, M)
+        for a in range(2):
+            y[a] = d[:, a, 0] * psi[..., 0] + d[:, a, 1] * psi[..., 1]
+        y = y.reshape(2, -1)
+        return y @ y.conj().T
+
+    def dephased_sum(kb: Array, psi: Array) -> Array:
         # n > 2 still builds C: perfbench/layers.py divides by this call's time
         p0 = (psi[..., :, None] * psi.conj()[..., None, :]).sum(axis=0)
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
 
     table = checked_site_table(spec, state)
-    rho = _grid_mean(spec, grid, block_sum, table)
     if spec.coin_dim == 2:  # the grid mean of P0, by Parseval: sum_r c_r c_r^dag
         coeffs = table[1]
-        rho = 0.5 * (coeffs.T @ coeffs.conj() + rho)
+        rho = 0.5 * (coeffs.T @ coeffs.conj() + _grid_mean(spec, grid, d_p0_d_sum, table))
+    else:
+        rho = _grid_mean(spec, grid, dephased_sum, table)
     return _result(rho, "numeric_quadrature")
 
 
