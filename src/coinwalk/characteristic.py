@@ -111,7 +111,8 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=Non
     """Mean over the nodes of ``grid`` of a per-node quantity of ``spec`` (and of a state).
 
     ``grid=None`` takes :meth:`QuadratureGrid.default`. ``table`` is a state's
-    :func:`~coinwalk.states.site_table`; its positions are moved to the origin
+    :func:`~coinwalk.states.site_table`; its positions are replaced by their
+    uint64 offsets from the smallest on each axis
     (:func:`~coinwalk.states.to_origin`), so every translate of a state gives
     the same result to the last bit. ``block_sum(kb, psi)`` returns the
     quantity summed over an (M, d) block of nodes ``kb``, where ``psi`` is
@@ -142,9 +143,8 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=Non
     ------
     InvalidArgument
         If the grid's dimension is not the walk's (checked first), if the
-        state's positions are 2**63 or more apart, or N or more apart on some
-        axis (the grid aliases sites N apart), or if numpy cannot allocate the
-        node array (or a block).
+        state's positions are N or more apart on some axis (the grid aliases
+        sites N apart), or if numpy cannot allocate the node array (or a block).
     DegenerateDispersion
         For a 2x2 coin with a zero off-diagonal entry, whose bands cross;
         checked after the positions and before any node is allocated.
@@ -209,21 +209,19 @@ def psi_on_grid(
     direct sum. The working memory is (rows spanned) N n complex values, one
     transform at a time.
 
-    Raises
-    ------
-    InvalidArgument
-        For ``partners`` on an odd grid, which holds no partner nodes.
+    ``partners`` needs an even grid, whose nodes hold ``k + pi (1, ..., 1)``
+    (:func:`_half_zone`). The positions may be int64, as in the site table, or
+    the uint64 offsets of :func:`~coinwalk.states.to_origin`.
     """
     positions, coeffs = table
     size = grid.points_per_axis
-    if partners and size % 2:
-        raise InvalidArgument(f"a grid of N = {size} points per axis has no partner nodes")
+    residues = (positions % size).astype(np.int64)  # r mod N on every axis
     first, end = start // size, (stop - 1) // size + 1
     rows = np.arange(first, end)
     turns = np.zeros((len(rows), len(positions)), dtype=np.int64)  # j.r mod N, leading axes
     for a in range(grid.dim - 1):
         j = rows // size ** (grid.dim - 2 - a) % size
-        turns = (turns + np.multiply.outer(j, positions[:, a] % size)) % size
+        turns = (turns + np.multiply.outer(j, residues[:, a])) % size
     phase = np.exp(-2j * np.pi / size * turns)[:, :, None]
     odd = np.bitwise_xor.reduce(positions & 1, axis=1).astype(bool)
     signed = np.where(odd[:, None], -coeffs, coeffs)
@@ -232,7 +230,7 @@ def psi_on_grid(
     def transform(c: Array) -> Array:
         """The rows' FFTs, (rows, N, n), of ``phase * c`` folded onto ``r_last mod N``."""
         folded = np.zeros((len(rows), size, n), dtype=np.complex128)
-        np.add.at(folded, (slice(None), positions[:, -1] % size), phase * c)
+        np.add.at(folded, (slice(None), residues[:, -1]), phase * c)
         return np.fft.fft(folded, axis=1)
 
     lo, hi = start - first * size, stop - first * size

@@ -23,7 +23,8 @@ State grammar::
 
 Amplitudes are renormalized to unit norm if they are within 1e-3 of it
 (so rounded literals like 0.7071 are accepted); larger deviations are
-rejected as errors rather than silently rescaled.
+rejected as errors rather than silently rescaled. Every other rule of a
+state, mixed coin dimensions among them, is checked by the state itself.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import re
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgument
-from .states import DistributedState, GeneralState, InitialState, LocalState
+from .errors import FormatError
+from .states import DistributedState, GeneralState, InitialState, LocalState, _norm
 from .walk import WalkSpec
 
 
@@ -115,21 +116,20 @@ def parse_walk_config(text: str) -> WalkSpec:
         raise FormatError(f"invalid walk config: {exc}") from exc
 
 
-def _renormalize(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` over its norm; axis 0 runs over listed sites (a coin vector is one site).
+def _renormalize(values: list[np.ndarray], what: str) -> list[np.ndarray]:
+    """Each of ``values`` over their joint scaled norm, :func:`~coinwalk.states._norm`.
 
-    The norm skips sites whose entries are all zero, so listing an unoccupied
-    site changes no byte of the result.
+    A zero entry adds nothing to it, so listing an unoccupied site changes no
+    byte, and amplitudes too large to square give a large norm, not an overflow.
     """
-    occupied = values.reshape(len(values), -1).any(axis=1)
-    norm = float(np.linalg.norm(values[occupied]))
+    norm = _norm(np.concatenate(values))
     if abs(norm - 1.0) > 1e-3:
-        raise FormatError(f"{what} has norm {norm:.6f}; must be within 1e-3 of 1")
-    return values / norm
+        raise FormatError(f"{what} has norm {norm:.6g}; must be within 1e-3 of 1")
+    return [v / norm for v in values]
 
 
 def _parse_chi(text: str) -> np.ndarray:
-    return _renormalize(_parse_vector_literal(text)[None], "chi")[0]
+    return _renormalize([_parse_vector_literal(text)], "chi")[0]
 
 
 def _parse_vector_literal(text: str) -> np.ndarray:
@@ -179,7 +179,7 @@ def parse_state(text: str) -> InitialState:
                 raise FormatError(f"bad dist state {text!r}")
             entries = _split_map_entries(m.group("map"))
             amps = np.array([parse_complex(v) for v in entries.values()])
-            amps = _renormalize(amps, "position amplitudes")
+            [amps] = _renormalize([amps], "position amplitudes")
             chi = _parse_chi(m.group("chi"))
             return DistributedState(
                 amplitudes={pos: complex(a) for pos, a in zip(entries, amps)}, chi=chi
@@ -190,9 +190,7 @@ def parse_state(text: str) -> InitialState:
                 raise FormatError(f"bad general state {text!r}")
             entries = _split_map_entries(m.group("map"))
             vectors = [_parse_vector_literal(v) for v in entries.values()]
-            if len({v.size for v in vectors}) > 1:
-                raise InvalidArgument("all coin vectors must have the same dimension")
-            coeffs = _renormalize(np.array(vectors), "general state")
+            coeffs = _renormalize(vectors, "general state")
             return GeneralState(amplitudes=dict(zip(entries, coeffs)))
     except FormatError:
         raise

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, as_int
 from .linalg import Array, DensityMatrix
-from .states import InitialState, checked_site_table, site_table
+from .states import InitialState, checked_site_table, site_table, to_origin
 from .walk import WalkSpec
 
 
@@ -188,9 +188,7 @@ def _sublattice(shifts: Array, positions: Array) -> tuple[tuple, tuple[int, ...]
     steps = [[x // ga for x, ga in zip(row, g)] for row in steps]
     low = [min(col) for col in zip(*steps)]
     offsets = [[x - lo for x, lo in zip(row, low)] for row in steps]
-    # r - r_min in uint64 does not wrap, however far apart two int64 positions are
-    rel = positions.view(np.uint64) - positions.min(axis=0).view(np.uint64)
-    rel, residue = np.divmod(rel, np.array(g, dtype=np.uint64))
+    rel, residue = np.divmod(to_origin(positions), np.array(g, dtype=np.uint64))
     shape = tuple(x + 1 for x in rel.max(axis=0).tolist())
     # a box that fits in memory has indices below 2**63
     index = tuple(rel.view(np.int64).T)

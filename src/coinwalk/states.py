@@ -70,9 +70,20 @@ def _norm(values) -> float:
     """Euclidean norm of complex values, taken with scaling (``math.hypot``).
 
     A Python float: amplitudes too large to square give a large norm, or inf,
-    and no overflow error or warning, so the callers' checks refuse them.
+    and no overflow error or warning, so the callers' checks refuse them. A
+    zero entry adds exactly nothing, so listing one changes no bit of the norm.
     """
     return math.hypot(*np.ravel(np.asarray(values, dtype=np.complex128)).view(np.float64))
+
+
+def _require_unit(values, subject: str) -> None:
+    """Refuse ``values`` unless their total probability ``n * n`` is 1 within 1e-12.
+
+    ``n = _norm(values)``; where ``n ** 2`` would raise ``OverflowError``, ``n * n`` is inf.
+    """
+    norm = _norm(values)
+    if not abs(norm * norm - 1.0) <= 1e-12:
+        raise InvalidArgument(f"{subject} not normalized within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,7 @@ class LocalState:
     def __post_init__(self):
         object.__setattr__(self, "position", _as_position(self.position))
         chi = _as_vector(self.chi)
-        if not abs(_norm(chi) - 1.0) <= 1e-12:
-            raise InvalidArgument("local coin state is not normalized within 1e-12")
+        _require_unit(chi, "local coin state is")
         object.__setattr__(self, "chi", chi)
 
 
@@ -99,13 +109,10 @@ class DistributedState:
 
     def __post_init__(self):
         amps = _site_map(self.amplitudes, complex)
-        norm = _norm(list(amps.values()))
-        if not abs(norm * norm - 1.0) <= 1e-12:
-            raise InvalidArgument("position amplitudes are not normalized within 1e-12")
+        _require_unit(list(amps.values()), "position amplitudes are")
         object.__setattr__(self, "amplitudes", amps)
         chi = _as_vector(self.chi)
-        if not abs(_norm(chi) - 1.0) <= 1e-12:
-            raise InvalidArgument("coin state is not normalized within 1e-12")
+        _require_unit(chi, "coin state is")
         object.__setattr__(self, "chi", chi)
 
 
@@ -120,9 +127,7 @@ class GeneralState:
         dims = {c.size for c in amps.values()}
         if len(dims) != 1:
             raise InvalidArgument("all coin vectors must have the same dimension")
-        norm = _norm(list(amps.values()))
-        if not abs(norm * norm - 1.0) <= 1e-12:
-            raise InvalidArgument("total amplitude is not normalized within 1e-12")
+        _require_unit(list(amps.values()), "total amplitude is")
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -174,35 +179,25 @@ def site_table(state: InitialState) -> tuple[Array, Array]:
 
 
 def to_origin(positions: Array) -> Array:
-    """A (m, d) positions array translated so that its smallest entry on each axis is 0.
+    """The offsets ``r - r_min`` of a (m, d) positions array from its smallest entry on each axis.
 
-    Every translate of a state has the same translated table, so results built
-    from it agree to the last bit.
-
-    Raises
-    ------
-    InvalidArgument
-        If two positions are 2**63 or more apart on some axis, so that their
-        separation does not fit in a 64-bit integer.
+    They are taken in uint64, where any two int64 positions' difference fits
+    without wrapping, so this never refuses a state. Every translate of a state
+    has the same offsets, so results built from them agree to the last bit.
     """
-    low = positions.min(axis=0)
-    rel = positions.view(np.uint64) - low.view(np.uint64)  # r - r_min < 2**64: no wrap
-    if (span := rel.max()) >= 2**63:
-        raise InvalidArgument(f"the state's positions are {span} apart on an axis, beyond int64")
-    return rel.view(np.int64)
+    return positions.view(np.uint64) - positions.min(axis=0).view(np.uint64)
 
 
 def psi_k_many(state: InitialState, ks: Array) -> Array:
     """Momentum components ``sum_r exp(-1j k.r) c_r``, (M, n), at the rows of a (M, d) k-array.
 
-    The site phases are taken relative to the smallest position on each axis,
-    ``r_min``, and ``exp(-1j k.r_min)`` multiplies each row last, so the site
-    sum keeps its precision however far the state is from the origin.
+    The site phases are taken on the offsets from the smallest position on
+    each axis, ``r_min`` (:func:`to_origin`), and ``exp(-1j k.r_min)``
+    multiplies each row last, so the site sum keeps its precision however far
+    the state is from the origin.
     """
     positions, coeffs = site_table(state)
     if ks.shape[1] != positions.shape[1]:
         raise InvalidArgument("k-grid dimension does not match the state")
     low = positions.min(axis=0)
-    # r - r_min in uint64 does not wrap, however far apart two int64 positions are
-    rel = positions.view(np.uint64) - low.view(np.uint64)
-    return np.exp(-1j * (ks @ rel.T)) @ coeffs * np.exp(-1j * (ks @ low))[:, None]
+    return np.exp(-1j * (ks @ to_origin(positions).T)) @ coeffs * np.exp(-1j * (ks @ low))[:, None]

@@ -322,6 +322,13 @@ class TestQuadraturePipeline:
         with pytest.raises(InvalidArgument, match=rf"{far} apart on an axis; a grid of N = {n} "):
             rho_asymptotic(line_walk(HADAMARD_PARAMS), state, QuadratureGrid(n, 1))
 
+    def test_span_beyond_int64_refused_as_a_span(self):
+        # 2**64 - 1 apart: the exact uint64 offset, refused by the grid rule like any span
+        state = DistributedState({-(2**63): INV2, 2**63 - 1: INV2}, chi=[1, 0])
+        message = rf"^the state's positions are {2**64 - 1} apart on an axis; a grid of N = 4096 "
+        with pytest.raises(InvalidArgument, match=message):
+            rho_asymptotic(line_walk(HADAMARD_PARAMS), state)
+
     def test_grid_span_is_checked_per_axis(self):
         spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], np.full((4, 4), 0.5) - np.eye(4))
         state = DistributedState({(0, 0): 0.6, (1, 4): 0.8}, chi=[1, 0, 0, 0])

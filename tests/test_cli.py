@@ -563,6 +563,22 @@ class TestBadInput:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
+    # the norm of a huge amplitude is taken with scaling: no overflow warning
+    # precedes the error, and none replaces it when warnings are errors
+    @pytest.mark.parametrize("warnings", ["default", "error"])
+    @pytest.mark.parametrize(
+        "state",
+        ["local v=0 chi=(1e200,0)", "dist {0:1e200} chi=(1,0)", "general {0:(1e200,0)}"],
+        ids=["local", "dist", "general"],
+    )
+    def test_huge_amplitude_is_refused_for_its_norm(self, state, warnings):
+        proc = run_process("-m", "coinwalk.cli", "rho", "--theta", "pi/4", "--state", state,
+                           env={"PYTHONWARNINGS": warnings})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "has norm 1e+200;" in proc.stderr and "overflow" not in proc.stderr
+
     @pytest.mark.parametrize(
         "error, code",
         [(InvalidArgument, 2), (FormatError, 2), (DegenerateDispersion, 3),

@@ -156,6 +156,7 @@ class TestStateGrammar:
             "dist {-1:inf, 1:0.7071} chi=(1,0)",  # non-finite position amplitude
             "dist {0:0.7071, 0;0:0.7071} chi=(1,0)",  # positions of mixed length
             "general {0:(0.7071,0), 1;2:(0,0.7071)}",  # positions of mixed length
+            "general {0:(0.6,0), 1:(0,0,0.8)}",  # coin vectors of mixed dimension
             "dist {-1:0.7071,, 1:0.7071} chi=(1,0)",  # empty map entry
         ],
     )

@@ -282,11 +282,8 @@ class TestPsiOnGrid:
         grid = QuadratureGrid(size, d)
         start = data.draw(st.integers(0, grid.node_count - 1), label="start")  # may begin mid-row
         stop = data.draw(st.integers(start + 1, grid.node_count), label="stop")
-        partners = data.draw(st.booleans(), label="partners")
-        if partners and size % 2:  # k + pi (1, ..., 1) is a node of even grids only
-            with pytest.raises(InvalidArgument, match="has no partner nodes"):
-                psi_on_grid((positions, table_coeffs), grid, start, stop, partners)
-            return
+        # k + pi (1, ..., 1) is a node of even grids only
+        partners = size % 2 == 0 and data.draw(st.booleans(), label="partners")
         got = psi_on_grid((positions, table_coeffs), grid, start, stop, partners)
         assert got.shape == (1 + partners, stop - start, n)
         # the second slab holds psi at the partner nodes k + pi (1, ..., 1)
@@ -336,7 +333,7 @@ class TestAtOrigin:
         got_positions, got_coeffs = site_table(state)
         want_positions, want_coeffs = site_table(want)
         assert np.array_equal(to_origin(got_positions), want_positions)
-        assert to_origin(got_positions).dtype == np.int64
+        assert to_origin(got_positions).dtype == np.uint64
         assert np.array_equal(got_coeffs, want_coeffs)
 
     def test_projectors_of_every_translate_agree_to_the_last_bit(self):
@@ -351,7 +348,9 @@ class TestAtOrigin:
 
         assert np.array_equal(projectors_on_grid(s), projectors_on_grid(far))
 
-    def test_rejects_positions_int64_apart(self):
-        positions, _ = site_table(DistributedState({(-(2**63),): INV2, (2**63 - 1,): INV2}, [1, 0]))
-        with pytest.raises(InvalidArgument, match="beyond int64"):
-            to_origin(positions)
+    def test_offsets_at_the_ends_of_int64_are_exact(self):
+        # 2**64 - 1 apart: the offset fits in uint64, not in int64
+        state = GeneralState({(-(2**63), 2**63 - 1): [0.6, 0], (2**63 - 1, -(2**63)): [0, 0.8]})
+        got = to_origin(site_table(state)[0])
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[0, 2**64 - 1], [2**64 - 1, 0]]
