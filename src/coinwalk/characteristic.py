@@ -11,6 +11,10 @@ distributed ones) are constant matrices that fully characterize the walk.
 Summing over eigenspace projectors (rather than individual eigenvectors)
 makes C basis-independent also at degenerate k-points and on flat bands. For
 a 2x2 coin, ``D = P_1 - P_2`` fixes both: ``C = (I (x) I + D (x) D) / 2``.
+For other coins, with orthonormal eigenvectors ``v_j``,
+``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` where ``z_ij = v_i (x) v_j`` is
+indexed by ``(a, c)``; so C is the Gram product ``Z Z^dag`` of
+``Z = [v_j (x) v_j]_j`` plus the pairs ``i != j`` that share an eigenspace.
 """
 
 from __future__ import annotations
@@ -67,17 +71,6 @@ class QuadratureGrid:
         """All nodes as a (N^d, d) array, lexicographic order: the last axis runs fastest."""
         grids = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _sum_kron(a: Array, b: Array) -> Array:
-    """``sum_j a_j (x) b_j`` over stacks (M, J, n, n), returned as (M, n^2, n^2).
-
-    One batched ``(n^2, J) @ (J, n^2)`` product gives ``X_(a,c),(b,d)``;
-    swapping its middle axes gives ``C_(a,b),(c,d)``.
-    """
-    m, j, n, _ = a.shape
-    x = a.reshape(m, j, n * n).swapaxes(1, 2) @ b.reshape(m, j, n * n)
-    return x.reshape(m, n, n, n, n).swapaxes(2, 3).reshape(m, n * n, n * n)
 
 
 def _require_nondegenerate_coin(spec: WalkSpec) -> None:
@@ -263,23 +256,37 @@ def characteristic_at_k(spec: WalkSpec, k) -> Array:
 def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2).
 
-    For 2x2 coins ``C = (I (x) I + D (x) D) / 2`` with ``D`` from :func:`_involution_2`;
-    other coins take one batched eigensolve and assemble C as ``sum_j |v_j><v_j| (x) P_w(j)``:
-    each eigenvector's projector paired with the projector of its eigenspace. Both routes
-    merge eigenvalues closer than ``DEGENERACY_TOL``.
+    For 2x2 coins ``C = (I (x) I + D (x) D) / 2`` with ``D`` from :func:`_involution_2`.
+    Other coins take one batched eigensolve: ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag``
+    with ``z_ij = v_i (x) v_j``, whose rows already run over ``(a, c)``, so C is one
+    batched ``Z Z^dag`` over the pairs i = j, ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n),
+    plus the pairs i != j of one eigenspace at the nodes that have any (flat bands,
+    crossings, merged eigenvalues). Both routes merge eigenvalues closer than
+    ``DEGENERACY_TOL``.
 
     The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
     this one fixed-size block of nodes at a time.
     """
     if spec.coin_dim == 2:  # the closed form is about 15x faster than the batched eigensolve
-        d = _involution_2(spec, ks)[:, None]
-        return 0.5 * (np.eye(4) + _sum_kron(d, d))
-    _, vectors, labels = eig_unitary_batch(build_uk(spec, ks))
-    v = vectors.swapaxes(1, 2)
-    proj = v[:, :, :, None] * v.conj()[:, :, None, :]  # |v_j><v_j|, (M, n, n, n)
-    same = (labels[:, :, None] == labels[:, None, :]).astype(np.complex128)
+        d = _involution_2(spec, ks)
+        c = (d[:, :, None, :, None] * d[:, None, :, None, :]).reshape(-1, 4, 4)  # D (x) D
+        c += np.eye(4)
+        c *= 0.5
+        return c
+    _, v, labels = eig_unitary_batch(build_uk(spec, ks))
     m, n = labels.shape
-    return _sum_kron(proj, (same @ proj.reshape(m, n, n * n)).reshape(proj.shape))
+    z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
+    c = z @ z.conj().swapaxes(1, 2)
+    off = ~np.eye(n, dtype=bool)
+    pairs = (labels[:, :, None] == labels[:, None, :]) & off
+    shared = np.flatnonzero(pairs.any(axis=(1, 2)))
+    if shared.size:  # at those nodes every pair i != j, weighted 1 where they share an eigenspace
+        i, j = np.nonzero(off)
+        vs = v[shared]
+        y = (vs[:, :, None, i] * vs[:, None, :, j]).reshape(len(shared), n * n, -1)
+        y *= pairs[shared][:, i, j][:, None, :]
+        c[shared] += y @ y.conj().swapaxes(1, 2)
+    return c
 
 
 def _involution_2(spec: WalkSpec, ks: Array) -> Array:
@@ -296,7 +303,7 @@ def _involution_2(spec: WalkSpec, ks: Array) -> Array:
     degenerate = np.abs(root) <= DEGENERACY_TOL
     d = 2.0 * u
     d[:, 0, 0], d[:, 1, 1] = diff, -diff
-    d /= np.where(degenerate, 1.0, root)[:, None, None]
+    d *= 1.0 / np.where(degenerate, 1.0, root)[:, None, None]
     d[degenerate] = np.eye(2)
     return d
 

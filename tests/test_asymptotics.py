@@ -645,6 +645,20 @@ class TestBlockedQuadrature:
             tracemalloc.stop()
         assert peak < 24e6
 
+    def test_characteristic_stack_peak_memory(self):
+        # C of 1024 n=4 nodes is 4 MiB: room for C and temporaries smaller than
+        # it, not for a second C-sized copy beside the n^3 stacks
+        rng = np.random.default_rng(97)
+        spec = WalkSpec(2, 4, self.SHIFTS[4, 2], random_unitary(rng, 4))
+        ks = QuadratureGrid(32, 2).nodes
+        tracemalloc.start()
+        try:
+            characteristic_stack(spec, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_wavepacket_peak_memory(self, rng):
         # the direct sum over sites took a (4096, 128) phase matrix, 16 MiB at its peak
         spec = WalkSpec(1, 2, self.SHIFTS[2, 1], random_unitary(rng, 2))

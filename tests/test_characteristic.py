@@ -119,7 +119,8 @@ class TestPointwise:
 
 class TestBatchedStack:
     @pytest.mark.parametrize(
-        "walk", ["grover-2d", "haar-3", "haar-6-3d", "haar-2", "haar-2-2d", "merged-2"]
+        "walk",
+        ["grover-2d", "haar-3", "haar-6-3d", "haar-2", "haar-2-2d", "merged-2", "rank-2", "rank-3"],
     )
     def test_matches_per_node_route(self, walk, rng):
         # the 2-d Grover walk has flat bands and merged eigenspaces at many nodes;
@@ -141,8 +142,14 @@ class TestBatchedStack:
         elif walk == "haar-2-2d":
             spec = WalkSpec(2, 2, [[1, 2], [-1, 0]], random_unitary(rng, 2))
             ks = QuadratureGrid(8, 2).nodes
-        else:  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace at those nodes
+        elif walk == "merged-2":  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace there
             spec = line_walk(U2Params(1e-11, 0.0, 0.0))
+            ks = QuadratureGrid(64, 1).nodes
+        elif walk == "rank-2":  # two shifts alike: rank 2 everywhere, rank 3 at k = 0 and -pi
+            spec = WalkSpec(1, 3, [[1], [1], [-1]], np.eye(3))
+            ks = QuadratureGrid(64, 1).nodes
+        else:  # rank 3 at every node, and rank 4 at k = 0 and k = -pi
+            spec = WalkSpec(1, 4, [[1], [1], [1], [-1]], np.eye(4))
             ks = QuadratureGrid(64, 1).nodes
         want = np.stack([characteristic_at_k(spec, k) for k in ks])
         got = characteristic_stack(spec, ks)
