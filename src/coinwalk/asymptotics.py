@@ -3,8 +3,11 @@
 The long-time coin state is the k-average of the dephased initial projector,
 ``rho_ad = integral dk/(2pi)^d sum_bc C_(a,c),(b,d)(k) P0_bc(k)``, that is
 ``sum_w P_w P0 P_w`` averaged over k: right for eigenspaces of any rank,
-where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1;
-for a 2x2 coin it is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C, so
+where ``Tr_1[(P0 (x) I) C] = sum_w Tr(P0 P_w) P_w`` is right only for rank 1.
+For a state on one site ``P0 = c c^dag`` is constant in k, so the average is
+one contraction of the constant ``C_bar = <C(k)>_k`` (:func:`c_local`) with it:
+the paper's formula for local states. For other states and a 2x2 coin the
+node's term is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C, so
 ``rho_ad = [rho_c(0) + <D P0 D>_k] / 2``: by Parseval the k-mean of P0 is the
 initial reduced coin state ``rho_c(0) = sum_x c_x c_x^dag``, exactly.
 This module evaluates it by Brillouin-zone quadrature for any walk/state and
@@ -21,6 +24,7 @@ from .characteristic import (
     QuadratureGrid,
     _grid_mean,
     _involution_2,
+    c_local,
     c_local_u2,
     characteristic_stack,
 )
@@ -30,6 +34,7 @@ from .states import (
     BlochCoin,
     InitialState,
     _as_vector,
+    _require_unit,
     checked_site_table,
     psi_k_many,  # noqa: F401  (the pointwise route; perfbench's tracer patches this name)
 )
@@ -64,17 +69,26 @@ def rho_asymptotic(
     At every node the initial projector ``P0(k) = |psi_k><psi_k|`` is
     dephased to ``sum_w P_w P0 P_w``; the nodes are then averaged by
     :func:`~coinwalk.characteristic._grid_mean`, which also sets out the grid,
-    the half zone of bipartite walks and the refusals. For a 2x2 coin that is
-    ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``
-    (:func:`~coinwalk.characteristic._involution_2`). The grid mean of ``P0``
-    is the initial coin state ``sum_r c_r c_r^dag`` exactly (Parseval: the grid
-    holds more points per axis than the state spans, which ``_grid_mean``
-    enforces), so it is added once from the site table, and a block of M nodes
-    sums only ``y y^dag`` with ``y = D psi`` of shape (2, gM) over the g
-    columns of psi that share each ``D``. Other coins contract ``C(k)``
-    (:func:`characteristic_stack`) with ``P0(k)`` summed over g. A state
-    whose coin or lattice dimension differs from the walk's raises
-    :class:`InvalidArgument`; the grid's refusals are those of ``_grid_mean``.
+    the half zone of bipartite walks and the refusals.
+
+    A state with one occupied site ``c`` has ``P0(k) = c c^dag`` at every
+    node, so its limit is the paper's one contraction of the constant
+    :func:`~coinwalk.characteristic.c_local` with ``c c^dag``: no ``psi_k``
+    and no per-node dephasing. A translate of a local state, a one-site
+    ``dist`` or ``general`` map and a map whose other amplitudes are zero all
+    take this route.
+
+    Otherwise, for a 2x2 coin the node's term is ``(P0 + D P0 D) / 2`` with
+    ``D = P_1 - P_2`` (:func:`~coinwalk.characteristic._involution_2`). The
+    grid mean of ``P0`` is the initial coin state ``sum_r c_r c_r^dag``
+    exactly (Parseval: the grid holds more points per axis than the state
+    spans, which ``_grid_mean`` enforces), so it is added once from the site
+    table, and a block of M nodes sums only ``y y^dag`` with ``y = D psi`` of
+    shape (2, gM) over the g columns of psi that share each ``D``. Other coins
+    contract ``C(k)`` (:func:`characteristic_stack`) with ``P0(k)`` summed
+    over g. A state whose coin or lattice dimension differs from the walk's
+    raises :class:`InvalidArgument`; the grid's refusals are those of
+    ``_grid_mean``.
     """
 
     def d_p0_d_sum(kb: Array, psi: Array) -> Array:
@@ -86,13 +100,16 @@ def rho_asymptotic(
         return y @ y.conj().T
 
     def dephased_sum(kb: Array, psi: Array) -> Array:
-        # n > 2 still builds C: perfbench/layers.py divides by this call's time
+        # states of more than one site; perfbench's one-site 2-d n=4 probe reaches
+        # characteristic_stack through c_local
         p0 = (psi[..., :, None] * psi.conj()[..., None, :]).sum(axis=0)
         return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
 
     table = checked_site_table(spec, state)
-    if spec.coin_dim == 2:  # the grid mean of P0, by Parseval: sum_r c_r c_r^dag
-        coeffs = table[1]
+    coeffs = table[1]
+    if len(coeffs) == 1:  # P0(k) = c c^dag at every node
+        rho = _dephase(c_local(spec, grid), np.outer(coeffs[0], coeffs[0].conj())[None])[0]
+    elif spec.coin_dim == 2:  # the grid mean of P0, by Parseval: sum_r c_r c_r^dag
         rho = 0.5 * (coeffs.T @ coeffs.conj() + _grid_mean(spec, grid, d_p0_d_sum, table))
     else:
         rho = _grid_mean(spec, grid, dephased_sum, table)
@@ -113,6 +130,7 @@ def _dephase(c: Array, p0: Array) -> Array:
 def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResult:
     """Contract a constant (n^2, n^2) characteristic matrix with the coin projector of ``chi``."""
     chi = _as_vector(chi)
+    _require_unit(chi, "coin state is")
     if np.shape(c) != (chi.size**2, chi.size**2):
         raise InvalidArgument(f"c has shape {np.shape(c)}, expected {(chi.size**2,) * 2}")
     p0 = np.outer(chi, chi.conj())

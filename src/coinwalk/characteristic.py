@@ -231,7 +231,7 @@ def psi_on_grid(
     psi = np.empty((1 + partners, stop - start, n), dtype=np.complex128)
     psi[0] = values.reshape(-1, n)[lo:hi]
     if partners and grid.dim == 1:  # the partner of node j is node j + N/2 mod N
-        psi[1] = np.roll(values, -(size // 2), axis=1).reshape(-1, n)[lo:hi]
+        np.take(values[0], np.arange(lo, hi) + size // 2, axis=0, out=psi[1], mode="wrap")
     elif partners:  # N/2 along the partner rows, whose phases differ by (-1)^(leading sum)
         psi[1] = transform(coeffs).reshape(-1, n)[lo:hi]
     return psi
@@ -294,16 +294,22 @@ def _involution_2(spec: WalkSpec, ks: Array) -> Array:
 
     D is Hermitian with ``D^2 = I`` (the Bloch axis of ``U_k``) and ``P_1,2 = (I +- D) / 2``;
     where the eigenvalues are closer than ``DEGENERACY_TOL``, ``U_k`` is scalar and ``D = I``.
+    Like :func:`~coinwalk.walk.build_uk`'s stack, the result views a (2, 2, M) array.
     """
-    u = build_uk(spec, ks)
-    diff = u[:, 0, 0] - u[:, 1, 1]  # 2 U - tr(U) I = [[diff, 2 u01], [2 u10, -diff]]
+    u = build_uk(spec, ks).transpose(1, 2, 0)  # build_uk's (2, 2, M) layout, M innermost
+    diff = u[0, 0] - u[1, 1]  # 2 U - tr(U) I = [[diff, 2 u01], [2 u10, -diff]]
     # lam1 - lam2 = root; diff^2 + 4 u01 u10 equals tr^2 - 4 det without cancelling
-    root = np.sqrt(diff**2 + 4.0 * u[:, 0, 1] * u[:, 1, 0])
+    root = np.sqrt(diff**2 + 4.0 * u[0, 1] * u[1, 0])
     # the chord |lam1 - lam2| and the phase gap differ by O(gap^3)
     degenerate = np.abs(root) <= DEGENERACY_TOL
-    d = 2.0 * u
-    d[:, 0, 0], d[:, 1, 1] = diff, -diff
-    d *= 1.0 / np.where(degenerate, 1.0, root)[:, None, None]
+    scale = 1.0 / np.where(degenerate, 1.0, root)
+    d = np.empty_like(u)
+    d[0, 0] = diff * scale
+    d[1, 1] = -d[0, 0]
+    scale *= 2.0  # (2 u) s and u (2 s) are the same bits: doubling is exact
+    d[0, 1] = u[0, 1] * scale
+    d[1, 0] = u[1, 0] * scale
+    d = d.transpose(2, 0, 1)
     d[degenerate] = np.eye(2)
     return d
 
@@ -352,6 +358,9 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     C(k) is built one fixed-size block of nodes at a time, so the working
     memory is that of one block (about 4 MiB of C) whatever the grid; on a
     bipartite walk and an even grid only half the nodes (:func:`_grid_mean`).
+    A 2x2 coin builds no C: a block of M nodes sums to ``(M I + S) / 2`` with
+    ``S_(a,c),(b,d) = sum_k D_ab D_cd``, one Gram product ``X^T X`` of the
+    (M, 4) entries X of :func:`_involution_2` with its indices reordered.
 
     Raises
     ------
@@ -360,7 +369,16 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     InvalidArgument
         If the grid's dimension is not the walk's or its nodes do not fit in memory.
     """
-    return _grid_mean(spec, grid, lambda kb, _: characteristic_stack(spec, kb).sum(axis=0))
+
+    def block_sum(kb: Array, _) -> Array:
+        if spec.coin_dim != 2:  # perfbench/layers.py divides by this call's time
+            return characteristic_stack(spec, kb).sum(axis=0)
+        x = _involution_2(spec, kb).transpose(1, 2, 0).reshape(4, -1)  # X^T, rows (a, b)
+        # (X^T X)_(a,b),(c,d) = sum_k D_ab D_cd, reordered to C's (a, c), (b, d)
+        s = (x @ x.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        return 0.5 * (len(kb) * np.eye(4) + s)
+
+    return _grid_mean(spec, grid, block_sum)
 
 
 def c_local_u2(p: U2Params) -> Array:

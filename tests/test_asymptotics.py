@@ -30,7 +30,7 @@ from coinwalk import (
     rho_local_closed,
     u2_coin,
 )
-from coinwalk import characteristic, states
+from coinwalk import asymptotics, characteristic, states
 from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack
 from coinwalk.states import psi_k_many
 from conftest import random_interior_params, random_unitary, unit_vector
@@ -274,6 +274,36 @@ class TestRankTwoEigenspaces:
         assert np.max(np.abs(quadrature - averaged)) <= 2 / t_max
 
 
+class TestOneSiteRoute:
+    """A state on one occupied site contracts c_local with P0 = c c^dag once."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda chi: LocalState(3, chi),
+            lambda chi: DistributedState({3: 1}, chi),
+            lambda chi: GeneralState({3: chi}),
+            lambda chi: DistributedState({3: 1, 9: 0}, chi),  # the zero site is not occupied
+        ],
+        ids=["local", "dist", "general", "dist-with-a-zero-site"],
+    )
+    @pytest.mark.parametrize("walk", ["line", "lazy-n3"])
+    def test_contracts_c_local_without_psi(self, make, walk, rng, monkeypatch):
+        if walk == "line":
+            spec, grid, chi = line_walk(U2Params(0.7, 0.3, -0.4)), None, np.array([0.6, 0.8j])
+        else:
+            spec = WalkSpec(1, 3, [[1], [0], [-1]], random_unitary(rng, 3))
+            grid, chi = QuadratureGrid(64, 1), unit_vector(rng, 3)
+        on_grid, calls = characteristic.psi_on_grid, []
+        monkeypatch.setattr(characteristic, "psi_on_grid", lambda *a: calls.append(a) or on_grid(*a))
+        state = make(chi)
+        got = rho_asymptotic(spec, state, grid).rho.matrix
+        assert calls == []
+        c = states.site_table(state)[1][0]
+        rho = asymptotics._dephase(c_local(spec, grid), np.outer(c, c.conj())[None])[0]
+        assert np.array_equal(got, asymptotics._result(rho, "numeric_quadrature").rho.matrix)
+
+
 class TestQuadraturePipeline:
     def test_method_tags(self):
         assert rho_local_closed(HADAMARD_PARAMS, [1, 0]).method == "closed_form_local"
@@ -290,6 +320,12 @@ class TestQuadraturePipeline:
         # flattened, this chi would pass as a 4-component coin for a 16x16 c
         with pytest.raises(InvalidArgument, match="coin vector must be 1-d"):
             rho_from_characteristic([[1, 0], [0, 0]], np.eye(16), "x")
+
+    @pytest.mark.parametrize("chi", [[1, 1], [2, 0], [np.nan, 0]])
+    def test_a_chi_that_is_not_unit_is_bad_input(self, chi):
+        # bad input (exit 2), not a density matrix that fails its trace or Hermiticity check
+        with pytest.raises(InvalidArgument, match="^coin state is not normalized within 1e-12$"):
+            rho_local_closed(U2Params(0.7, 0.3, 0.2), chi)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgument, match="state lattice dimension does not match"):

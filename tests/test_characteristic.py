@@ -20,6 +20,7 @@ from coinwalk import (
     rho_distributed_example_closed,
     rho_from_characteristic,
     rho_local_closed,
+    u2_coin,
 )
 from coinwalk.characteristic import characteristic_stack
 from conftest import partial_trace, random_interior_params, random_unitary, swap_matrix
@@ -206,6 +207,25 @@ class TestIntegratedLocal:
         grid = QuadratureGrid(2048, 1)
         numeric = c_local(line_walk(p), grid) - c_local(line_walk(shifted), grid)
         assert np.max(np.abs(numeric)) <= 1e-8
+
+    @given(
+        theta=st.floats(min_value=0.05, max_value=PI - 0.05),
+        alpha=phase,
+        beta=phase,
+        # bipartite: [[1], [-1]], [[1, 0], [0, 1]], [[1, 2], [-1, 0]]; the others are not
+        shifts=st.sampled_from(
+            [[[1], [-1]], [[1], [0]], [[2], [-1]], [[1, 0], [0, 1]], [[1, 0], [0, 0]],
+             [[1, 1], [-1, 0]], [[1, 2], [-1, 0]]]
+        ),
+        points=st.integers(min_value=1, max_value=40),
+    )
+    @example(theta=1e-11, alpha=0.0, beta=0.0, shifts=[[1], [-1]], points=64)  # merged at k = 0, -pi
+    def test_two_band_gram_product_is_the_node_mean_of_c(self, theta, alpha, beta, shifts, points):
+        # 2x2 coins sum C(k) as (M I + X^T X) / 2 from D's entries X; this pins its index order
+        spec = WalkSpec(len(shifts[0]), 2, shifts, u2_coin(U2Params(theta, alpha, beta)))
+        grid = QuadratureGrid(points, spec.lattice_dim)
+        want = characteristic_stack(spec, grid.nodes).mean(axis=0)
+        assert np.max(np.abs(c_local(spec, grid) - want)) <= 1e-15
 
     def test_quadrature_converges(self):
         p = U2Params(0.3, 0.5, -0.2)
