@@ -214,10 +214,14 @@ def rho_distributed_example_closed(p: U2Params) -> AsymptoticResult:
 
 
 def entropy_of_pair(lam1: float, lam2: float) -> float:
-    """Binary von Neumann entropy of a two-eigenvalue spectrum, in bits."""
+    """Binary von Neumann entropy of a two-eigenvalue spectrum, in bits.
+
+    Floored at 0, as :func:`~coinwalk.linalg.von_neumann_entropy` is: an
+    eigenvalue rounding to slightly above 1 would otherwise make it negative.
+    """
     e = 0.0
     for lam in (lam1, lam2):
         if lam > 0:
             e -= lam * np.log2(lam)
-    return float(e)
+    return max(0.0, float(e))
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateDispersion, InvalidArgument, as_int
 from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
 from .states import to_origin
-from .walk import U2Params, WalkSpec, _fold_theta, build_uk, dispersion_gamma
+from .walk import U2Params, WalkSpec, _fold_theta, _shift_phases, build_uk, dispersion_gamma
 
 #: sin^2(gamma) below this is treated as a degenerate dispersion point
 DEGENERATE_SIN2 = 1e-14
@@ -69,7 +69,20 @@ class QuadratureGrid:
     @property
     def nodes(self) -> Array:
         """All nodes as a (N^d, d) array, lexicographic order: the last axis runs fastest."""
-        grids = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
+        return self._first_nodes(self.node_count)
+
+    def _first_nodes(self, count: int) -> Array:
+        """The first ``count`` rows of :attr:`nodes`, without the others.
+
+        ``count`` is a multiple of N^(d-1): the rows are the nodes whose first
+        coordinate is one of the first ``count / N^(d-1)`` entries of
+        :attr:`axis`. In 1-d they are a view of the axis.
+        """
+        axis = self.axis
+        lead = axis[: count // self.points_per_axis ** (self.dim - 1)]
+        if self.dim == 1:
+            return lead[:, None]
+        grids = np.meshgrid(lead, *([axis] * (self.dim - 1)), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -120,24 +133,25 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=Non
     bipartite; lazy, hexagonal and triangular shift tables are not. On an
     even grid the partner of node ``(j_0, j_1, ...)`` is
     ``(j_0 + N/2, j_1 + N/2, ...) mod N``, so only the nodes with
-    ``j_0 < N/2`` (the first half of the node array) are walked, and each
-    eigensolve serves two nodes (:func:`_half_zone`). With a table the sum
+    ``j_0 < N/2`` (the first half of :attr:`QuadratureGrid.nodes`) are walked,
+    and each eigensolve serves two nodes (:func:`_half_zone`). With a table the sum
     still covers every node and is divided by :attr:`QuadratureGrid.node_count`;
     without one the integrand is the same at k and its partner, so the mean
     over the walked nodes is the mean over the grid. Odd grids and other
     walks walk every node.
 
-    A block holds as many nodes as fit a C(k) stack of ``_BLOCK_BYTES``, so the
-    working memory does not grow with the grid; only the (N^d, d) node array
-    does, at 8 d bytes per node. Blocks are summed in node order, so results
-    are bit-stable across runs.
+    Only the walked nodes are built, as one array (a view of
+    :attr:`QuadratureGrid.axis` in 1-d). A block holds as many nodes as fit a
+    C(k) stack of ``_BLOCK_BYTES``, so the working memory does not grow with
+    the grid; only the array of walked nodes does, at 8 d bytes per node.
+    Blocks are summed in node order, so results are bit-stable across runs.
 
     Raises
     ------
     InvalidArgument
         If the grid's dimension is not the walk's (checked first), if the
         state's positions are N or more apart on some axis (the grid aliases
-        sites N apart), or if numpy cannot allocate the node array (or a block).
+        sites N apart), or if numpy cannot allocate the walked nodes (or a block).
     DegenerateDispersion
         For a 2x2 coin with a zero off-diagonal entry, whose bands cross;
         checked after the positions and before any node is allocated.
@@ -155,12 +169,11 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=Non
             )
     _require_nondegenerate_coin(spec)
     too_large = f"the {grid.points_per_axis}^{grid.dim} quadrature grid does not fit in memory"
+    half = _half_zone(spec, grid)
     try:
-        nodes = grid.nodes
+        nodes = grid._first_nodes(grid.node_count // 2 if half else grid.node_count)
     except (MemoryError, ValueError) as exc:
         raise InvalidArgument(too_large) from exc
-    half = _half_zone(spec, grid)
-    nodes = nodes[: grid.node_count // 2] if half else nodes
     size = max(1, _BLOCK_BYTES // (16 * spec.coin_dim**4))
 
     def block(i: int) -> Array:
@@ -294,23 +307,30 @@ def _involution_2(spec: WalkSpec, ks: Array) -> Array:
 
     D is Hermitian with ``D^2 = I`` (the Bloch axis of ``U_k``) and ``P_1,2 = (I +- D) / 2``;
     where the eigenvalues are closer than ``DEGENERACY_TOL``, ``U_k`` is scalar and ``D = I``.
-    Like :func:`~coinwalk.walk.build_uk`'s stack, the result views a (2, 2, M) array.
+    No ``U_k`` is built: with the two rows ``phi_j`` of
+    :func:`~coinwalk.walk._shift_phases` and the coin ``c``, ``U_k`` is
+    ``[[phi_0 c_00, phi_0 c_01], [phi_1 c_10, phi_1 c_11]]``, the products
+    :func:`~coinwalk.walk.build_uk` forms, so D has its bits. Its four entry
+    rows are written in place into one (2, 2, M) array, and the result views it.
     """
-    u = build_uk(spec, ks).transpose(1, 2, 0)  # build_uk's (2, 2, M) layout, M innermost
-    diff = u[0, 0] - u[1, 1]  # 2 U - tr(U) I = [[diff, 2 u01], [2 u10, -diff]]
+    phi, c = _shift_phases(spec.shifts, ks), spec.coin
+    d = np.empty((2, 2, len(ks)), dtype=np.complex128)
+    for a, b in np.ndindex(2, 2):
+        np.multiply(phi[a], c[a, b], out=d[a, b])  # u_ab
+    d[0, 0] -= d[1, 1]  # 2 U - tr(U) I = [[diff, 2 u01], [2 u10, -diff]]
     # lam1 - lam2 = root; diff^2 + 4 u01 u10 equals tr^2 - 4 det without cancelling
-    root = np.sqrt(diff**2 + 4.0 * u[0, 1] * u[1, 0])
+    root = np.sqrt(d[0, 0] ** 2 + 4.0 * d[0, 1] * d[1, 0])
     # the chord |lam1 - lam2| and the phase gap differ by O(gap^3)
     degenerate = np.abs(root) <= DEGENERACY_TOL
     scale = 1.0 / np.where(degenerate, 1.0, root)
-    d = np.empty_like(u)
-    d[0, 0] = diff * scale
-    d[1, 1] = -d[0, 0]
+    d[0, 0] *= scale
+    np.negative(d[0, 0], out=d[1, 1])
     scale *= 2.0  # (2 u) s and u (2 s) are the same bits: doubling is exact
-    d[0, 1] = u[0, 1] * scale
-    d[1, 0] = u[1, 0] * scale
+    d[0, 1] *= scale
+    d[1, 0] *= scale
     d = d.transpose(2, 0, 1)
-    d[degenerate] = np.eye(2)
+    if degenerate.any():
+        d[degenerate] = np.eye(2)
     return d
 
 

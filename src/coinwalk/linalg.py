@@ -182,7 +182,8 @@ class DensityMatrix:
             raise NumericalFailure("density matrix is not Hermitian within 1e-10")
         a = (a + a.conj().T) / 2
         object.__setattr__(self, "matrix", a)
-        if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
+        trace = np.trace(a)
+        if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
             raise NumericalFailure("density matrix trace differs from 1 by more than 1e-10")
         spectrum = np.linalg.eigvalsh(a)
         if np.min(spectrum) < -1e-10:

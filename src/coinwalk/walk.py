@@ -122,18 +122,43 @@ def line_walk(p: U2Params) -> WalkSpec:
     return WalkSpec(lattice_dim=1, coin_dim=2, shifts=[[1], [-1]], coin=u2_coin(p))
 
 
+def _shift_phases(shifts: Array, ks: Array) -> Array:
+    """The phases ``exp(-1j k.s_j)``, (n, M), of the n shift rows at the M rows of ``ks``.
+
+    ``exp`` runs once per row, except that a row which negates an earlier one
+    is that row's conjugate. These are the bits ``exp`` would give: ``k.(-s)``
+    is ``-(k.s)`` exactly, cos is even and sin is odd. The one exception is a
+    zero: ``shifts @ ks.T`` can give +0.0 for both ``k.s`` and ``k.(-s)``, and
+    the sign of a zero argument is that of the phase's zero imaginary part,
+    so ``exp`` is taken again where the argument is zero. So the +-1 line and
+    the square lattice take half their exponentials.
+    """
+    phase = np.empty((len(shifts), len(ks)), dtype=np.complex128)
+    arg = shifts @ ks.T
+    rows = shifts.tolist()
+    for j, s in enumerate(rows):
+        mirror = [-x for x in s]
+        if mirror in rows[:j]:
+            np.conjugate(phase[rows.index(mirror)], out=phase[j])
+            np.exp(-1j * arg[j], out=phase[j], where=arg[j] == 0)
+        else:
+            np.exp(-1j * arg[j], out=phase[j])
+    return phase
+
+
 def build_uk(spec: WalkSpec, k) -> Array:
     """Momentum-space step operator ``diag_j(exp(-1j k.s_j)) @ coin``.
 
     ``k`` is a scalar (1-d walks only), one (d,) point or a (M, d) stack of
-    points; the result is (n, n) or (M, n, n). The entries are formed with the
-    node axis innermost, n^2 products of length M, and a stack is returned as
-    an (M, n, n) view of that (n, n, M) array.
+    points; the result is (n, n) or (M, n, n). The phases come from
+    :func:`_shift_phases`. The entries are formed with the node axis
+    innermost, n^2 products of length M, and a stack is returned as an
+    (M, n, n) view of that (n, n, M) array.
     """
     kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if kv.shape[-1] != spec.lattice_dim:
         raise InvalidArgument(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
-    phase = np.exp(-1j * (spec.shifts @ kv.reshape(-1, spec.lattice_dim).T))  # (n, M)
+    phase = _shift_phases(spec.shifts, kv.reshape(-1, spec.lattice_dim))  # (n, M)
     u = (phase[:, None, :] * spec.coin[:, :, None]).transpose(2, 0, 1)
     return u.reshape(*kv.shape[:-1], spec.coin_dim, spec.coin_dim)
 

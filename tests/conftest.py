@@ -33,6 +33,12 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def same_bits(a, b) -> bool:
+    """``np.array_equal`` of the two arrays' bits, which also tells 0.0 from -0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 def swap_matrix(n: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors of C^n (x) C^n."""
     s = np.zeros((n * n, n * n))

@@ -244,6 +244,10 @@ class TestEntanglementEntropy:
             0.8724, abs=1e-4
         )
 
+    def test_entropy_of_pair_is_never_negative(self):
+        # an eigenvalue rounding to just above 1 gave -3.2e-16
+        assert entropy_of_pair(1 + 2**-52, -(2**-52)) == 0.0
+
     def test_entangled_cpe_stays_high(self):
         # the maximally entangled start keeps the coin nearly maximally mixed
         for theta in np.linspace(0.1, PI - 0.1, 15):
@@ -623,9 +627,11 @@ class TestBlockedQuadrature:
     def test_bipartite_walks_on_even_grids_solve_half_the_nodes(
         self, n, d, points, walked, rng, monkeypatch
     ):
-        build, rows = characteristic.build_uk, []
+        # a 2x2 coin takes D straight from the shift phases and builds no U_k
+        seam = "_shift_phases" if n == 2 else "build_uk"
+        build, rows = getattr(characteristic, seam), []
         monkeypatch.setattr(
-            characteristic, "build_uk", lambda spec, ks: rows.append(len(ks)) or build(spec, ks)
+            characteristic, seam, lambda spec, ks: rows.append(len(ks)) or build(spec, ks)
         )
         spec = WalkSpec(d, n, self.SHIFTS[n, d], random_unitary(rng, n))
         grid = QuadratureGrid(points, d)

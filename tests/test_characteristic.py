@@ -22,8 +22,10 @@ from coinwalk import (
     rho_local_closed,
     u2_coin,
 )
-from coinwalk.characteristic import characteristic_stack
-from conftest import partial_trace, random_interior_params, random_unitary, swap_matrix
+from coinwalk import characteristic
+from coinwalk.characteristic import _involution_2, build_uk, characteristic_stack
+from coinwalk.linalg import DEGENERACY_TOL
+from conftest import partial_trace, random_interior_params, random_unitary, same_bits, swap_matrix
 from test_linalg import HADAMARD_C_AT_HALF_PI
 
 PI = np.pi
@@ -58,6 +60,18 @@ class TestQuadratureGrid:
     def test_rejects_a_non_integer_size(self, size, dim):
         with pytest.raises(InvalidArgument, match="integer"):
             QuadratureGrid(size, dim)
+
+    @pytest.mark.parametrize("points, dim", [(16, 1), (15, 1), (8, 2), (7, 2), (4, 3), (5, 3)])
+    def test_the_quadrature_walks_the_first_nodes(self, points, dim, rng):
+        # a bipartite walk on an even grid walks the first half of the nodes and builds no other
+        shifts = [[1] * dim, [-1] * dim]
+        spec = WalkSpec(dim, 2, shifts, random_unitary(rng, 2))
+        grid = QuadratureGrid(points, dim)
+        walked = []
+        characteristic._grid_mean(spec, grid, lambda kb, psi: walked.append(kb) or np.zeros(()))
+        count = grid.node_count // (2 if points % 2 == 0 else 1)
+        assert same_bits(np.concatenate(walked), grid.nodes[:count])
+        assert same_bits(grid._first_nodes(count), grid.nodes[:count])
 
 
 class TestPointwise:
@@ -157,6 +171,47 @@ class TestBatchedStack:
         if walk == "merged-2":
             assert np.all(got == np.eye(4), axis=(1, 2)).sum() == 2
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @staticmethod
+    def involution_from_u_stack(spec, ks):
+        """D at every node, read from a built (2, 2, M) U_k stack: _involution_2's reference."""
+        u = build_uk(spec, ks).transpose(1, 2, 0)
+        diff = u[0, 0] - u[1, 1]
+        root = np.sqrt(diff**2 + 4.0 * u[0, 1] * u[1, 0])
+        degenerate = np.abs(root) <= DEGENERACY_TOL
+        scale = 1.0 / np.where(degenerate, 1.0, root)
+        d = np.empty_like(u)
+        d[0, 0] = diff * scale
+        d[1, 1] = -d[0, 0]
+        d[0, 1] = u[0, 1] * (2.0 * scale)
+        d[1, 0] = u[1, 0] * (2.0 * scale)
+        d = d.transpose(2, 0, 1)
+        d[degenerate] = np.eye(2)
+        return d
+
+    @given(
+        theta=st.sampled_from([1e-11, PI / 2, 0.3, 1.2, 2.5]),
+        alpha=phase,
+        beta=phase,
+        shifts=st.sampled_from(
+            [[[1], [-1]], [[2], [-2]], [[1], [0]], [[1, 0], [-1, 0]], [[1, 1], [0, -1]]]
+        ),
+        haar=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # theta = 1e-11, alpha = 0 merges the two eigenvalues at k = 0 and k = -pi
+    @example(theta=1e-11, alpha=0.0, beta=0.0, shifts=[[1], [-1]], haar=False, seed=0)
+    def test_involution_is_the_u_stack_formula_to_the_bit(
+        self, theta, alpha, beta, shifts, haar, seed
+    ):
+        rng = np.random.default_rng(seed)
+        coin = random_unitary(rng, 2) if haar else u2_coin(U2Params(theta, alpha, beta))
+        spec = WalkSpec(len(shifts[0]), 2, shifts, coin)
+        ks = QuadratureGrid(16, spec.lattice_dim).nodes
+        ks = np.concatenate([ks, rng.uniform(-PI, PI, size=(20, spec.lattice_dim))])
+        got, want = _involution_2(spec, ks), self.involution_from_u_stack(spec, ks)
+        assert got.shape == (len(ks), 2, 2) and got.base.shape == (2, 2, len(ks))
+        assert same_bits(got, want)
 
     @pytest.mark.parametrize("theta", [1e-11, 1e-6, 1e-4])
     def test_near_pauli_coin_matches_per_node_route(self, theta):

@@ -13,7 +13,7 @@ from coinwalk import (
     u2_coin,
 )
 from coinwalk.linalg import eig_unitary
-from conftest import unitarity_error
+from conftest import random_unitary, same_bits, unitarity_error
 
 PI = np.pi
 
@@ -121,6 +121,33 @@ def test_build_uk_broadcasts_over_a_stack_of_points(rng):
     assert np.array_equal(build_uk(spec, ks), np.stack([build_uk(spec, k) for k in ks]))
     with pytest.raises(InvalidArgument, match=r"k has shape \(5, 3\), walk lattice_dim is 2"):
         build_uk(spec, rng.uniform(-PI, PI, size=(5, 3)))
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        [[1], [-1]],
+        [[1, 0], [-1, 0], [0, 1], [0, -1]],
+        [[2], [-2]],
+        [[1], [1], [-1]],
+        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+    ],
+    ids=["line", "square", "shifts-2-minus-2", "rank-2-repro", "tetrahedral", "hexagonal"],
+)
+def test_build_uk_is_the_phase_product_to_the_bit(shifts, rng):
+    # a shift that negates an earlier one takes the conjugate of its phases,
+    # and a zero argument keeps the sign of exp's zero imaginary part; the
+    # identity coin with -0.0 parts carries that sign into U_k
+    n, d = np.shape(shifts)
+    axis = -PI + 2 * PI * np.arange(12) / 12  # holds k = 0 and k = -pi
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    for coin in (random_unitary(rng, n), np.conj(np.eye(n, dtype=complex))):
+        spec = WalkSpec(d, n, shifts, coin)
+        for ks in (grid, rng.uniform(-PI, PI, size=(50, d)), -grid):
+            phase = np.exp(-1j * (spec.shifts @ ks.T))
+            want = (phase[:, None, :] * spec.coin[:, :, None]).transpose(2, 0, 1)
+            assert same_bits(build_uk(spec, ks), want)
 
 
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
