@@ -95,7 +95,7 @@ def rho_asymptotic(
         d = _involution_2(spec, kb)
         y = np.empty((2, *psi.shape[:2]), dtype=np.complex128)  # (row, g, M)
         for a in range(2):
-            y[a] = d[:, a, 0] * psi[..., 0] + d[:, a, 1] * psi[..., 1]
+            y[a] = d[a, 0] * psi[..., 0] + d[a, 1] * psi[..., 1]
         y = y.reshape(2, -1)
         return y @ y.conj().T
 

@@ -9,12 +9,14 @@ any rank. Its k-integrals (uniform for local states, |Q(k)|^2-weighted for
 distributed ones) are constant matrices that fully characterize the walk.
 
 Summing over eigenspace projectors (rather than individual eigenvectors)
-makes C basis-independent also at degenerate k-points and on flat bands. For
-a 2x2 coin, ``D = P_1 - P_2`` fixes both: ``C = (I (x) I + D (x) D) / 2``.
-For other coins, with orthonormal eigenvectors ``v_j``,
+makes C basis-independent also at degenerate k-points and on flat bands.
+With orthonormal eigenvectors ``v_j``,
 ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` where ``z_ij = v_i (x) v_j`` is
 indexed by ``(a, c)``; so C is the Gram product ``Z Z^dag`` of
 ``Z = [v_j (x) v_j]_j`` plus the pairs ``i != j`` that share an eigenspace.
+For a 2x2 coin, ``D = P_1 - P_2`` fixes both projectors, so
+``C = (I (x) I + D (x) D) / 2``; the 2x2 integrands of :func:`c_local` and
+:func:`~coinwalk.asymptotics.rho_asymptotic` read D and build no C.
 """
 
 from __future__ import annotations
@@ -269,23 +271,16 @@ def characteristic_at_k(spec: WalkSpec, k) -> Array:
 def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2).
 
-    For 2x2 coins ``C = (I (x) I + D (x) D) / 2`` with ``D`` from :func:`_involution_2`.
-    Other coins take one batched eigensolve: ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag``
-    with ``z_ij = v_i (x) v_j``, whose rows already run over ``(a, c)``, so C is one
-    batched ``Z Z^dag`` over the pairs i = j, ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n),
-    plus the pairs i != j of one eigenspace at the nodes that have any (flat bands,
-    crossings, merged eigenvalues). Both routes merge eigenvalues closer than
-    ``DEGENERACY_TOL``.
+    One batched eigensolve for every coin dimension:
+    ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` with ``z_ij = v_i (x) v_j``, whose rows
+    already run over ``(a, c)``, so C is one batched ``Z Z^dag`` over the pairs i = j,
+    ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n), plus the pairs i != j of one eigenspace
+    at the nodes that have any (flat bands, crossings, merged eigenvalues). Eigenvalues
+    closer than ``DEGENERACY_TOL`` are merged.
 
     The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
     this one fixed-size block of nodes at a time.
     """
-    if spec.coin_dim == 2:  # the closed form is about 15x faster than the batched eigensolve
-        d = _involution_2(spec, ks)
-        c = (d[:, :, None, :, None] * d[:, None, :, None, :]).reshape(-1, 4, 4)  # D (x) D
-        c += np.eye(4)
-        c *= 0.5
-        return c
     _, v, labels = eig_unitary_batch(build_uk(spec, ks))
     m, n = labels.shape
     z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
@@ -303,15 +298,15 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
 
 
 def _involution_2(spec: WalkSpec, ks: Array) -> Array:
-    """``D = P_1 - P_2 = (2 U_k - tr(U_k) I) / (lam_1 - lam_2)`` of each 2x2 ``U_k``, (M, 2, 2).
+    """``D = P_1 - P_2 = (2 U_k - tr(U_k) I) / (lam_1 - lam_2)`` of each 2x2 ``U_k``, (2, 2, M).
 
     D is Hermitian with ``D^2 = I`` (the Bloch axis of ``U_k``) and ``P_1,2 = (I +- D) / 2``;
     where the eigenvalues are closer than ``DEGENERACY_TOL``, ``U_k`` is scalar and ``D = I``.
     No ``U_k`` is built: with the two rows ``phi_j`` of
     :func:`~coinwalk.walk._shift_phases` and the coin ``c``, ``U_k`` is
     ``[[phi_0 c_00, phi_0 c_01], [phi_1 c_10, phi_1 c_11]]``, the products
-    :func:`~coinwalk.walk.build_uk` forms, so D has its bits. Its four entry
-    rows are written in place into one (2, 2, M) array, and the result views it.
+    :func:`~coinwalk.walk.build_uk` forms, so D has its bits. The result holds
+    one entry row per matrix entry, ``D[a, b]`` over the M nodes, as its readers index it.
     """
     phi, c = _shift_phases(spec.shifts, ks), spec.coin
     d = np.empty((2, 2, len(ks)), dtype=np.complex128)
@@ -328,9 +323,8 @@ def _involution_2(spec: WalkSpec, ks: Array) -> Array:
     scale *= 2.0  # (2 u) s and u (2 s) are the same bits: doubling is exact
     d[0, 1] *= scale
     d[1, 0] *= scale
-    d = d.transpose(2, 0, 1)
     if degenerate.any():
-        d[degenerate] = np.eye(2)
+        d[:, :, degenerate] = np.eye(2)[:, :, None]
     return d
 
 
@@ -393,7 +387,7 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     def block_sum(kb: Array, _) -> Array:
         if spec.coin_dim != 2:  # perfbench/layers.py divides by this call's time
             return characteristic_stack(spec, kb).sum(axis=0)
-        x = _involution_2(spec, kb).transpose(1, 2, 0).reshape(4, -1)  # X^T, rows (a, b)
+        x = _involution_2(spec, kb).reshape(4, -1)  # X^T, rows (a, b)
         # (X^T X)_(a,b),(c,d) = sum_k D_ab D_cd, reordered to C's (a, c), (b, d)
         s = (x @ x.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         return 0.5 * (len(kb) * np.eye(4) + s)

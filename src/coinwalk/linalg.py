@@ -88,19 +88,21 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     orthonormal eigenvectors, also inside degenerate eigenspaces, and the
     phases ``psi = a + 2 arctan(w)``. The pole ``psi = a + pi`` is avoided
     node by node: a node with some ``|w| > 100`` (an eigenphase within
-    ~0.02 rad of the pole), or with an eigenvector residual above 1e-12 (an
+    ~0.02 rad of the pole), or with an eigenvector residual above 1e-9 (an
     eigenphase on the pole), is solved again with the next of the n + 1 shifts
     ``a_j = 0.7 + 2 pi j / (n + 1)``. Its n eigenphases cannot lie near all
     n + 1 poles, so some shift leaves each of them at least ``pi / (n + 1)``
     from its pole and every node is done within n + 1 rounds. The
-    eigenvector error stays below about ``2 * 100 * eps / gap``.
+    eigenvector error stays below about ``2 * 100 * eps / gap``. A solved
+    node's residual is about the input's deviation from unitarity (up to
+    1e-10) and a pole's is of order 1, so the bound sits between them.
 
     Raises
     ------
     InvalidArgument
         If the stack is empty or some matrix is not unitary within 1e-10.
     NumericalFailure
-        If the solver fails, if some node's eigenvector residual exceeds 1e-12
+        If the solver fails, if some node's eigenvector residual exceeds 1e-9
         at every shift, or if ``V^dag V`` deviates from the identity by more
         than 1e-12 at some node.
     """
@@ -123,8 +125,9 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
             raise NumericalFailure(f"eigensolver failed: {exc}") from exc
         psi = shift + 2 * np.arctan(w)
         # an eigenphase on the pole itself can leave I + V singular only up to
-        # rounding, and H small and wrong; the node's residual shows it
-        fits = np.max(np.abs(b @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-12
+        # rounding, and H small and wrong; the node's residual shows it (~0.5 at
+        # theta = 0.7, alpha = -pi, k = 0 on the line)
+        fits = np.max(np.abs(b @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-9
         done = regular & (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
         phases[todo[done]] = psi[done]
         vectors[todo[done]] = x[done]

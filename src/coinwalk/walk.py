@@ -150,16 +150,15 @@ def build_uk(spec: WalkSpec, k) -> Array:
     """Momentum-space step operator ``diag_j(exp(-1j k.s_j)) @ coin``.
 
     ``k`` is a scalar (1-d walks only), one (d,) point or a (M, d) stack of
-    points; the result is (n, n) or (M, n, n). The phases come from
-    :func:`_shift_phases`. The entries are formed with the node axis
-    innermost, n^2 products of length M, and a stack is returned as an
-    (M, n, n) view of that (n, n, M) array.
+    points; the result is (n, n) or a C-ordered (M, n, n), the layout
+    :func:`~coinwalk.linalg.eig_unitary_batch` reads. The phases come from
+    :func:`_shift_phases`.
     """
     kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if kv.shape[-1] != spec.lattice_dim:
         raise InvalidArgument(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
     phase = _shift_phases(spec.shifts, kv.reshape(-1, spec.lattice_dim))  # (n, M)
-    u = (phase[:, None, :] * spec.coin[:, :, None]).transpose(2, 0, 1)
+    u = np.multiply(phase.T[:, :, None], spec.coin, order="C")
     return u.reshape(*kv.shape[:-1], spec.coin_dim, spec.coin_dim)
 
 

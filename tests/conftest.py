@@ -39,6 +39,19 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
+def c_from_involution(d) -> np.ndarray:
+    """``C(k) = (I (x) I + D (x) D) / 2`` per node, (M, 4, 4), from the (2, 2, M) entries of D.
+
+    C's rows run over (a, c) and its columns over (b, d), so its entries are
+    ``(delta_ab delta_cd + D_ab D_cd) / 2``; where ``D = I`` it is exactly I.
+    """
+    dm = np.moveaxis(d, 2, 0)
+    c = (dm[:, :, None, :, None] * dm[:, None, :, None, :]).reshape(-1, 4, 4)
+    c += np.eye(4)
+    c *= 0.5
+    return c
+
+
 def swap_matrix(n: int) -> np.ndarray:
     """Permutation exchanging the two tensor factors of C^n (x) C^n."""
     s = np.zeros((n * n, n * n))

@@ -31,9 +31,9 @@ from coinwalk import (
     u2_coin,
 )
 from coinwalk import asymptotics, characteristic, states
-from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack
+from coinwalk.characteristic import _BLOCK_BYTES, _involution_2, characteristic_stack
 from coinwalk.states import psi_k_many
-from conftest import random_interior_params, random_unitary, unit_vector
+from conftest import c_from_involution, random_interior_params, random_unitary, unit_vector
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -496,7 +496,8 @@ class TestBlockedQuadrature:
 
     @pytest.mark.parametrize("walk", ["haar", "flat-bands", "merged-nodes"])
     def test_two_band_walks_match_the_einsum_of_c(self, walk, rng):
-        # n = 2 contracts its projectors with psi_k and builds no C
+        # n = 2 contracts D with psi_k and builds no C; the reference contracts
+        # C = (I (x) I + D (x) D) / 2 of the same D
         grid = QuadratureGrid(4096, 1)
         if walk == "haar":
             spec = WalkSpec(1, 2, self.SHIFTS[2, 1], random_unitary(rng, 2))
@@ -504,7 +505,7 @@ class TestBlockedQuadrature:
             spec = line_walk(U2Params(PI / 2, 0.7, -1.9))
         else:  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace at those nodes
             spec = line_walk(U2Params(1e-11, 0.0, 0.0))
-        c = characteristic_stack(spec, grid.nodes)
+        c = c_from_involution(_involution_2(spec, grid.nodes))
         merged = np.all(c == np.eye(4), axis=(1, 2))
         assert merged.sum() == (2 if walk == "merged-nodes" else 0)
         for state in self.states(rng, 2, 1) + [self.packet(rng, 128)]:

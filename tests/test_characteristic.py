@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -25,7 +28,14 @@ from coinwalk import (
 from coinwalk import characteristic
 from coinwalk.characteristic import _involution_2, build_uk, characteristic_stack
 from coinwalk.linalg import DEGENERACY_TOL
-from conftest import partial_trace, random_interior_params, random_unitary, same_bits, swap_matrix
+from conftest import (
+    c_from_involution,
+    partial_trace,
+    random_interior_params,
+    random_unitary,
+    same_bits,
+    swap_matrix,
+)
 from test_linalg import HADAMARD_C_AT_HALF_PI
 
 PI = np.pi
@@ -138,8 +148,7 @@ class TestBatchedStack:
         ["grover-2d", "haar-3", "haar-6-3d", "haar-2", "haar-2-2d", "merged-2", "rank-2", "rank-3"],
     )
     def test_matches_per_node_route(self, walk, rng):
-        # the 2-d Grover walk has flat bands and merged eigenspaces at many nodes;
-        # 2x2 coins take the closed form (I (x) I + D (x) D) / 2
+        # the 2-d Grover walk has flat bands and merged eigenspaces at many nodes
         if walk == "grover-2d":
             coin = np.full((4, 4), 0.5) - np.eye(4)
             spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], coin)
@@ -167,15 +176,39 @@ class TestBatchedStack:
             spec = WalkSpec(1, 4, [[1], [1], [1], [-1]], np.eye(4))
             ks = QuadratureGrid(64, 1).nodes
         want = np.stack([characteristic_at_k(spec, k) for k in ks])
-        got = characteristic_stack(spec, ks)
-        if walk == "merged-2":
-            assert np.all(got == np.eye(4), axis=(1, 2)).sum() == 2
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "walk",
+        ["haar-2", "haar-2-2d", "merged-2", "near-pauli-1e-11", "near-pauli-1e-6", "near-pauli-1e-4"],
+    )
+    def test_involution_gives_the_per_node_c(self, walk, rng):
+        # C = (I (x) I + D (x) D) / 2: the identity behind the 2x2 integrands
+        bound, merged = 1e-12, 0
+        if walk == "haar-2":
+            spec = WalkSpec(1, 2, [[1], [-1]], random_unitary(rng, 2))
+            ks = QuadratureGrid(64, 1).nodes
+        elif walk == "haar-2-2d":
+            spec = WalkSpec(2, 2, [[1, 2], [-1, 0]], random_unitary(rng, 2))
+            ks = QuadratureGrid(8, 2).nodes
+        elif walk == "merged-2":  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace there
+            spec, merged = line_walk(U2Params(1e-11, 0.0, 0.0)), 2
+            ks = QuadratureGrid(64, 1).nodes
+        else:
+            # the band gap at k = alpha (mod pi) is ~2 theta: merged below 1e-9,
+            # ill-conditioned but resolved just above it
+            theta = float(walk.rsplit("-", 1)[1])
+            spec, bound, merged = line_walk(U2Params(theta, 0.3, 0.1)), 1e-10, 2 * (theta < 1e-9)
+            ks = np.concatenate([QuadratureGrid(64).nodes, [[0.3], [0.3 + 1e-6], [0.3 - PI]]])
+        want = np.stack([characteristic_at_k(spec, k) for k in ks])
+        got = c_from_involution(_involution_2(spec, ks))
+        assert np.all(got == np.eye(4), axis=(1, 2)).sum() == merged
+        assert np.max(np.abs(got - want)) <= bound
 
     @staticmethod
     def involution_from_u_stack(spec, ks):
-        """D at every node, read from a built (2, 2, M) U_k stack: _involution_2's reference."""
-        u = build_uk(spec, ks).transpose(1, 2, 0)
+        """D at every node, (2, 2, M), read from a built U_k stack: _involution_2's reference."""
+        u = np.moveaxis(build_uk(spec, ks), 0, 2)
         diff = u[0, 0] - u[1, 1]
         root = np.sqrt(diff**2 + 4.0 * u[0, 1] * u[1, 0])
         degenerate = np.abs(root) <= DEGENERACY_TOL
@@ -185,8 +218,7 @@ class TestBatchedStack:
         d[1, 1] = -d[0, 0]
         d[0, 1] = u[0, 1] * (2.0 * scale)
         d[1, 0] = u[1, 0] * (2.0 * scale)
-        d = d.transpose(2, 0, 1)
-        d[degenerate] = np.eye(2)
+        d[:, :, degenerate] = np.eye(2)[:, :, None]
         return d
 
     @given(
@@ -210,18 +242,8 @@ class TestBatchedStack:
         ks = QuadratureGrid(16, spec.lattice_dim).nodes
         ks = np.concatenate([ks, rng.uniform(-PI, PI, size=(20, spec.lattice_dim))])
         got, want = _involution_2(spec, ks), self.involution_from_u_stack(spec, ks)
-        assert got.shape == (len(ks), 2, 2) and got.base.shape == (2, 2, len(ks))
+        assert got.shape == (2, 2, len(ks)) and got.flags.c_contiguous
         assert same_bits(got, want)
-
-    @pytest.mark.parametrize("theta", [1e-11, 1e-6, 1e-4])
-    def test_near_pauli_coin_matches_per_node_route(self, theta):
-        # the band gap at k = alpha (mod pi) is ~2 theta: merged below 1e-9,
-        # ill-conditioned but resolved just above it
-        p = U2Params(theta, 0.3, 0.1)
-        near = [[p.alpha], [p.alpha + 1e-6], [p.alpha - PI]]
-        ks = np.concatenate([QuadratureGrid(64).nodes, near])
-        want = np.stack([characteristic_at_k(line_walk(p), k) for k in ks])
-        assert np.max(np.abs(characteristic_stack(line_walk(p), ks) - want)) <= 1e-10
 
 
 class TestIntegratedLocal:
@@ -279,7 +301,7 @@ class TestIntegratedLocal:
         # 2x2 coins sum C(k) as (M I + X^T X) / 2 from D's entries X; this pins its index order
         spec = WalkSpec(len(shifts[0]), 2, shifts, u2_coin(U2Params(theta, alpha, beta)))
         grid = QuadratureGrid(points, spec.lattice_dim)
-        want = characteristic_stack(spec, grid.nodes).mean(axis=0)
+        want = c_from_involution(_involution_2(spec, grid.nodes)).mean(axis=0)
         assert np.max(np.abs(c_local(spec, grid) - want)) <= 1e-15
 
     def test_quadrature_converges(self):
@@ -340,3 +362,103 @@ class TestIntegratedSeparable:
         c = sum(2 * np.sin(k) ** 2 * c_of_k_u2(p, k) for k in ks) / n
         want = rho_from_characteristic(chi, c, "numeric_quadrature").rho.matrix
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@st.composite
+def haar_walks(draw):
+    """A walk with a Haar coin (d <= 3, n <= 4, shifts in [-2, 2]^d) and a grid of any size."""
+    d = draw(st.integers(1, 3), label="d")
+    n = draw(st.integers(2, 4), label="n")
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    points = draw(st.integers(1, {1: 40, 2: 12, 3: 6}[d]), label="N")
+    return WalkSpec(d, n, shifts, random_unitary(rng, n)), QuadratureGrid(points, d)
+
+
+def local_channel(spec, grid) -> np.ndarray:
+    """The matrix of ``Phi(X) = <sum_w P_w X P_w>_k`` on row-major ``vec(X)``, from c_local."""
+    n = spec.coin_dim
+    return c_local(spec, grid).reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+
+
+class TestLocalChannel:
+    """Exact identities of the local-state channel Phi, on every grid.
+
+    Each pinching ``X -> sum_w P_w X P_w`` is an orthogonal projection, so their
+    average Phi is Hermitian and PSD with spectrum in [0, 1], unital and
+    trace-preserving.
+    """
+
+    @given(walk=haar_walks())
+    def test_hermitian_psd_with_spectrum_in_the_unit_interval(self, walk):
+        phi = local_channel(*walk)
+        assert np.max(np.abs(phi - phi.conj().T)) <= 1e-14
+        spectrum = np.linalg.eigvalsh(phi)
+        assert spectrum[0] >= -1e-14 and spectrum[-1] <= 1 + 1e-14
+
+    @given(walk=haar_walks())
+    def test_unital_and_trace_preserving(self, walk):
+        phi = local_channel(*walk)
+        identity = np.eye(walk[0].coin_dim).ravel()
+        assert np.max(np.abs(phi @ identity - identity)) <= 1e-14  # Phi(I) = I
+        assert np.max(np.abs(identity @ phi - identity)) <= 1e-14  # tr Phi(X) = tr X
+
+    @given(walk=haar_walks(), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_holds_the_coin_conjugates_of_diagonal_matrices(self, walk, seed):
+        # a diagonal A commutes with the shift phases, so U_k^dag A U_k = C^dag A C and
+        # P_w (C^dag A C - A) P_w = 0 at every node
+        spec, grid = walk
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(spec.coin_dim) + 1j * rng.standard_normal(spec.coin_dim)
+        a = np.diag(a / np.max(np.abs(a)))
+        x = spec.coin.conj().T @ a @ spec.coin - a
+        assert np.max(np.abs(local_channel(spec, grid) @ x.ravel())) <= 1e-14
+
+
+@st.composite
+def two_band_walks(draw):
+    """``(p, spec)``: the coin ``e^(i gamma) u2_coin(p)`` on two distinct shifts.
+
+    ``|sin theta| >= sin 0.3``, of either sign, so the grid error is rounding at
+    64 values of ``k.Delta`` and no node merges the two bands.
+    """
+    d = draw(st.integers(1, 3), label="d")
+    shifts = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=2, max_size=2, unique=True)
+    )
+    theta = draw(st.floats(0.3, PI - 0.3), label="theta") * draw(st.sampled_from([1, -1]))
+    p = U2Params(theta, draw(phase, label="alpha"), draw(phase, label="beta"))
+    coin = np.exp(1j * draw(phase, label="global phase")) * u2_coin(p)
+    return p, WalkSpec(d, 2, shifts, coin)
+
+
+class TestTwoBandLattices:
+    """A single-stage 2x2 walk's C_bar is the U(2) line's, on every lattice.
+
+    ``U_k = e^(-i k.s_1) diag(e^(-i k.Delta), 1) C`` with ``Delta = s_0 - s_1``: the
+    global phase leaves the projectors alone, and k.Delta is uniform on the
+    circle when k is uniform on the torus.
+    """
+
+    @given(walk=two_band_walks(), base=st.integers(64, 68))
+    def test_c_local_is_the_closed_form_of_the_line(self, walk, base):
+        p, spec = walk
+        # k.Delta takes N / gcd(N, g) values on the N^d grid, g the gcd of Delta's
+        # components; 64 of them reach rounding for |sin theta| >= sin 0.3
+        g = math.gcd(*(spec.shifts[0] - spec.shifts[1]).tolist())
+        points = next(m for m in itertools.count(base) if m // math.gcd(m, g) >= 64)
+        got = c_local(spec, QuadratureGrid(points, spec.lattice_dim))
+        assert np.max(np.abs(got - c_local_u2(p))) <= 1e-13
+
+    @given(walk=two_band_walks(), data=st.data())
+    def test_the_null_coin_state_dephases_to_half_the_identity(self, walk, data):
+        # the coin state along the Bloch vector of M = C^dag sigma_z C - sigma_z is
+        # (I + M / |M|) / 2, and Phi(M) = 0 (TestLocalChannel's kernel), so rho = I / 2
+        _, spec = walk
+        d = spec.lattice_dim
+        points = data.draw(st.integers(1, {1: 17, 2: 6, 3: 4}[d]), label="N")
+        sigma_z = np.diag([1.0, -1.0])
+        _, vectors = np.linalg.eigh(spec.coin.conj().T @ sigma_z @ spec.coin - sigma_z)
+        state = LocalState((0,) * d, vectors[:, 1])
+        result = rho_asymptotic(spec, state, QuadratureGrid(points, d))
+        assert np.max(np.abs(result.rho.matrix - np.eye(2) / 2)) <= 2e-15

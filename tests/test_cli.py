@@ -44,6 +44,16 @@ shift 0 1
 shift 0 -1
 """
 SQUARE_SHIFTS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+# the 3x3 DFT coin typed to 11 significant digits, unitary only within 5.8e-12,
+# on the lazy line
+DFT_11_DIGITS_CFG = """dim 1
+coin 0.57735026919, 0.57735026919, 0.57735026919
+coin 0.57735026919, -0.28867513459+0.5i, -0.28867513459-0.5i
+coin 0.57735026919, -0.28867513459-0.5i, -0.28867513459+0.5i
+shift 1
+shift 0
+shift -1
+"""
 # two sites at the ends of int64, and a line walk whose shifts are 2**63 apart
 INT64_ENDS = "dist {-9223372036854775808:0.7071067811865476, 9223372036854775807:0.7071067811865476} chi=(1,0)"
 SHIFTS_62_CFG = f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**62}\nshift {-(2**62)}\n"
@@ -237,6 +247,20 @@ class TestRho:
         expected = rho_asymptotic(parse_walk_config(DIAGONAL_CFG), parse_state(state)).rho.matrix
         assert np.array_equal(np.array(doc["rho_re"]), expected.real)
         assert np.array_equal(np.array(doc["rho_im"]), expected.imag)
+
+    def test_a_coin_typed_to_11_digits_is_solved(self, capsys, tmp_path):
+        # WalkSpec admits it, so every node's eigensolve must accept its residual
+        cfg = tmp_path / "dft.cfg"
+        cfg.write_text(DFT_11_DIGITS_CFG)
+        state = "local v=0 chi=(1,0,0)"
+        code, out, err = run(capsys, "rho", "--walk-file", str(cfg), "--state", state)
+        assert (code, err) == (0, "")
+        w = np.exp(2j * PI / 3)
+        dft = np.vander([1, w, w * w], increasing=True) / 3**0.5
+        want = rho_asymptotic(coinwalk.WalkSpec(1, 3, [[1], [0], [-1]], dft), parse_state(state))
+        doc = json.loads(out)
+        got = np.array(doc["rho_re"]) + 1j * np.array(doc["rho_im"])
+        assert np.max(np.abs(got - want.rho.matrix)) <= 1e-9
 
     def test_default_two_dimensional_grid_runs_in_bounded_memory(self, tmp_path):
         # at 256^2 nodes one C(k) stack of a 4-state coin alone would take 268 MB

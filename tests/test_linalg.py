@@ -7,10 +7,12 @@ import coinwalk.linalg
 from coinwalk import (
     DensityMatrix,
     InvalidArgument,
+    LocalState,
     NumericalFailure,
     QuadratureGrid,
     WalkSpec,
     build_uk,
+    rho_asymptotic,
     von_neumann_entropy,
 )
 from coinwalk.linalg import (
@@ -20,7 +22,7 @@ from coinwalk.linalg import (
     eig_unitary_batch,
     is_unitary,
 )
-from conftest import partial_trace, random_unitary
+from conftest import partial_trace, random_unitary, unit_vector
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
 # hand: L = 1/2, F = 0, G = -1/2
@@ -313,6 +315,32 @@ class TestCayleySolve:
         stack[1] *= 1 + 1e-9
         with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
             eig_unitary_batch(stack)
+
+    @pytest.mark.parametrize(
+        "shifts, points",
+        [
+            ([[1], [0], [-1]], 256),  # the lazy line
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], 16),  # the square lattice
+            ([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], 16),  # ... and a lazy coin state
+            ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], 6),
+        ],
+        ids=["n=3", "n=4", "n=5", "n=6"],
+    )
+    @pytest.mark.parametrize("deviation", [4e-12, 3e-11, 9.9e-11])
+    def test_coins_admitted_as_unitary_are_solved(self, shifts, points, deviation, rng):
+        # WalkSpec admits a coin unitary within 1e-10, and a node of such a walk
+        # keeps an eigenvector residual of about its deviation at every shift
+        n, d = np.shape(shifts)
+        coin = random_unitary(rng, n)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h += h.conj().T
+        # (I + e h) coin^dag coin (I + e h) - I = 2 e h + O(e^2)
+        near = coin @ (np.eye(n) + deviation / (2 * np.max(np.abs(h))) * h)
+        assert 0.99 * deviation <= np.max(np.abs(near.conj().T @ near - np.eye(n))) <= 1e-10
+        state, grid = LocalState((0,) * d, unit_vector(rng, n)), QuadratureGrid(points, d)
+        got = rho_asymptotic(WalkSpec(d, n, shifts, near), state, grid).rho.matrix
+        want = rho_asymptotic(WalkSpec(d, n, shifts, coin), state, grid).rho.matrix
+        assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_a_node_on_every_pole_is_a_numerical_failure(self, rng, monkeypatch):
         # no node is ever regular, so every one is left for the next shift

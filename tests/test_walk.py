@@ -147,7 +147,8 @@ def test_build_uk_is_the_phase_product_to_the_bit(shifts, rng):
         for ks in (grid, rng.uniform(-PI, PI, size=(50, d)), -grid):
             phase = np.exp(-1j * (spec.shifts @ ks.T))
             want = (phase[:, None, :] * spec.coin[:, :, None]).transpose(2, 0, 1)
-            assert same_bits(build_uk(spec, ks), want)
+            got = build_uk(spec, ks)
+            assert same_bits(got, want) and got.flags.c_contiguous
 
 
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
