@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDispersion, InvalidArgument, as_int
-from .linalg import DEGENERACY_TOL, Array, eig_unitary, eig_unitary_batch
+from .linalg import DEGENERACY_TOL, Array, _eig_unitary_stack, eig_unitary
 from .states import to_origin
 from .walk import U2Params, WalkSpec, _fold_theta, _shift_phases, build_uk, dispersion_gamma
 
@@ -281,7 +281,7 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
     this one fixed-size block of nodes at a time.
     """
-    _, v, labels = eig_unitary_batch(build_uk(spec, ks))
+    _, v, labels = _eig_unitary_stack(build_uk(spec, ks))  # WalkSpec admitted the coin
     m, n = labels.shape
     z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
     c = z @ z.conj().swapaxes(1, 2)
@@ -302,16 +302,12 @@ def _involution_2(spec: WalkSpec, ks: Array) -> Array:
 
     D is Hermitian with ``D^2 = I`` (the Bloch axis of ``U_k``) and ``P_1,2 = (I +- D) / 2``;
     where the eigenvalues are closer than ``DEGENERACY_TOL``, ``U_k`` is scalar and ``D = I``.
-    No ``U_k`` is built: with the two rows ``phi_j`` of
-    :func:`~coinwalk.walk._shift_phases` and the coin ``c``, ``U_k`` is
-    ``[[phi_0 c_00, phi_0 c_01], [phi_1 c_10, phi_1 c_11]]``, the products
-    :func:`~coinwalk.walk.build_uk` forms, so D has its bits. The result holds
-    one entry row per matrix entry, ``D[a, b]`` over the M nodes, as its readers index it.
+    The entries ``u_ab = phi_a c_ab`` of ``U_k``, from the rows ``phi_a`` of
+    :func:`~coinwalk.walk._shift_phases` and the coin ``c``, are the products
+    :func:`~coinwalk.walk.build_uk` forms, so D has its bits. The result holds one
+    entry row per matrix entry, ``D[a, b]`` over the M nodes, as its readers index it.
     """
-    phi, c = _shift_phases(spec.shifts, ks), spec.coin
-    d = np.empty((2, 2, len(ks)), dtype=np.complex128)
-    for a, b in np.ndindex(2, 2):
-        np.multiply(phi[a], c[a, b], out=d[a, b])  # u_ab
+    d = _shift_phases(spec.shifts, ks)[:, None, :] * spec.coin[:, :, None]  # u_ab
     d[0, 0] -= d[1, 1]  # 2 U - tr(U) I = [[diff, 2 u01], [2 u10, -diff]]
     # lam1 - lam2 = root; diff^2 + 4 u01 u10 equals tr^2 - 4 det without cancelling
     root = np.sqrt(d[0, 0] ** 2 + 4.0 * d[0, 1] * d[1, 0])

@@ -12,6 +12,7 @@ orthonormality checked at every node. Its output has one shape,
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,26 +52,22 @@ def is_unitary(m) -> bool:
     return bool(np.max(residual, initial=0.0) <= 1e-10)
 
 
-def _cayley(v: Array) -> tuple[Array, Array]:
+def _cayley(v: Array) -> Array:
     """``H = i (I + V)^-1 (I - V)`` per node of a unitary stack, made exactly Hermitian.
 
     An eigenvalue ``exp(1j phi)`` of V becomes ``tan(phi / 2)`` of H, with the
-    same eigenvector. Also returns which nodes have an H: a node whose
-    ``I + V`` is exactly singular (an eigenphase on the pole ``phi = pi``)
-    has none, and its H is zero.
+    same eigenvector. A node whose ``I + V`` is exactly singular (an eigenphase
+    on the pole ``phi = pi``) keeps ``H = 0``, whose eigenpairs fail the fit.
     """
     eye = np.eye(v.shape[1])
-    regular = np.ones(len(v), dtype=bool)
     try:
         x = np.linalg.solve(eye + v, eye - v)
     except np.linalg.LinAlgError:  # one singular node fails the batched solve
         x = np.zeros_like(v)
         for m in range(len(v)):
-            try:
+            with suppress(np.linalg.LinAlgError):
                 x[m] = np.linalg.solve(eye + v[m], eye - v[m])
-            except np.linalg.LinAlgError:
-                regular[m] = False
-    return 0.5j * (x - x.conj().swapaxes(1, 2)), regular
+    return 0.5j * (x - x.conj().swapaxes(1, 2))
 
 
 def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
@@ -111,6 +108,14 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         raise InvalidArgument(f"expected a non-empty stack of matrices, got shape {a.shape}")
     if a.ndim != 3 or not is_unitary(a):
         raise InvalidArgument(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
+    return _eig_unitary_stack(a)
+
+
+def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
+    """The solver of :func:`eig_unitary_batch`, which checks no input.
+
+    For the ``U_k`` of a walk :class:`~coinwalk.walk.WalkSpec` admitted, unitary within 1e-10.
+    """
     m, n, _ = a.shape
     phases = np.empty((m, n))
     vectors = np.empty_like(a)
@@ -118,17 +123,16 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     for j in range(n + 1):
         shift = _FIRST_SHIFT + 2 * np.pi * j / (n + 1)
         b = a[todo]
-        h, regular = _cayley(np.exp(-1j * shift) * b)
+        h = _cayley(np.exp(-1j * shift) * b)
         try:
             w, x = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigensolver failed: {exc}") from exc
         psi = shift + 2 * np.arctan(w)
-        # an eigenphase on the pole itself can leave I + V singular only up to
-        # rounding, and H small and wrong; the node's residual shows it (~0.5 at
-        # theta = 0.7, alpha = -pi, k = 0 on the line)
+        # on the pole H = 0, whose residual (V - I) e^(ia) has an entry >= 2/n, or, where I + V is
+        # singular only up to rounding, H is wrong (residual ~0.5 at theta 0.7, alpha -pi, k 0)
         fits = np.max(np.abs(b @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-9
-        done = regular & (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
+        done = (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
         phases[todo[done]] = psi[done]
         vectors[todo[done]] = x[done]
         todo = todo[~done]
@@ -148,7 +152,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
     labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
 
-    gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)))
+    gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)), initial=0.0)
     if not gram <= 1e-12:
         raise NumericalFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
     return phases, vectors, labels

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from coinwalk import U2Params
+from coinwalk.linalg import is_unitary
 
 settings.register_profile(
     "coinwalk",
@@ -25,6 +26,21 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def boundary_coin(q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``q (I + e h)`` at the largest e in [0, 1e-9] that ``is_unitary`` admits, by bisection.
+
+    For a unitary ``q`` and a Hermitian ``h`` its polar factor is ``q``. The
+    rounding of a phase product ``diag(phi) q (I + e h)`` pushes some of its
+    products past the 1e-10 to which the coin itself is unitary.
+    """
+    eye = np.eye(len(q))
+    lo, hi = 0.0, 1e-9
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if is_unitary(q @ (eye + mid * h)) else (lo, mid)
+    return q @ (eye + lo * h)
 
 
 def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,7 +29,13 @@ from coinwalk import (
     u2_coin,
 )
 from coinwalk.cli import _flip_f, main
-from conftest import format_complex, random_interior_params, random_unitary, walk_config_text
+from conftest import (
+    boundary_coin,
+    format_complex,
+    random_interior_params,
+    random_unitary,
+    walk_config_text,
+)
 
 PI = np.pi
 LOCAL = "local v=0 chi=(1,0)"
@@ -261,6 +267,23 @@ class TestRho:
         doc = json.loads(out)
         got = np.array(doc["rho_re"]) + 1j * np.array(doc["rho_im"])
         assert np.max(np.abs(got - want.rho.matrix)) <= 1e-9
+
+    def test_a_coin_unitary_to_the_last_admitted_bit_is_solved(self, capsys, tmp_path):
+        # some of its U_k deviate from unitarity by more than the 1e-10 the coin passes
+        rng = np.random.default_rng(4)
+        q = random_unitary(rng, 4)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        coin, shifts = boundary_coin(q, h + h.conj().T), [[1], [0], [0], [-1]]
+        cfg = tmp_path / "boundary.cfg"
+        cfg.write_text(walk_config_text(coinwalk.WalkSpec(1, 4, shifts, coin)))
+        state = "local v=0 chi=(1,0,0,0)"
+        code, out, err = run(capsys, "rho", "--walk-file", str(cfg), "--state", state)
+        assert (code, err) == (0, "")
+        u, _, vh = np.linalg.svd(coin)  # the polar factor, q up to rounding
+        want = rho_asymptotic(coinwalk.WalkSpec(1, 4, shifts, u @ vh), parse_state(state))
+        doc = json.loads(out)
+        got = np.array(doc["rho_re"]) + 1j * np.array(doc["rho_im"])
+        assert np.max(np.abs(got - want.rho.matrix)) <= 1e-12
 
     def test_default_two_dimensional_grid_runs_in_bounded_memory(self, tmp_path):
         # at 256^2 nodes one C(k) stack of a 4-state coin alone would take 268 MB
@@ -618,9 +641,9 @@ class TestBadInput:
         assert err.startswith("error: ") and err.endswith("refused\n") and err.count("\n") == 1
 
     def test_eigensolver_failure_exits_4(self, capsys, monkeypatch, tmp_path):
-        # no node is ever regular: every node keeps an eigenphase on every Cayley pole
+        # every node is singular: its H = 0 fails the fit at every Cayley pole
         def singular(v):
-            return np.zeros_like(v), np.zeros(len(v), dtype=bool)
+            return np.zeros_like(v)
 
         monkeypatch.setattr(coinwalk.linalg, "_cayley", singular)
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
@@ -628,6 +651,17 @@ class TestBadInput:
                              "--state", "local v=0,0 chi=(1,0,0,0)", "--grid-n", "4")
         assert code == 4 and out == ""
         assert err == "error: 8 nodes keep an eigenphase on every Cayley pole\n"
+
+    def test_a_failed_eigh_exits_4(self, capsys, monkeypatch, tmp_path):
+        def unconverged(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        (tmp_path / "grover.cfg").write_text(GROVER_CFG)
+        code, out, err = run(capsys, "rho", "--walk-file", str(tmp_path / "grover.cfg"),
+                             "--state", "local v=0,0 chi=(1,0,0,0)", "--grid-n", "4")
+        assert code == 4 and out == ""
+        assert err == "error: eigensolver failed: Eigenvalues did not converge\n"
 
     # theta = 0 is refused (exit 3) only after the grid is checked against the
     # state's span (exit 2), and before a node of a 10**11-node grid is allocated

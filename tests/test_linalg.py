@@ -22,7 +22,7 @@ from coinwalk.linalg import (
     eig_unitary_batch,
     is_unitary,
 )
-from conftest import partial_trace, random_unitary, unit_vector
+from conftest import boundary_coin, partial_trace, random_unitary, unit_vector
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
 # hand: L = 1/2, F = 0, G = -1/2
@@ -303,8 +303,8 @@ class TestCayleySolve:
         v = np.stack([random_unitary(rng, 3), np.diag([-1.0, 1j, -1j]), random_unitary(rng, 3)])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.eye(3) + v, np.eye(3))
-        h, regular = coinwalk.linalg._cayley(v)
-        assert regular.tolist() == [True, False, True]
+        h = coinwalk.linalg._cayley(v)
+        assert np.array_equal(h[1], np.zeros((3, 3)))  # its eigenpairs fail the fit
         for m in (0, 2):
             x = np.linalg.solve(np.eye(3) + v[m], np.eye(3) - v[m])
             assert np.max(np.abs(h[m] - 1j * x)) <= 1e-12
@@ -326,7 +326,7 @@ class TestCayleySolve:
         ],
         ids=["n=3", "n=4", "n=5", "n=6"],
     )
-    @pytest.mark.parametrize("deviation", [4e-12, 3e-11, 9.9e-11])
+    @pytest.mark.parametrize("deviation", [4e-12, 3e-11, 9.9e-11, pytest.param(None, id="boundary")])
     def test_coins_admitted_as_unitary_are_solved(self, shifts, points, deviation, rng):
         # WalkSpec admits a coin unitary within 1e-10, and a node of such a walk
         # keeps an eigenvector residual of about its deviation at every shift
@@ -334,22 +334,54 @@ class TestCayleySolve:
         coin = random_unitary(rng, n)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h += h.conj().T
-        # (I + e h) coin^dag coin (I + e h) - I = 2 e h + O(e^2)
-        near = coin @ (np.eye(n) + deviation / (2 * np.max(np.abs(h))) * h)
-        assert 0.99 * deviation <= np.max(np.abs(near.conj().T @ near - np.eye(n))) <= 1e-10
         state, grid = LocalState((0,) * d, unit_vector(rng, n)), QuadratureGrid(points, d)
+        if deviation is None:  # admitted to the last bit: some U_k are not, and are solved
+            near = boundary_coin(coin, h)
+            assert not is_unitary(build_uk(WalkSpec(d, n, shifts, near), grid.nodes))
+        else:  # (I + e h) coin^dag coin (I + e h) - I = 2 e h + O(e^2)
+            near = coin @ (np.eye(n) + deviation / (2 * np.max(np.abs(h))) * h)
+            assert 0.99 * deviation <= np.max(np.abs(near.conj().T @ near - np.eye(n))) <= 1e-10
+        u, _, vh = np.linalg.svd(near)
         got = rho_asymptotic(WalkSpec(d, n, shifts, near), state, grid).rho.matrix
-        want = rho_asymptotic(WalkSpec(d, n, shifts, coin), state, grid).rho.matrix
-        assert np.max(np.abs(got - want)) <= 1e-8
+        want = rho_asymptotic(WalkSpec(d, n, shifts, u @ vh), state, grid).rho.matrix
+        # the Cayley transform's Hermitian part drops the first order in e
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_a_node_on_every_pole_is_a_numerical_failure(self, rng, monkeypatch):
-        # no node is ever regular, so every one is left for the next shift
+        # every node is singular: its H = 0 fails the fit, so each is left for the next shift
         def singular(v):
-            return np.zeros_like(v), np.zeros(len(v), dtype=bool)
+            return np.zeros_like(v)
 
         monkeypatch.setattr(coinwalk.linalg, "_cayley", singular)
         stack = np.stack([random_unitary(rng, 3) for _ in range(5)])
         with pytest.raises(NumericalFailure, match="^5 nodes keep an eigenphase on every Cayley"):
+            eig_unitary_batch(stack)
+
+    def test_a_failed_eigh_is_a_numerical_failure(self, rng, monkeypatch):
+        def unconverged(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        stack = np.stack([random_unitary(rng, 3) for _ in range(2)])
+        with pytest.raises(NumericalFailure, match="^eigensolver failed: Eigenvalues did not converge$"):
+            eig_unitary_batch(stack)
+
+    def test_eigenvectors_that_fit_but_are_not_orthonormal_are_a_numerical_failure(
+        self, rng, monkeypatch
+    ):
+        # vectors 1 + 1e-9 long still pass the 1e-9 fit, whose residual they only
+        # scale, but have a Gram error of 2e-9
+        eigh = np.linalg.eigh
+
+        def stretched(h):
+            w, x = eigh(h)
+            return w, x * (1 + 1e-9)
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        stack = np.stack([random_unitary(rng, 3) for _ in range(2)])
+        with pytest.raises(
+            NumericalFailure, match="^eigenvector orthonormality error 2.000e-09 exceeds 1e-12$"
+        ):
             eig_unitary_batch(stack)
 
 

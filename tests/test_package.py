@@ -1,13 +1,19 @@
 """The package's public surface and its installed entry points."""
 
 import importlib
+import importlib.util
 import json
 import re
 import shlex
+import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
+
+from coinwalk import LocalState, QuadratureGrid, WalkSpec, asymptotics
 from coinwalk.cli import main
+from conftest import random_unitary, unit_vector
 from test_cli import run_process
 
 PUBLIC_NAMES = [
@@ -72,3 +78,22 @@ def test_console_scripts_resolve_to_callables():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), target
+
+
+def test_the_benchmark_tracer_finds_what_it_patches(monkeypatch):
+    # perfbench/tracing.py swaps each (module, name) of its PATCHES for a timed
+    # wrapper, and perfbench/layers.py divides by the characteristic_stack time
+    # of a traced one-site 2-d n=4 op; the benchmark is not part of this suite
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # import it without writing to it
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [(m.__name__, name) for m, name, *_ in tracing.PATCHES if not hasattr(m, name)] == []
+    rng = np.random.default_rng(8)
+    walk = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], random_unitary(rng, 4))
+    args = walk, LocalState((0, 0), unit_vector(rng, 4)), QuadratureGrid(8, 2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.call("asymptotics.rho_asymptotic", asymptotics.rho_asymptotic, args)
+    calls, seconds, _ = tracer.ops[0].stats["characteristic.characteristic_stack"]
+    assert calls >= 1 and seconds > 0

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_unitary, unit_vector
 
@@ -14,6 +16,7 @@ from coinwalk import (
     QuadratureGrid,
     U2Params,
     WalkSpec,
+    build_uk,
     cesaro_rho,
     line_walk,
     rho_asymptotic,
@@ -22,6 +25,7 @@ from coinwalk import (
 )
 from coinwalk import simulate
 from coinwalk.simulate import initial_lattice_state, rho_c_at_t, step
+from coinwalk.states import psi_k_many
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -268,6 +272,49 @@ class TestDenseSeries:
         spec = WalkSpec(3, 2, [[1, 1, 1], [-1, -1, -1]], np.eye(2))
         with pytest.raises(InvalidArgument):
             rho_series(spec, LocalState((0, 0, 0), [1, 0]), t_max)
+
+
+def k_space_rho(spec: WalkSpec, state, t: int, size: int) -> np.ndarray:
+    """``N^-d sum_k U_k^t psi_k psi_k^dag U_k^-t`` over the N^d nodes of ``QuadratureGrid(N, d)``."""
+    ks = QuadratureGrid(size, spec.lattice_dim).nodes
+    uk, psi = build_uk(spec, ks), psi_k_many(state, ks)
+    for _ in range(t):
+        psi = (uk @ psi[:, :, None])[:, :, 0]
+    return psi.T @ psi.conj() / len(ks)
+
+
+def walker_width(spec: WalkSpec, sites: list, t: int) -> int:
+    """W = max_a (span_a + reach_a t): the walker's sites at step t are at most W apart on an axis."""
+    span = np.ptp(np.array(sites), axis=0)
+    return int(np.max(span + np.ptp(spec.shifts, axis=0) * t))
+
+
+class TestKSpaceBridge:
+    """On N > W points per axis no two of the walker's sites share a node, so the
+    discrete Parseval identity makes ``rho_series[t]`` the k-space sum exactly."""
+
+    @given(data=st.data())
+    def test_the_simulator_is_the_k_space_sum_on_a_grid_wider_than_the_walker(self, data):
+        d, n = data.draw(st.integers(1, 2), label="d"), data.draw(st.integers(2, 4), label="n")
+        axis = st.tuples(*[st.integers(-2, 2)] * d)
+        shifts = data.draw(st.lists(axis, min_size=n, max_size=n), label="shifts")
+        site = st.tuples(*[st.integers(-3, 3)] * d)
+        sites = data.draw(st.lists(site, min_size=1, max_size=3, unique=True), label="sites")
+        t = data.draw(st.integers(0, 20), label="t")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spec, state = WalkSpec(d, n, shifts, random_unitary(rng, n)), general_state(rng, sites, n)
+        want = k_space_rho(spec, state, t, walker_width(spec, sites, t) + 1)
+        assert np.max(np.abs(rho_series(spec, state, t)[t] - want)) <= 1e-13
+
+    def test_a_grid_as_wide_as_the_walker_aliases(self):
+        spec, t = line_walk(U2Params(0.3, 1.1, 0.4)), 30
+        state = GeneralState(amplitudes={(0,): [0.6, 0], (1,): [0, 0.8]})
+        width = walker_width(spec, [(0,), (1,)], t)
+        assert width == 61
+        got = rho_series(spec, state, t)[t]
+        assert np.max(np.abs(got - k_space_rho(spec, state, t, width + 1))) <= 1e-13
+        # the two sites 61 apart at step 30 share a node of the 61-point grid
+        assert np.max(np.abs(got - k_space_rho(spec, state, t, width))) >= 1e-3
 
 
 class TestStateMustFitTheWalk:
