@@ -43,10 +43,10 @@ def is_unitary(m) -> bool:
     """True if ``m`` is square and ``m† m = I`` within 1e-10 (max-entry).
 
     ``m`` is one matrix or an (M, n, n) stack, whose every matrix must pass;
-    an empty stack passes.
+    an empty stack passes and one with a non-finite entry fails.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or not np.isfinite(a).all():
         return False
     residual = np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))
     return bool(np.max(residual, initial=0.0) <= 1e-10)

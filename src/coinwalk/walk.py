@@ -8,6 +8,8 @@ the small unitary ``U_k = diag_j(exp(-1j k.s_j)) U_C``; everything downstream
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +124,12 @@ def line_walk(p: U2Params) -> WalkSpec:
     return WalkSpec(lattice_dim=1, coin_dim=2, shifts=[[1], [-1]], coin=u2_coin(p))
 
 
+_PHASE_MEMO_BYTES = 3 * 2**19
+_PHASE_MEMO_ENTRIES = 16
+_phase_memo: OrderedDict[tuple, Array] = OrderedDict()
+_phase_memo_lock = threading.Lock()
+
+
 def _shift_phases(shifts: Array, ks: Array) -> Array:
     """The phases ``exp(-1j k.s_j)``, (n, M), of the n shift rows at the M rows of ``ks``.
 
@@ -132,7 +140,27 @@ def _shift_phases(shifts: Array, ks: Array) -> Array:
     the sign of a zero argument is that of the phase's zero imaginary part,
     so ``exp`` is taken again where the argument is zero. So the +-1 line and
     the square lattice take half their exponentials.
+
+    The table is read-only and memoized across calls, since a quadrature grid
+    is walked again by every coin and state. The key is the dtype, shape and
+    bytes of ``shifts`` and of ``ks``, not their values (``-0.0 == 0.0``), so
+    a hit returns the table computed from the same bits. The key holds
+    copies, so writing into ``ks`` later changes no table. The memo
+    keeps the 16 tables used last whose phases and key arrays take at most
+    96 KiB each (the +-1 line at the default grid takes 80 KiB), so it
+    retains at most 1.5 MiB (``_PHASE_MEMO_BYTES``) of arrays, plus under
+    1 KiB of Python objects per table; larger tables are not kept.
     """
+    key = None
+    if 16 * len(shifts) * len(ks) + shifts.nbytes + ks.nbytes <= (
+        _PHASE_MEMO_BYTES // _PHASE_MEMO_ENTRIES
+    ):
+        key = (shifts.dtype.str, shifts.shape, shifts.tobytes(), ks.dtype.str, ks.shape, ks.tobytes())
+        with _phase_memo_lock:
+            phase = _phase_memo.get(key)
+            if phase is not None:
+                _phase_memo.move_to_end(key)
+                return phase
     phase = np.empty((len(shifts), len(ks)), dtype=np.complex128)
     arg = shifts @ ks.T
     rows = shifts.tolist()
@@ -143,6 +171,12 @@ def _shift_phases(shifts: Array, ks: Array) -> Array:
             np.exp(-1j * arg[j], out=phase[j], where=arg[j] == 0)
         else:
             np.exp(-1j * arg[j], out=phase[j])
+    phase.flags.writeable = False
+    if key is not None:
+        with _phase_memo_lock:
+            _phase_memo[key] = phase
+            if len(_phase_memo) > _PHASE_MEMO_ENTRIES:
+                _phase_memo.popitem(last=False)
     return phase
 
 
@@ -152,11 +186,14 @@ def build_uk(spec: WalkSpec, k) -> Array:
     ``k`` is a scalar (1-d walks only), one (d,) point or a (M, d) stack of
     points; the result is (n, n) or a C-ordered (M, n, n), the layout
     :func:`~coinwalk.linalg.eig_unitary_batch` reads. The phases come from
-    :func:`_shift_phases`.
+    :func:`_shift_phases`. Raises :class:`InvalidArgument` for a ``k`` that
+    does not match the lattice dimension or is not finite.
     """
     kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if kv.shape[-1] != spec.lattice_dim:
         raise InvalidArgument(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
+    if not np.isfinite(kv).all():
+        raise InvalidArgument("k must be finite")
     phase = _shift_phases(spec.shifts, kv.reshape(-1, spec.lattice_dim))  # (n, M)
     u = np.multiply(phase.T[:, :, None], spec.coin, order="C")
     return u.reshape(*kv.shape[:-1], spec.coin_dim, spec.coin_dim)

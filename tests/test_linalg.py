@@ -50,6 +50,16 @@ class TestPredicates:
         assert not is_unitary(stack)
         assert is_unitary(np.zeros((0, 3, 3)))  # every matrix of an empty stack passes
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_a_non_finite_entry_is_not_unitary(self, bad, rng):
+        # refused before a^dag a, whose inf * 0 warns
+        stack = np.stack([random_unitary(rng, 3), random_unitary(rng, 3)])
+        stack[1, 0, 0] = bad
+        assert not is_unitary(stack)
+        assert not is_unitary(stack[1])
+        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
+            eig_unitary([[bad, 0], [0, 1]])
+
 
 def eigenspaces(labels) -> list[tuple[int, ...]]:
     """The column indices of each eigenspace, in label order."""

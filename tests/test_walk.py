@@ -1,18 +1,31 @@
+import sys
+import threading
+import tracemalloc
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinwalk import (
+    DistributedState,
     InvalidArgument,
+    QuadratureGrid,
     U2Params,
     WalkSpec,
     build_uk,
+    c_local,
+    characteristic_at_k,
     dispersion_gamma,
     line_walk,
+    rho_asymptotic,
     u2_coin,
+    walk,
 )
+from coinwalk.characteristic import characteristic_stack
 from coinwalk.linalg import eig_unitary
+from coinwalk.walk import _shift_phases
 from conftest import random_unitary, same_bits, unitarity_error
 
 PI = np.pi
@@ -123,7 +136,7 @@ def test_build_uk_broadcasts_over_a_stack_of_points(rng):
         build_uk(spec, rng.uniform(-PI, PI, size=(5, 3)))
 
 
-@pytest.mark.parametrize(
+SHIFT_TABLES = pytest.mark.parametrize(
     "shifts",
     [
         [[1], [-1]],
@@ -135,13 +148,21 @@ def test_build_uk_broadcasts_over_a_stack_of_points(rng):
     ],
     ids=["line", "square", "shifts-2-minus-2", "rank-2-repro", "tetrahedral", "hexagonal"],
 )
+
+
+def even_grid(d: int, points: int = 12) -> np.ndarray:
+    """The nodes of a grid of an even number of points per axis, which holds k = 0 and k = -pi."""
+    axis = -PI + 2 * PI * np.arange(points) / points
+    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+
+
+@SHIFT_TABLES
 def test_build_uk_is_the_phase_product_to_the_bit(shifts, rng):
     # a shift that negates an earlier one takes the conjugate of its phases,
     # and a zero argument keeps the sign of exp's zero imaginary part; the
     # identity coin with -0.0 parts carries that sign into U_k
     n, d = np.shape(shifts)
-    axis = -PI + 2 * PI * np.arange(12) / 12  # holds k = 0 and k = -pi
-    grid = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    grid = even_grid(d)
     for coin in (random_unitary(rng, n), np.conj(np.eye(n, dtype=complex))):
         spec = WalkSpec(d, n, shifts, coin)
         for ks in (grid, rng.uniform(-PI, PI, size=(50, d)), -grid):
@@ -149,6 +170,141 @@ def test_build_uk_is_the_phase_product_to_the_bit(shifts, rng):
             want = (phase[:, None, :] * spec.coin[:, :, None]).transpose(2, 0, 1)
             got = build_uk(spec, ks)
             assert same_bits(got, want) and got.flags.c_contiguous
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty phase memo for one test; the process's own is restored after it."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(walk, "_phase_memo", fresh)
+    return fresh
+
+
+def phase_formula(shifts, ks) -> np.ndarray:
+    return np.exp(-1j * (shifts @ ks.T))
+
+
+@SHIFT_TABLES
+def test_phase_table_is_the_formula_cold_and_warm(shifts, memo, rng):
+    shifts = np.array(shifts)
+    d = shifts.shape[1]
+    grid = even_grid(d, 6)  # small enough to keep in 3-d
+    zeros = np.zeros((3, d))
+    for ks in (grid, -grid, rng.uniform(-PI, PI, size=(50, d)), zeros, -zeros):
+        cold = _shift_phases(shifts, ks)
+        assert _shift_phases(shifts, ks.copy()) is cold
+        assert same_bits(cold, phase_formula(shifts, ks))
+    # -0.0 == 0.0, but the memo keys on bytes: the two zero grids are two entries
+    assert len(memo) == 5
+
+
+def test_phase_table_is_read_only(memo):
+    shifts = np.array([[1], [-1]])
+    kept = _shift_phases(shifts, np.zeros((4, 1)))
+    large = _shift_phases(shifts, np.zeros((4096, 1)))  # 128 KiB of phases: not kept
+    assert len(memo) == 1
+    for table in (kept, large):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2.0
+
+
+def test_phase_memo_has_no_stale_hits(memo):
+    nodes = -PI + 2 * PI * np.arange(4096) / 4096
+    line, square = np.array([[1], [-1]]), np.array([[1, 0], [0, 1]])
+    cases = [
+        (line, nodes[:2048].reshape(2048, 1)),
+        (np.array([[1, -1]]), nodes[:2048].reshape(1024, 2)),  # the same bytes, other shapes
+        (line[::-1], nodes[:2048].reshape(2048, 1)),  # reordered rows
+        (square, nodes[:2048].reshape(1024, 2)),
+        (-square, nodes[:2048].reshape(1024, 2)),  # mirrored rows: the conjugate phases
+        (line, nodes[:1024, None]),  # two equal-sized blocks at different offsets
+        (line, nodes[1024:2048, None]),
+    ]
+    for shifts, ks in cases * 2:  # cold, then warm
+        assert same_bits(_shift_phases(shifts, ks), phase_formula(shifts, ks))
+    assert len(memo) == len(cases)
+
+
+def test_writing_into_ks_after_a_call_changes_no_later_table(memo):
+    shifts = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    ks = even_grid(2)
+    kept, table = ks.copy(), _shift_phases(shifts, ks).copy()
+    ks[len(ks) // 2] += 0.25  # one node inside the block
+    assert same_bits(_shift_phases(shifts, ks), phase_formula(shifts, ks))
+    assert same_bits(_shift_phases(shifts, kept), table)
+
+
+def test_phase_memo_retains_at_most_its_bound(memo, rng):
+    # 41 line grids whose phases and keys take 78-94 KiB each, more than the
+    # memo keeps, then a 2x2 walk on the default 256^2 grid, whose two blocks
+    # of 16384 nodes take 768 KiB each and are not kept
+    line = line_walk(U2Params(0.7, 0.1, 0.2))
+    planar = WalkSpec(2, 2, [[1, 0], [0, 1]], random_unitary(rng, 2))
+    grids = [QuadratureGrid(n, 1) for n in range(4000, 4801, 20)]
+    tracemalloc.start()
+    try:
+        for grid in grids:
+            c_local(line, grid)
+            rho_asymptotic(line, DistributedState({-1: 0.6, 1: 0.8}, [1, 0]), grid)
+        c_local(planar)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # the memo's arrays and their Python objects are all allocated in walk.py
+    retained = sum(
+        t.size for t in snapshot.filter_traces([tracemalloc.Filter(True, walk.__file__)]).traces
+    )
+    assert len(memo) == walk._PHASE_MEMO_ENTRIES
+    assert 0.9 * walk._PHASE_MEMO_BYTES < retained
+    assert retained <= walk._PHASE_MEMO_BYTES + walk._PHASE_MEMO_ENTRIES * 2**10
+
+
+def test_threads_share_the_memo(memo):
+    # 24 grids through a 16-entry memo from 6 threads switching every 1 us:
+    # lookups, insertions and evictions interleave
+    shifts = np.array([[1], [-1]])
+    grids = [np.linspace(-PI, PI, 64 + i, endpoint=False)[:, None] for i in range(24)]
+    want = [phase_formula(shifts, ks) for ks in grids]
+    errors = []
+
+    def worker(seed):
+        try:
+            for i in np.random.default_rng(seed).permutation(20 * len(grids)) % len(grids):
+                if not same_bits(_shift_phases(shifts, grids[i]), want[i]):
+                    errors.append(i)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(memo) <= walk._PHASE_MEMO_ENTRIES
+
+
+@pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan])
+def test_a_k_that_is_not_finite_is_bad_input(k, memo):
+    # refused before shifts @ ks.T, whose 0 * inf warns and would put NaN in the memo
+    line = line_walk(U2Params(0.7, 0.1, 0.2))
+    square = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], np.eye(4))
+    for refused in (
+        lambda: build_uk(line, k),
+        lambda: build_uk(square, [[0.1, 0.2], [0.3, k]]),
+        lambda: characteristic_at_k(line, k),
+        lambda: characteristic_stack(square, np.array([[k, 0.0]])),
+    ):
+        with pytest.raises(InvalidArgument, match="k must be finite"):
+            refused()
+    assert not memo
 
 
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
