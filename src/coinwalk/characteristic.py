@@ -276,7 +276,10 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     already run over ``(a, c)``, so C is one batched ``Z Z^dag`` over the pairs i = j,
     ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n), plus the pairs i != j of one eigenspace
     at the nodes that have any (flat bands, crossings, merged eigenvalues). Eigenvalues
-    closer than ``DEGENERACY_TOL`` are merged.
+    closer than ``DEGENERACY_TOL`` are merged. The eigenvectors stay in the order the
+    solver gives them (``linalg._eig_unitary_stack``): C depends on the eigenspaces, not
+    on the order of their columns, and a node whose labels stop below ``n - 1`` has
+    fewer than n eigenspaces.
 
     The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
     this one fixed-size block of nodes at a time.
@@ -285,14 +288,12 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     m, n = labels.shape
     z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
     c = z @ z.conj().swapaxes(1, 2)
-    off = ~np.eye(n, dtype=bool)
-    pairs = (labels[:, :, None] == labels[:, None, :]) & off
-    shared = np.flatnonzero(pairs.any(axis=(1, 2)))
+    shared = np.flatnonzero(labels.max(axis=1) < n - 1)  # fewer than n eigenspaces
     if shared.size:  # at those nodes every pair i != j, weighted 1 where they share an eigenspace
-        i, j = np.nonzero(off)
-        vs = v[shared]
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        vs, ls = v[shared], labels[shared]
         y = (vs[:, :, None, i] * vs[:, None, :, j]).reshape(len(shared), n * n, -1)
-        y *= pairs[shared][:, i, j][:, None, :]
+        y *= (ls[:, i] == ls[:, j])[:, None, :]
         c[shared] += y @ y.conj().swapaxes(1, 2)
     return c
 

@@ -8,6 +8,14 @@ batched ``numpy.linalg.eigh`` solves them all, and phase grouping by
 vectorised gap tests labels the eigenspaces, with the residual and
 orthonormality checked at every node. Its output has one shape,
 ``(phases, vectors, labels)``; a single matrix is a stack of one.
+
+The public :func:`eig_unitary_batch` (and :func:`eig_unitary`) returns each
+node's phases wrapped into ``(-pi, pi]`` and sorted, its eigenvector columns
+in that order, and labels that join an eigenspace across the wrap at +/-pi.
+The private solver behind it, which the quadrature calls for every block of
+nodes, keeps the columns in the order ``eigh`` gives them and labels them by
+gaps alone; only the eigenspaces, not the order of their columns, enter
+``C(k)``.
 """
 
 from __future__ import annotations
@@ -100,29 +108,44 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         If the stack is empty or some matrix is not unitary within 1e-10.
     NumericalFailure
         If the solver fails, if some node's eigenvector residual exceeds 1e-9
-        at every shift, or if ``V^dag V`` deviates from the identity by more
-        than 1e-12 at some node.
+        at every shift, or if the eigenvectors' Gram matrix
+        ``vectors^dag vectors`` deviates from the identity by more than 1e-12
+        at some node.
     """
     a = np.asarray(u, dtype=np.complex128)
     if a.size == 0:
         raise InvalidArgument(f"expected a non-empty stack of matrices, got shape {a.shape}")
     if a.ndim != 3 or not is_unitary(a):
         raise InvalidArgument(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
-    return _eig_unitary_stack(a)
+    phases, vectors, _ = _eig_unitary_stack(a)
+    phases = np.mod(phases + np.pi, 2 * np.pi) - np.pi
+    phases = np.where(phases <= -np.pi, phases + 2 * np.pi, phases)  # into (-pi, pi]
+    order = np.argsort(phases, axis=1, kind="stable")
+    phases = np.take_along_axis(phases, order, axis=1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    labels = _gap_labels(phases)
+    wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
+    labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
+    return phases, vectors, labels
 
 
 def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
-    """The solver of :func:`eig_unitary_batch`, which checks no input.
+    """The solver of :func:`eig_unitary_batch`, which checks no input and keeps ``eigh``'s order.
 
     For the ``U_k`` of a walk :class:`~coinwalk.walk.WalkSpec` admitted, unitary within 1e-10.
+    Returns ``(phases, vectors, labels)`` as :func:`eig_unitary_batch` does, with the same
+    checks, but the columns stay in the order ``eigh`` gives them: each node's phases
+    ``psi = a + 2 arctan(w)`` ascend from the cut ``a - pi`` of the shift ``a`` that solved it,
+    unwrapped. The pole bound ``|w| <= 100`` keeps every phase at least 0.02 rad inside that
+    cut, so no eigenspace straddles it, and the labels count the gaps above
+    ``DEGENERACY_TOL`` from the first column with no wrap rule. The eigenspaces are those of
+    :func:`eig_unitary_batch`; the order of their columns and their labels may differ.
     """
-    m, n, _ = a.shape
-    phases = np.empty((m, n))
-    vectors = np.empty_like(a)
-    todo = np.arange(m)
-    for j in range(n + 1):
+    n = a.shape[1]
+
+    def solve(b: Array, j: int) -> tuple[Array, Array, Array]:
+        """Cayley round j on the stack ``b``: its phases, eigenvectors and solved nodes."""
         shift = _FIRST_SHIFT + 2 * np.pi * j / (n + 1)
-        b = a[todo]
         h = _cayley(np.exp(-1j * shift) * b)
         try:
             w, x = np.linalg.eigh(h)
@@ -132,30 +155,31 @@ def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
         # on the pole H = 0, whose residual (V - I) e^(ia) has an entry >= 2/n, or, where I + V is
         # singular only up to rounding, H is wrong (residual ~0.5 at theta 0.7, alpha -pi, k 0)
         fits = np.max(np.abs(b @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-9
-        done = (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
+        return psi, x, (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
+
+    phases, vectors, done = solve(a, 0)  # the whole stack, with no gather
+    todo = np.flatnonzero(~done)
+    for j in range(1, n + 1):
+        if todo.size == 0:
+            break
+        psi, x, done = solve(a[todo], j)
         phases[todo[done]] = psi[done]
         vectors[todo[done]] = x[done]
         todo = todo[~done]
-        if todo.size == 0:
-            break
-    else:
+    if todo.size:
         raise NumericalFailure(f"{todo.size} nodes keep an eigenphase on every Cayley pole")
-
-    phases = np.mod(phases + np.pi, 2 * np.pi) - np.pi
-    phases = np.where(phases <= -np.pi, phases + 2 * np.pi, phases)  # into (-pi, pi]
-    order = np.argsort(phases, axis=1, kind="stable")
-    phases = np.take_along_axis(phases, order, axis=1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
-
-    labels = np.zeros(phases.shape, dtype=np.int64)
-    labels[:, 1:] = np.cumsum(np.diff(phases, axis=1) > DEGENERACY_TOL, axis=1)
-    wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
-    labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
 
     gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)), initial=0.0)
     if not gram <= 1e-12:
         raise NumericalFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
-    return phases, vectors, labels
+    return phases, vectors, _gap_labels(phases)
+
+
+def _gap_labels(phases: Array) -> Array:
+    """Int labels (M, n) of phases ascending per node; a gap above ``DEGENERACY_TOL`` starts one."""
+    labels = np.zeros(phases.shape, dtype=np.int64)
+    labels[:, 1:] = np.cumsum(np.diff(phases, axis=1) > DEGENERACY_TOL, axis=1)
+    return labels
 
 
 def eig_unitary(u) -> tuple[Array, Array, Array]:

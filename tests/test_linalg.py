@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import coinwalk.linalg
@@ -10,14 +10,17 @@ from coinwalk import (
     LocalState,
     NumericalFailure,
     QuadratureGrid,
+    U2Params,
     WalkSpec,
     build_uk,
+    line_walk,
     rho_asymptotic,
     von_neumann_entropy,
 )
 from coinwalk.linalg import (
     _FIRST_SHIFT,
     DEGENERACY_TOL,
+    _eig_unitary_stack,
     eig_unitary,
     eig_unitary_batch,
     is_unitary,
@@ -199,13 +202,22 @@ def eig_reference(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(phases, axis=1)
     phases = np.take_along_axis(phases, order, axis=1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    return phases, vectors, wrapped_labels(phases)
+
+
+def wrapped_labels(phases) -> np.ndarray:
+    """Labels of phases (M, n) ascending in (-pi, pi], one node at a time.
+
+    A gap above ``DEGENERACY_TOL`` starts a new eigenspace, and the last one
+    joins the first when they are that close across the wrap at +/-pi.
+    """
     labels = np.zeros(phases.shape, dtype=int)
     for m, w in enumerate(phases):
         for j in range(1, len(w)):
             labels[m, j] = labels[m, j - 1] + (w[j] - w[j - 1] > DEGENERACY_TOL)
         if w[0] + 2 * np.pi - w[-1] <= DEGENERACY_TOL:
             labels[m, labels[m] == labels[m, -1]] = 0
-    return phases, vectors, labels
+    return labels
 
 
 def cayley_pole(j: int, n: int) -> float:
@@ -393,6 +405,118 @@ class TestCayleySolve:
             NumericalFailure, match="^eigenvector orthonormality error 2.000e-09 exceeds 1e-12$"
         ):
             eig_unitary_batch(stack)
+
+
+@st.composite
+def clustered_spectra(draw) -> list[list[float]]:
+    """Eigenphases of 1-4 nodes of one coin dimension n <= 6, in clusters.
+
+    Each phase opens a cluster at a centre (+-pi or just inside it, a pole of
+    the first two Cayley shifts, or any phase) or joins an earlier one, 0 or
+    1e-12 rad from its centre. A centre within 1e-3 rad of an earlier one on
+    the circle joins it instead: exactly where they differ by up to 1e-11
+    (the pair pi, -pi + 1e-12 across the wrap), at the earlier centre
+    otherwise, so distinct eigenspaces are at least 1e-3 apart.
+    """
+    n = draw(st.integers(2, 6))
+    poles = [cayley_pole(0, n), cayley_pole(1, n)]
+    special = st.sampled_from([np.pi, -np.pi + 1e-12, np.pi - 1e-12, *poles])
+    spectra = []
+    for _ in range(draw(st.integers(1, 4))):
+        centres, spectrum = [], []
+        for _ in range(n):
+            if centres and draw(st.booleans()):
+                offset = draw(st.sampled_from([0.0, 1e-12]))
+                spectrum.append(draw(st.sampled_from(centres)) + offset)
+                continue
+            phase = draw(special | st.floats(-np.pi, np.pi))
+            apart = np.abs(np.angle(np.exp(1j * (phase - np.array(centres)))))
+            if centres and apart.min() < 1e-3:
+                near = centres[int(np.argmin(apart))]
+                spectrum.append(phase if apart.min() <= 1e-11 else near)
+            else:
+                centres.append(phase)
+                spectrum.append(phase)
+        spectra.append(spectrum)
+    return spectra
+
+
+def partition(labels, columns) -> set[frozenset]:
+    """The eigenspaces of one node as sets of ``columns``, grouped by ``labels``."""
+    return {frozenset(np.asarray(columns)[labels == g].tolist()) for g in np.unique(labels)}
+
+
+class TestColumnOrder:
+    """The quadrature's solver keeps ``eigh``'s columns and finds the sorted route's eigenspaces."""
+
+    @staticmethod
+    def assert_same_eigenspaces(stack):
+        phases, vectors, labels = _eig_unitary_stack(stack)
+        sorted_phases, sorted_vectors, sorted_labels = eig_unitary_batch(stack)
+        m, n = labels.shape
+        # eigh's order: phases ascend, and the labels count the gaps, with no wrap
+        assert np.all(np.diff(phases, axis=1) >= 0)
+        assert np.all(labels[:, 0] == 0)
+        assert np.array_equal(np.diff(labels, axis=1), np.diff(phases, axis=1) > DEGENERACY_TOL)
+        # the public route: ascending in (-pi, pi], joined across the wrap
+        assert np.all((sorted_phases > -np.pi) & (sorted_phases <= np.pi))
+        assert np.all(np.diff(sorted_phases, axis=1) >= 0)
+        assert np.array_equal(sorted_labels, wrapped_labels(sorted_phases))
+        for node in range(m):
+            # every sorted column is one of eigh's columns, to the bit
+            match = [
+                next(i for i in range(n) if np.array_equal(vectors[node, :, i], column))
+                for column in sorted_vectors[node].T
+            ]
+            assert sorted(match) == list(range(n))
+            assert partition(labels[node], range(n)) == partition(sorted_labels[node], match)
+        # the label test for shared eigenspaces selects the nodes of the sorted pair mask
+        off = ~np.eye(n, dtype=bool)
+        pairs = ((sorted_labels[:, :, None] == sorted_labels[:, None, :]) & off).any(axis=(1, 2))
+        assert np.array_equal(labels.max(axis=1) < n - 1, pairs)
+        return phases, vectors, labels
+
+    @given(spectra=clustered_spectra(), seed=st.integers(0, 2**32 - 1))
+    # exact degenerate pairs next to +-pi, one across the wrap
+    @example(spectra=[[np.pi, -np.pi + 1e-12, 0.5, -0.8], [np.pi, np.pi, 1.0, 1.0]], seed=0)
+    # eigenphases on the first pole, and on the first two: retried with the next shifts
+    @example(
+        spectra=[
+            [cayley_pole(0, 4), cayley_pole(0, 4), 0.3, 2.5],
+            [cayley_pole(0, 4), cayley_pole(1, 4), 0.3, 0.3],
+            [0.1, 0.9, 1.6, -0.6],
+        ],
+        seed=1,
+    )
+    # two eigenspaces 0.03 rad either side of the first pole, inside the pole bound
+    @example(spectra=[[cayley_pole(0, 4) - 0.03, cayley_pole(0, 4) + 0.03, 0.3, 1.2]], seed=2)
+    def test_eigh_order_gives_the_sorted_eigenspaces(self, spectra, seed):
+        rng = np.random.default_rng(seed)
+        bases = [random_unitary(rng, len(spectra[0])) for _ in spectra]
+        stack = with_spectra(bases, spectra)
+        phases, vectors, labels = self.assert_same_eigenspaces(stack)
+        # each eigenspace is the span of the basis vectors its phases were put in with
+        for v, spectrum, w, x, group in zip(bases, spectra, phases, vectors, labels):
+            for g in np.unique(group):
+                chord = np.abs(np.exp(1j * np.array(spectrum)) - np.exp(1j * w[group == g][0]))
+                want = v[:, chord < 1e-6] @ v[:, chord < 1e-6].conj().T
+                assert np.max(np.abs(projector(x, np.flatnonzero(group == g)) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("walk", ["grover-2d", "rank-2", "rank-3", "merged-2"])
+    def test_flat_and_merged_bands(self, walk):
+        if walk == "grover-2d":  # flat bands at +-1; 2 of its 256 nodes share an eigenspace
+            coin = np.full((4, 4), 0.5) - np.eye(4)
+            spec = WalkSpec(2, 4, [[1, 0], [-1, 0], [0, 1], [0, -1]], coin)
+            grid = QuadratureGrid(16, 2)
+        elif walk == "rank-2":  # rank 2 everywhere, rank 3 at k = 0 and -pi
+            spec, grid = WalkSpec(1, 3, [[1], [1], [-1]], np.eye(3)), QuadratureGrid(64)
+        elif walk == "rank-3":  # rank 3 everywhere, rank 4 at k = 0 and -pi
+            spec, grid = WalkSpec(1, 4, [[1], [1], [1], [-1]], np.eye(4)), QuadratureGrid(64)
+        else:  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace there
+            spec, grid = line_walk(U2Params(1e-11, 0.0, 0.0)), QuadratureGrid(64)
+        _, _, labels = self.assert_same_eigenspaces(build_uk(spec, grid.nodes))
+        shared = np.sum(labels.max(axis=1) < spec.coin_dim - 1)
+        assert shared == {"grover-2d": 2, "rank-2": 64, "rank-3": 64, "merged-2": 2}[walk]
 
 
 class TestPartialTrace:
