@@ -5,14 +5,17 @@ The walk is a Haar n=4 coin on the square lattice (shifts +-e1, +-e2). For
 each grid (20^2, 24^2 and 96^2, as in ``perfbench``'s lattice workload) the
 block is the first block of nodes the quadrature walks: the half zone of a
 bipartite walk on an even grid, at most 1024 nodes for n = 4. The stages
-are those of the solver's first Cayley round, which solves about 99% of the
-nodes, then the assembly of C and the block's ``c_local`` sum:
+are those of the solver's first round, at the first shift, which solves
+nearly every node, then the assembly of C and the block's ``c_local`` sum:
 
-- ``build_uk``: the ``U_k`` stack (the shift phases come from their memo,
-  as in a quadrature that repeats its grid);
-- ``cayley``: the shift and the Hermitian Cayley transform;
+- ``build``: the coin's Newton-Schulz step and the ``U_k`` stack (the shift
+  phases come from their memo, as in a quadrature that repeats its grid);
+- ``transform``: the shift and the Hermitian part ``V + V^dag`` of ``V = e^(-ia) U_k``;
 - ``eigh``: the batched Hermitian eigensolve;
-- ``fit_check``: the pole bound and the 1e-9 eigenpair fit;
+- ``rayleigh_fit``: ``U X``, the Rayleigh quotients ``x_j^dag U x_j`` and the
+  1e-9 eigenpair fit;
+- ``separation``: the phases, the wrapped gaps of adjacent columns and the
+  collision test;
 - ``gram_check``: the 1e-12 orthonormality check;
 - ``z_zdag``: ``Z = [v_j (x) v_j]_j`` and the Gram product ``Z Z^dag``;
 - ``c_local_sum``: the block's sum of C over its nodes.
@@ -39,9 +42,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from coinwalk import QuadratureGrid, WalkSpec, build_uk  # noqa: E402
+from coinwalk import QuadratureGrid, WalkSpec  # noqa: E402
 from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack  # noqa: E402
-from coinwalk.linalg import _FIRST_SHIFT, _POLE_BOUND, _cayley  # noqa: E402
+from coinwalk.linalg import _FIRST_SHIFT, _SEPARATION, DEGENERACY_TOL  # noqa: E402
+from coinwalk.walk import _shift_phases  # noqa: E402
 
 SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 GRIDS = (20, 24, 96)
@@ -56,25 +60,45 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def stages(spec: WalkSpec, ks: np.ndarray) -> dict:
     """A callable per stage, each given the inputs the stage before it produced."""
     n = spec.coin_dim
-    u = build_uk(spec, ks)
-    h = _cayley(np.exp(-1j * _FIRST_SHIFT) * u)
-    w, x = np.linalg.eigh(h)
-    psi = _FIRST_SHIFT + 2 * np.arctan(w)
-    c = characteristic_stack(spec, ks)
+    rounds = n * (n - 1) // 2 + 1
+    bound = min(_SEPARATION, np.sin(np.pi / (2 * rounds)))
 
-    def fit_check():
-        fits = np.max(np.abs(u @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-9
-        return (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
+    def build():
+        c = spec.coin
+        coin = c @ (1.5 * np.eye(n) - 0.5 * (c.conj().T @ c))
+        return np.multiply(_shift_phases(spec.shifts, ks).T[:, :, None], coin, order="C")
+
+    def transform():
+        v = np.exp(-1j * _FIRST_SHIFT) * u
+        return v + v.conj().swapaxes(1, 2)
+
+    def rayleigh_fit():
+        ux = u @ x
+        lam = np.einsum("mij,mij->mj", x.conj(), ux)
+        return lam, np.max(np.abs(ux - x * lam[:, None, :]), axis=(1, 2)) <= 1e-9
+
+    def separation():
+        psi = np.angle(lam)
+        gap = np.abs(np.diff(psi, axis=1))
+        gap = np.minimum(gap, 2 * np.pi - gap)
+        mean = 0.5 * (psi[:, 1:] + psi[:, :-1]) - _FIRST_SHIFT
+        return ((gap <= DEGENERACY_TOL) | (np.abs(np.sin(mean)) >= bound)).all(axis=1)
 
     def z_zdag():
         z = (x[:, :, None, :] * x[:, None, :, :]).reshape(len(ks), n * n, n)
         return z @ z.conj().swapaxes(1, 2)
 
+    u = build()
+    _, x = np.linalg.eigh(transform())
+    lam, _ = rayleigh_fit()
+    c = characteristic_stack(spec, ks)
+    h = transform()
     return {
-        "build_uk": lambda: build_uk(spec, ks),
-        "cayley": lambda: _cayley(np.exp(-1j * _FIRST_SHIFT) * u),
+        "build": build,
+        "transform": transform,
         "eigh": lambda: np.linalg.eigh(h),
-        "fit_check": fit_check,
+        "rayleigh_fit": rayleigh_fit,
+        "separation": separation,
         "gram_check": lambda: np.max(np.abs(x.conj().swapaxes(1, 2) @ x - np.eye(n)), initial=0.0),
         "z_zdag": z_zdag,
         "c_local_sum": lambda: c.sum(axis=0),
@@ -106,7 +130,9 @@ def main(argv=None) -> None:
         ks = grid._first_nodes(grid.node_count // 2)[:size]
         timed = {name: best_us(fn, args.repeats) for name, fn in stages(spec, ks).items()}
         # the stages inside characteristic_stack, against the whole call
-        inside = ("build_uk", "cayley", "eigh", "fit_check", "gram_check", "z_zdag")
+        inside = (
+            "build", "transform", "eigh", "rayleigh_fit", "separation", "gram_check", "z_zdag"
+        )
         timed["stages_sum"] = sum(timed[name] for name in inside)
         blocks[f"{points}^2"] = {"nodes": len(ks), "us": {k: round(t, 1) for k, t in timed.items()}}
     print(json.dumps({

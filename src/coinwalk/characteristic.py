@@ -279,13 +279,20 @@ def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
     closer than ``DEGENERACY_TOL`` are merged. The eigenvectors stay in the order the
     solver gives them (``linalg._eig_unitary_stack``): C depends on the eigenspaces, not
     on the order of their columns, and a node whose labels stop below ``n - 1`` has
-    fewer than n eigenspaces.
+    fewer than n eigenspaces. The solver takes the Hermitian part of each ``U_k``, which
+    would carry the coin's deviation from unitarity (up to 1e-10, as WalkSpec admits it)
+    into the eigenvectors at first order, so ``U_k`` is built from the coin after one
+    Newton-Schulz step ``c (3 I - c^dag c) / 2``: its polar factor up to the square of
+    that deviation, for two n x n products per call.
 
     The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
     this one fixed-size block of nodes at a time.
     """
-    _, v, labels = _eig_unitary_stack(build_uk(spec, ks))  # WalkSpec admitted the coin
-    m, n = labels.shape
+    c, n = spec.coin, spec.coin_dim
+    coin = c @ (1.5 * np.eye(n) - 0.5 * (c.conj().T @ c))  # one Newton-Schulz step
+    u = np.multiply(_shift_phases(spec.shifts, ks).T[:, :, None], coin, order="C")  # U_k
+    _, v, labels = _eig_unitary_stack(u)
+    m = len(labels)
     z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
     c = z @ z.conj().swapaxes(1, 2)
     shared = np.flatnonzero(labels.max(axis=1) < n - 1)  # fewer than n eigenspaces

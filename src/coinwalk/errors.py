@@ -33,9 +33,10 @@ class DegenerateDispersion(CoinWalkError):
 class NumericalFailure(CoinWalkError):
     """A consistency check failed on valid input (CLI exit code 4).
 
-    The eigensolver failed, left some node with an eigenphase on every
-    Cayley pole or gave eigenvectors that are not orthonormal, or a density
-    matrix is not Hermitian, of unit trace and positive.
+    The eigensolver failed, found no shift at which some node's eigenpairs
+    fit and its eigenphases keep clear of the collision points, or gave
+    eigenvectors that are not orthonormal, or a density matrix is not
+    Hermitian, of unit trace and positive.
     """
 
 

@@ -2,12 +2,13 @@
 
 Everything operates on plain ``numpy`` arrays of ``complex128``. The matrices
 here are tiny (n <= 64) but come in stacks of one per Brillouin-zone node, so
-the eigensolver works on a whole (M, n, n) stack at once: a Cayley transform
-maps each unitary to a Hermitian matrix with the same eigenvectors, one
-batched ``numpy.linalg.eigh`` solves them all, and phase grouping by
-vectorised gap tests labels the eigenspaces, with the residual and
-orthonormality checked at every node. Its output has one shape,
-``(phases, vectors, labels)``; a single matrix is a stack of one.
+the eigensolver works on a whole (M, n, n) stack at once: the Hermitian part
+of each shifted unitary has its eigenvectors, one batched ``numpy.linalg.eigh``
+solves them all, the Rayleigh quotients give the phases, and phase grouping
+by vectorised gap tests labels the eigenspaces, with the residual, the
+separation of the Hermitian part's eigenvalues and orthonormality checked at
+every node. Its output has one shape, ``(phases, vectors, labels)``; a single
+matrix is a stack of one.
 
 The public :func:`eig_unitary_batch` (and :func:`eig_unitary`) returns each
 node's phases wrapped into ``(-pi, pi]`` and sorted, its eigenvector columns
@@ -20,7 +21,6 @@ gaps alone; only the eigenspaces, not the order of their columns, enter
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +32,11 @@ Array = np.ndarray
 #: eigenphases this close (radians) form one eigenspace, for every coin dimension
 DEGENERACY_TOL = 1e-9
 
-#: the first Cayley shift a_0; shift j is a_0 + 2 pi j / (n + 1)
+#: the first shift a_0; with P = n (n - 1) / 2 + 1 rounds, shift j is a_0 + pi j / P
 _FIRST_SHIFT = 0.7
-#: a node whose Cayley eigenvalue exceeds this has an eigenphase within
-#: ~2/_POLE_BOUND rad of the pole and is solved again with the next shift
-_POLE_BOUND = 100.0
+#: two adjacent columns of distinct eigenspaces need |sin((psi_i + psi_j) / 2 - a)| at least
+#: this (capped at sin(pi / 2P)), or the node is solved again with the next shift
+_SEPARATION = 5e-3
 
 
 def as_matrix(m) -> Array:
@@ -60,24 +60,6 @@ def is_unitary(m) -> bool:
     return bool(np.max(residual, initial=0.0) <= 1e-10)
 
 
-def _cayley(v: Array) -> Array:
-    """``H = i (I + V)^-1 (I - V)`` per node of a unitary stack, made exactly Hermitian.
-
-    An eigenvalue ``exp(1j phi)`` of V becomes ``tan(phi / 2)`` of H, with the
-    same eigenvector. A node whose ``I + V`` is exactly singular (an eigenphase
-    on the pole ``phi = pi``) keeps ``H = 0``, whose eigenpairs fail the fit.
-    """
-    eye = np.eye(v.shape[1])
-    try:
-        x = np.linalg.solve(eye + v, eye - v)
-    except np.linalg.LinAlgError:  # one singular node fails the batched solve
-        x = np.zeros_like(v)
-        for m in range(len(v)):
-            with suppress(np.linalg.LinAlgError):
-                x[m] = np.linalg.solve(eye + v[m], eye - v[m])
-    return 0.5j * (x - x.conj().swapaxes(1, 2))
-
-
 def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     """Eigendecompose a stack of unitary matrices (M, n, n) with one batched solve.
 
@@ -87,28 +69,38 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     of one eigenspace. Ascending phases whose gaps are within
     ``DEGENERACY_TOL`` form one eigenspace, also across the wrap at +/-pi.
 
-    The solve is a shifted Cayley transform: with ``V = exp(-1j a) U``, the
-    Hermitian ``H = i (I + V)^-1 (I - V)`` has U's eigenvectors and the
-    eigenvalues ``w = tan((psi - a) / 2)``, so one batched ``eigh`` gives
-    orthonormal eigenvectors, also inside degenerate eigenspaces, and the
-    phases ``psi = a + 2 arctan(w)``. The pole ``psi = a + pi`` is avoided
-    node by node: a node with some ``|w| > 100`` (an eigenphase within
-    ~0.02 rad of the pole), or with an eigenvector residual above 1e-9 (an
-    eigenphase on the pole), is solved again with the next of the n + 1 shifts
-    ``a_j = 0.7 + 2 pi j / (n + 1)``. Its n eigenphases cannot lie near all
-    n + 1 poles, so some shift leaves each of them at least ``pi / (n + 1)``
-    from its pole and every node is done within n + 1 rounds. The
-    eigenvector error stays below about ``2 * 100 * eps / gap``. A solved
-    node's residual is about the input's deviation from unitarity (up to
-    1e-10) and a pole's is of order 1, so the bound sits between them.
+    The solve takes no inverse: with ``V = exp(-1j a) U``, the Hermitian part
+    ``(V + V^dag) / 2`` has U's eigenvectors and the eigenvalues
+    ``cos(psi - a)``, so one batched ``eigh`` gives orthonormal eigenvectors,
+    also inside degenerate eigenspaces. Each phase is that of the Rayleigh
+    quotient ``x_j^dag U x_j``, from the ``U X`` of the 1e-9 eigenpair fit.
+    Two of those eigenvalues differ by
+    ``2 |sin((psi_i + psi_j) / 2 - a) sin((psi_i - psi_j) / 2)|``: they collide
+    where the pair is symmetric about a (or a + pi), its collision point, and
+    there ``eigh`` mixes the two eigenvectors. So a node is accepted only if
+    its eigenpairs fit and every two columns next to each other in ``eigh``'s
+    order are one eigenspace (a wrapped gap within ``DEGENERACY_TOL``) or have
+    ``|sin((psi_i + psi_j) / 2 - a)| >= 5e-3`` (capped at ``sin(pi / 2P)``),
+    which keeps the eigenvector error below about ``200 eps / gap``. Any other
+    node is solved again with the next of the ``P = n (n - 1) / 2 + 1`` shifts
+    ``a_j = 0.7 + pi j / P``. Collision points repeat every pi, and each of the
+    ``n (n - 1) / 2`` pairs comes within ``pi / 2P`` of at most one shift, so
+    some shift leaves every pair at least that far from its collision point
+    and every node is done within P rounds. The Hermitian part keeps a
+    deviation from unitarity at first order: a solved node's residual is
+    rounding for a unitary input, and about the deviation over the
+    separation for one unitary only within 1e-10, which may take a later
+    shift. (The quadrature solves the ``U_k`` of the coin's Newton-Schulz
+    step instead, see :func:`~coinwalk.characteristic.characteristic_stack`.)
 
     Raises
     ------
     InvalidArgument
         If the stack is empty or some matrix is not unitary within 1e-10.
     NumericalFailure
-        If the solver fails, if some node's eigenvector residual exceeds 1e-9
-        at every shift, or if the eigenvectors' Gram matrix
+        If the solver fails, if at every shift some node's eigenvector residual
+        exceeds 1e-9 or two of its eigenphases are near a collision point, or
+        if the eigenvectors' Gram matrix
         ``vectors^dag vectors`` deviates from the identity by more than 1e-12
         at some node.
     """
@@ -118,12 +110,11 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     if a.ndim != 3 or not is_unitary(a):
         raise InvalidArgument(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
     phases, vectors, _ = _eig_unitary_stack(a)
-    phases = np.mod(phases + np.pi, 2 * np.pi) - np.pi
-    phases = np.where(phases <= -np.pi, phases + 2 * np.pi, phases)  # into (-pi, pi]
+    phases = np.where(phases == -np.pi, np.pi, phases)  # into (-pi, pi]
     order = np.argsort(phases, axis=1, kind="stable")
     phases = np.take_along_axis(phases, order, axis=1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
-    labels = _gap_labels(phases)
+    labels = _gap_labels(np.diff(phases, axis=1))
     wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
     labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
     return phases, vectors, labels
@@ -134,51 +125,64 @@ def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
 
     For the ``U_k`` of a walk :class:`~coinwalk.walk.WalkSpec` admitted, unitary within 1e-10.
     Returns ``(phases, vectors, labels)`` as :func:`eig_unitary_batch` does, with the same
-    checks, but the columns stay in the order ``eigh`` gives them: each node's phases
-    ``psi = a + 2 arctan(w)`` ascend from the cut ``a - pi`` of the shift ``a`` that solved it,
-    unwrapped. The pole bound ``|w| <= 100`` keeps every phase at least 0.02 rad inside that
-    cut, so no eigenspace straddles it, and the labels count the gaps above
-    ``DEGENERACY_TOL`` from the first column with no wrap rule. The eigenspaces are those of
-    :func:`eig_unitary_batch`; the order of their columns and their labels may differ.
+    checks, but the columns stay in the order ``eigh`` gives them: ascending
+    ``cos(psi - a)`` for the shift ``a`` that solved the node, with phases in ``[-pi, pi]``.
+    A column starts a new label when its wrapped phase gap to the column before it exceeds
+    ``DEGENERACY_TOL``. The separation test keeps the columns of one eigenspace next to each
+    other, so the eigenspaces are those of :func:`eig_unitary_batch`; the order of their
+    columns and their labels may differ.
     """
     n = a.shape[1]
+    rounds = n * (n - 1) // 2 + 1
+    bound = min(_SEPARATION, np.sin(np.pi / (2 * rounds)))
 
-    def solve(b: Array, j: int) -> tuple[Array, Array, Array]:
-        """Cayley round j on the stack ``b``: its phases, eigenvectors and solved nodes."""
-        shift = _FIRST_SHIFT + 2 * np.pi * j / (n + 1)
-        h = _cayley(np.exp(-1j * shift) * b)
+    def solve(b: Array, j: int) -> tuple[Array, Array, Array, Array]:
+        """Round j on the stack ``b``: its phases, eigenvectors, adjacent gaps and solved nodes."""
+        shift = _FIRST_SHIFT + np.pi * j / rounds
+        v = np.exp(-1j * shift) * b
         try:
-            w, x = np.linalg.eigh(h)
+            _, x = np.linalg.eigh(v + v.conj().swapaxes(1, 2))  # 2 cos(psi - a)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-        psi = shift + 2 * np.arctan(w)
-        # on the pole H = 0, whose residual (V - I) e^(ia) has an entry >= 2/n, or, where I + V is
-        # singular only up to rounding, H is wrong (residual ~0.5 at theta 0.7, alpha -pi, k 0)
-        fits = np.max(np.abs(b @ x - x * np.exp(1j * psi)[:, None, :]), axis=(1, 2)) <= 1e-9
-        return psi, x, (np.max(np.abs(w), axis=1) <= _POLE_BOUND) & fits
+        bx = b @ x
+        lam = np.einsum("mij,mij->mj", x.conj(), bx)  # the Rayleigh quotients x_j^dag U x_j
+        fits = np.max(np.abs(bx - x * lam[:, None, :]), axis=(1, 2)) <= 1e-9
+        psi = np.angle(lam)
+        gap = np.abs(np.diff(psi, axis=1))
+        gap = np.minimum(gap, 2 * np.pi - gap)  # wrapped, to the column before
+        # cos(psi_i - a) and cos(psi_j - a) differ by 2 |sin(mean - a) sin(gap / 2)|
+        mean = 0.5 * (psi[:, 1:] + psi[:, :-1]) - shift
+        apart = (gap <= DEGENERACY_TOL) | (np.abs(np.sin(mean)) >= bound)
+        return psi, x, gap, fits & apart.all(axis=1)
 
-    phases, vectors, done = solve(a, 0)  # the whole stack, with no gather
+    phases, vectors, gaps, done = solve(a, 0)  # the whole stack, with no gather
     todo = np.flatnonzero(~done)
-    for j in range(1, n + 1):
+    for j in range(1, rounds):
         if todo.size == 0:
             break
-        psi, x, done = solve(a[todo], j)
-        phases[todo[done]] = psi[done]
-        vectors[todo[done]] = x[done]
+        psi, x, gap, done = solve(a[todo], j)
+        solved = todo[done]
+        phases[solved], vectors[solved], gaps[solved] = psi[done], x[done], gap[done]
         todo = todo[~done]
     if todo.size:
-        raise NumericalFailure(f"{todo.size} nodes keep an eigenphase on every Cayley pole")
+        raise NumericalFailure(
+            f"{todo.size} nodes keep an eigenpair residual above 1e-9 or two eigenphases"
+            f" near a collision point at each of the {rounds} shifts"
+        )
 
     gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)), initial=0.0)
     if not gram <= 1e-12:
         raise NumericalFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
-    return phases, vectors, _gap_labels(phases)
+    return phases, vectors, _gap_labels(gaps)
 
 
-def _gap_labels(phases: Array) -> Array:
-    """Int labels (M, n) of phases ascending per node; a gap above ``DEGENERACY_TOL`` starts one."""
-    labels = np.zeros(phases.shape, dtype=np.int64)
-    labels[:, 1:] = np.cumsum(np.diff(phases, axis=1) > DEGENERACY_TOL, axis=1)
+def _gap_labels(gaps: Array) -> Array:
+    """Int labels (M, n) from the (M, n - 1) gaps between adjacent columns.
+
+    A gap above ``DEGENERACY_TOL`` starts a new label.
+    """
+    labels = np.zeros((len(gaps), gaps.shape[1] + 1), dtype=np.int64)
+    labels[:, 1:] = np.cumsum(gaps > DEGENERACY_TOL, axis=1)
     return labels
 
 

@@ -149,7 +149,8 @@ def _shift_phases(shifts: Array, ks: Array) -> Array:
     keeps the 16 tables used last whose phases and key arrays take at most
     96 KiB each (the +-1 line at the default grid takes 80 KiB), so it
     retains at most 1.5 MiB (``_PHASE_MEMO_BYTES``) of arrays, plus under
-    1 KiB of Python objects per table; larger tables are not kept.
+    1 KiB of Python objects per table; larger tables are not kept. A ``ks`` with a
+    non-finite entry is refused (:class:`InvalidArgument`) before any table is computed.
     """
     key = None
     if 16 * len(shifts) * len(ks) + shifts.nbytes + ks.nbytes <= (
@@ -161,6 +162,8 @@ def _shift_phases(shifts: Array, ks: Array) -> Array:
             if phase is not None:
                 _phase_memo.move_to_end(key)
                 return phase
+    if not np.isfinite(ks).all():  # before shifts @ ks.T, whose 0 * inf warns; never memoized
+        raise InvalidArgument("k must be finite")
     phase = np.empty((len(shifts), len(ks)), dtype=np.complex128)
     arg = shifts @ ks.T
     rows = shifts.tolist()
@@ -187,13 +190,11 @@ def build_uk(spec: WalkSpec, k) -> Array:
     points; the result is (n, n) or a C-ordered (M, n, n), the layout
     :func:`~coinwalk.linalg.eig_unitary_batch` reads. The phases come from
     :func:`_shift_phases`. Raises :class:`InvalidArgument` for a ``k`` that
-    does not match the lattice dimension or is not finite.
+    does not match the lattice dimension or (in :func:`_shift_phases`) is not finite.
     """
     kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if kv.shape[-1] != spec.lattice_dim:
         raise InvalidArgument(f"k has shape {kv.shape}, walk lattice_dim is {spec.lattice_dim}")
-    if not np.isfinite(kv).all():
-        raise InvalidArgument("k must be finite")
     phase = _shift_phases(spec.shifts, kv.reshape(-1, spec.lattice_dim))  # (n, M)
     u = np.multiply(phase.T[:, :, None], spec.coin, order="C")
     return u.reshape(*kv.shape[:-1], spec.coin_dim, spec.coin_dim)

@@ -628,11 +628,13 @@ class TestBlockedQuadrature:
     def test_bipartite_walks_on_even_grids_solve_half_the_nodes(
         self, n, d, points, walked, rng, monkeypatch
     ):
-        # a 2x2 coin takes D straight from the shift phases and builds no U_k
-        seam = "_shift_phases" if n == 2 else "build_uk"
-        build, rows = getattr(characteristic, seam), []
+        # every coin takes the shift phases once per walked node: a 2x2 coin for D,
+        # any other for the U_k of its Newton-Schulz step
+        phases, rows = characteristic._shift_phases, []
         monkeypatch.setattr(
-            characteristic, seam, lambda spec, ks: rows.append(len(ks)) or build(spec, ks)
+            characteristic,
+            "_shift_phases",
+            lambda shifts, ks: rows.append(len(ks)) or phases(shifts, ks),
         )
         spec = WalkSpec(d, n, self.SHIFTS[n, d], random_unitary(rng, n))
         grid = QuadratureGrid(points, d)

@@ -27,7 +27,7 @@ from coinwalk import (
 )
 from coinwalk import characteristic
 from coinwalk.characteristic import _involution_2, build_uk, characteristic_stack
-from coinwalk.linalg import DEGENERACY_TOL
+from coinwalk.linalg import _FIRST_SHIFT, DEGENERACY_TOL
 from conftest import (
     c_from_involution,
     partial_trace,
@@ -131,15 +131,22 @@ class TestPointwise:
             c_of_k_u2(U2Params(0.0, 0.0, 0.0), 0.0)
 
     @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
-    # an eigenphase within ~1e-12 of the first Cayley pole
+    # an eigenphase within ~1e-12 of a_0 + pi, and times exp(1j a_0) a pair within ~1e-12
+    # of the collision point of a_0
     @example(theta=0.7, alpha=-3.1415926535897927, beta=0.6953125, k=1e-12)
     def test_structural_invariants(self, theta, alpha, beta, k):
-        c = characteristic_at_k(line_walk(U2Params(theta, alpha, beta)), k)
-        assert np.max(np.abs(c - c.conj().T)) <= 1e-10
-        s = swap_matrix(2)
-        assert np.max(np.abs(s @ c @ s - c)) <= 1e-10
-        assert np.max(np.abs(c)) <= 1 + 1e-12
-        assert np.trace(c).real == pytest.approx(2.0, abs=1e-8)
+        walk = line_walk(U2Params(theta, alpha, beta))
+        # a line walk's phases +-gamma sum to 0, the collision point of no shift; times
+        # exp(1j a_0) they sum to 2 a_0 at every k: on the collision point of a_0
+        phased = WalkSpec(1, 2, walk.shifts, np.exp(1j * _FIRST_SHIFT) * walk.coin)
+        c, c_phased = characteristic_at_k(walk, k), characteristic_at_k(phased, k)
+        assert np.max(np.abs(c_phased - c)) <= 1e-10  # a global phase moves no projector
+        for c in (c, c_phased):
+            assert np.max(np.abs(c - c.conj().T)) <= 1e-10
+            s = swap_matrix(2)
+            assert np.max(np.abs(s @ c @ s - c)) <= 1e-10
+            assert np.max(np.abs(c)) <= 1 + 1e-12
+            assert np.trace(c).real == pytest.approx(2.0, abs=1e-8)
 
 
 class TestBatchedStack:

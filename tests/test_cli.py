@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import coinwalk
 import coinwalk.cli
-import coinwalk.linalg
 from coinwalk import (
     CoinWalkError,
     DegenerateDispersion,
@@ -641,16 +640,19 @@ class TestBadInput:
         assert err.startswith("error: ") and err.endswith("refused\n") and err.count("\n") == 1
 
     def test_eigensolver_failure_exits_4(self, capsys, monkeypatch, tmp_path):
-        # every node is singular: its H = 0 fails the fit at every Cayley pole
-        def singular(v):
-            return np.zeros_like(v)
+        # an eigh that returns the unit vectors fails the fit at every shift
+        def unit_vectors(h):
+            return np.zeros(h.shape[:2]), np.broadcast_to(np.eye(h.shape[1]), h.shape).copy()
 
-        monkeypatch.setattr(coinwalk.linalg, "_cayley", singular)
+        monkeypatch.setattr(np.linalg, "eigh", unit_vectors)
         (tmp_path / "grover.cfg").write_text(GROVER_CFG)
         code, out, err = run(capsys, "rho", "--walk-file", str(tmp_path / "grover.cfg"),
                              "--state", "local v=0,0 chi=(1,0,0,0)", "--grid-n", "4")
         assert code == 4 and out == ""
-        assert err == "error: 8 nodes keep an eigenphase on every Cayley pole\n"
+        assert err == (
+            "error: 8 nodes keep an eigenpair residual above 1e-9 or two eigenphases"
+            " near a collision point at each of the 7 shifts\n"
+        )
 
     def test_a_failed_eigh_exits_4(self, capsys, monkeypatch, tmp_path):
         def unconverged(h):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import coinwalk.linalg
 from coinwalk import (
     DensityMatrix,
     InvalidArgument,
@@ -220,12 +219,26 @@ def wrapped_labels(phases) -> np.ndarray:
     return labels
 
 
-def cayley_pole(j: int, n: int) -> float:
-    """The eigenphase in (-pi, pi] on the pole of Cayley shift j for coin dimension n."""
-    return float(np.angle(np.exp(1j * (_FIRST_SHIFT + 2 * np.pi * j / (n + 1) + np.pi))))
+def shift(j: int, n: int) -> float:
+    """The solver's shift a_j for coin dimension n: a_0 + pi j / P, P = n (n - 1) / 2 + 1."""
+    return _FIRST_SHIFT + np.pi * j / (n * (n - 1) // 2 + 1)
 
 
-class TestCayleySolve:
+def wrap(phase: float) -> float:
+    """``phase`` moved into (-pi, pi]."""
+    return float(np.angle(np.exp(1j * phase)))
+
+
+def collision_pair(j: int, n: int, half: float) -> list[float]:
+    """Two eigenphases ``half`` either side of shift a_j: on its collision point.
+
+    The Hermitian part of ``exp(-1j a) U`` has the eigenvalues ``cos(psi - a)``,
+    which are equal for two phases symmetric about a (or about a + pi).
+    """
+    return [wrap(shift(j, n) + half), wrap(shift(j, n) - half)]
+
+
+class TestHermitianPartSolve:
     """``eig_unitary_batch`` against ``np.linalg.eig``, compared through eigenspace projectors."""
 
     def assert_matches_eig(self, stack, tol):
@@ -288,49 +301,54 @@ class TestCayleySolve:
             assert np.max(np.abs(got[m] - want)) <= bound
         self.assert_matches_eig(stack, 2 * bound)
 
-    def test_poles_are_retried_with_the_next_shifts(self, rng, monkeypatch):
+    def test_collisions_are_retried_with_the_next_shifts(self, rng, monkeypatch):
         n = 4
-        first, second = cayley_pole(0, n), cayley_pole(1, n)
         spectra = [
-            [first, 0.3, 1.2, 2.5],  # on the first pole
-            [first, second, 0.3, 2.9],  # on the first two poles at once
-            [first + 1e-3, -0.4, 0.8, 1.9],  # near it: 1e-3 rad is inside the retry band
-            [0.1, 0.9, 1.6, -0.6],  # clear of every pole
+            [*collision_pair(0, n, 0.5), 2.9, -1.2],  # on the collision point of a_0
+            [*collision_pair(0, n, 0.5), *collision_pair(1, n, 1.3)],  # of a_0 and a_1 at once
+            # 1e-3 rad from that of a_0: |sin(1e-3)| is inside the separation bound 5e-3
+            [*(phase + 1e-3 for phase in collision_pair(0, n, 0.9)), 2.0, -2.2],
+            [0.1, 0.9, 1.6, -0.6],  # clear of a_0's collision points
         ]
         stack = with_spectra([random_unitary(rng, n) for _ in spectra], spectra)
         rounds = []
-        cayley = coinwalk.linalg._cayley
+        eigh = np.linalg.eigh
 
-        def counted(v):
-            rounds.append(len(v))
-            return cayley(v)
+        def counted(h):
+            rounds.append(len(h))
+            return eigh(h)
 
-        monkeypatch.setattr(coinwalk.linalg, "_cayley", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         self.assert_matches_eig(stack, 1e-10)
         assert rounds == [4, 3, 1]
 
-    def test_numerically_singular_node_does_not_fail_its_batch(self, rng):
-        # exp(-1j a_0) u is -1 up to rounding, so I + V has a pivot of ~1e-17
-        # (exactly 0 where the product is not fused)
-        u = -np.conj(np.exp(-1j * _FIRST_SHIFT))
-        singular = np.diag([u, np.exp(0.4j), np.exp(-1.3j), np.exp(2.2j)])
-        stack = np.stack([random_unitary(rng, 4), singular, random_unitary(rng, 4)])
-        assert abs(1 + (np.exp(-1j * _FIRST_SHIFT) * stack)[1, 0, 0]) <= 1e-16
+    def test_a_collision_the_fit_accepts_does_not_fail_its_batch(self, rng, monkeypatch):
+        # a diagonal node: eigh's columns are unit vectors, exact eigenvectors that pass the
+        # fit, but the pair symmetric about a_0 has one eigenvalue of the Hermitian part, so
+        # only the separation test sends the node to the next shift
+        spectrum = np.array([*collision_pair(0, 4, 0.8), 0.4, 2.2])
+        node = np.diag(np.exp(1j * spectrum))
+        stack = np.stack([random_unitary(rng, 4), node, random_unitary(rng, 4)])
+        h = np.diag(np.exp(-1j * _FIRST_SHIFT) * node).real
+        assert abs(h[0] - h[1]) <= 1e-15
+        rounds = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: rounds.append(len(h)) or eigh(h))
         phases, vectors, _ = self.assert_matches_eig(stack, 1e-12)
-        assert abs(phases[1, 0] - cayley_pole(0, 4)) <= 1e-15
-        # ascending phases: the pole near -2.44, then -1.3, 0.4 and 2.2
-        assert np.max(np.abs(np.abs(vectors[1]) - np.eye(4)[:, [0, 2, 1, 3]])) <= 1e-15
+        assert rounds == [3, 1]
+        assert np.max(np.abs(phases[1] - np.sort(spectrum))) <= 1e-15
+        assert np.max(np.abs(np.abs(vectors[1]) - np.eye(4)[:, np.argsort(spectrum)])) <= 1e-15
 
-    def test_exactly_singular_node_is_left_for_the_next_shift(self, rng):
-        v = np.stack([random_unitary(rng, 3), np.diag([-1.0, 1j, -1j]), random_unitary(rng, 3)])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(np.eye(3) + v, np.eye(3))
-        h = coinwalk.linalg._cayley(v)
-        assert np.array_equal(h[1], np.zeros((3, 3)))  # its eigenpairs fail the fit
-        for m in (0, 2):
-            x = np.linalg.solve(np.eye(3) + v[m], np.eye(3) - v[m])
-            assert np.max(np.abs(h[m] - 1j * x)) <= 1e-12
-            assert np.array_equal(h[m], h[m].conj().T)
+    def test_mixed_columns_on_a_collision_are_left_for_the_next_shift(self, rng):
+        # in a general basis eigh mixes the two eigenvectors of the double eigenvalue,
+        # whose columns fail the 1e-9 eigenpair fit; the next shift solves the node
+        spectrum = [*collision_pair(0, 3, 1.1), -0.5]
+        node = with_spectra([random_unitary(rng, 3)], [spectrum])
+        v = np.exp(-1j * _FIRST_SHIFT) * node
+        _, x = np.linalg.eigh(v + v.conj().swapaxes(1, 2))
+        lam = np.einsum("mij,mij->mj", x.conj(), node @ x)
+        assert np.max(np.abs(node @ x - x * lam[:, None, :])) > 1e-9
+        self.assert_matches_eig(node, 1e-12)
 
     def test_non_unitary_node_raises(self, rng):
         stack = np.stack([random_unitary(rng, 5) for _ in range(3)])
@@ -350,8 +368,8 @@ class TestCayleySolve:
     )
     @pytest.mark.parametrize("deviation", [4e-12, 3e-11, 9.9e-11, pytest.param(None, id="boundary")])
     def test_coins_admitted_as_unitary_are_solved(self, shifts, points, deviation, rng):
-        # WalkSpec admits a coin unitary within 1e-10, and a node of such a walk
-        # keeps an eigenvector residual of about its deviation at every shift
+        # WalkSpec admits a coin unitary within 1e-10, which the Hermitian part of
+        # exp(-1j a) U_k would carry into the eigenvectors at first order
         n, d = np.shape(shifts)
         coin = random_unitary(rng, n)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -366,17 +384,21 @@ class TestCayleySolve:
         u, _, vh = np.linalg.svd(near)
         got = rho_asymptotic(WalkSpec(d, n, shifts, near), state, grid).rho.matrix
         want = rho_asymptotic(WalkSpec(d, n, shifts, u @ vh), state, grid).rho.matrix
-        # the Cayley transform's Hermitian part drops the first order in e
+        # the quadrature solves the coin after one Newton-Schulz step, its polar factor up to O(e^2)
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_a_node_on_every_pole_is_a_numerical_failure(self, rng, monkeypatch):
-        # every node is singular: its H = 0 fails the fit, so each is left for the next shift
-        def singular(v):
-            return np.zeros_like(v)
+    def test_a_node_that_fails_at_every_shift_is_a_numerical_failure(self, rng, monkeypatch):
+        # an eigh that returns the unit vectors fails the fit at every shift
+        def unit_vectors(h):
+            return np.zeros(h.shape[:2]), np.broadcast_to(np.eye(h.shape[1]), h.shape).copy()
 
-        monkeypatch.setattr(coinwalk.linalg, "_cayley", singular)
+        monkeypatch.setattr(np.linalg, "eigh", unit_vectors)
         stack = np.stack([random_unitary(rng, 3) for _ in range(5)])
-        with pytest.raises(NumericalFailure, match="^5 nodes keep an eigenphase on every Cayley"):
+        with pytest.raises(
+            NumericalFailure,
+            match="^5 nodes keep an eigenpair residual above 1e-9 or two eigenphases near a"
+            " collision point at each of the 4 shifts$",
+        ):
             eig_unitary_batch(stack)
 
     def test_a_failed_eigh_is_a_numerical_failure(self, rng, monkeypatch):
@@ -391,18 +413,19 @@ class TestCayleySolve:
     def test_eigenvectors_that_fit_but_are_not_orthonormal_are_a_numerical_failure(
         self, rng, monkeypatch
     ):
-        # vectors 1 + 1e-9 long still pass the 1e-9 fit, whose residual they only
-        # scale, but have a Gram error of 2e-9
+        # vectors 1 + 2e-10 long still pass the 1e-9 fit, whose residual against their
+        # Rayleigh quotients (1 + 2e-10)^2 exp(1j psi) is about 4e-10, but have a Gram
+        # error of 4e-10
         eigh = np.linalg.eigh
 
         def stretched(h):
             w, x = eigh(h)
-            return w, x * (1 + 1e-9)
+            return w, x * (1 + 2e-10)
 
         monkeypatch.setattr(np.linalg, "eigh", stretched)
         stack = np.stack([random_unitary(rng, 3) for _ in range(2)])
         with pytest.raises(
-            NumericalFailure, match="^eigenvector orthonormality error 2.000e-09 exceeds 1e-12$"
+            NumericalFailure, match="^eigenvector orthonormality error 4.000e-10 exceeds 1e-12$"
         ):
             eig_unitary_batch(stack)
 
@@ -411,16 +434,22 @@ class TestCayleySolve:
 def clustered_spectra(draw) -> list[list[float]]:
     """Eigenphases of 1-4 nodes of one coin dimension n <= 6, in clusters.
 
-    Each phase opens a cluster at a centre (+-pi or just inside it, a pole of
-    the first two Cayley shifts, or any phase) or joins an earlier one, 0 or
-    1e-12 rad from its centre. A centre within 1e-3 rad of an earlier one on
-    the circle joins it instead: exactly where they differ by up to 1e-11
-    (the pair pi, -pi + 1e-12 across the wrap), at the earlier centre
-    otherwise, so distinct eigenspaces are at least 1e-3 apart.
+    Each phase opens a cluster at a centre (+-pi or just inside it, a phase at
+    the first or second shift or half a turn from it, where ``cos(psi - a)`` is
+    flat, a phase of a pair on the collision point of the first or second
+    shift, or any phase) or joins an earlier one, 0 or 1e-12 rad from its
+    centre. A centre within 1e-3 rad of an earlier one on the circle joins it
+    instead: exactly where they differ by up to 1e-11 (the pair pi, -pi + 1e-12
+    across the wrap), at the earlier centre otherwise, so distinct eigenspaces
+    are at least 1e-3 apart.
     """
     n = draw(st.integers(2, 6))
-    poles = [cayley_pole(0, n), cayley_pole(1, n)]
-    special = st.sampled_from([np.pi, -np.pi + 1e-12, np.pi - 1e-12, *poles])
+    collisions = [
+        phase
+        for j in (0, 1)
+        for phase in (wrap(shift(j, n)), wrap(shift(j, n) + np.pi), *collision_pair(j, n, 0.6))
+    ]
+    special = st.sampled_from([np.pi, -np.pi + 1e-12, np.pi - 1e-12, *collisions])
     spectra = []
     for _ in range(draw(st.integers(1, 4))):
         centres, spectrum = [], []
@@ -446,6 +475,30 @@ def partition(labels, columns) -> set[frozenset]:
     return {frozenset(np.asarray(columns)[labels == g].tolist()) for g in np.unique(labels)}
 
 
+def wrapped_gaps(phases) -> np.ndarray:
+    """(M, n - 1): the distance on the circle from each column's phase to the one before."""
+    gap = np.abs(np.diff(phases, axis=1))
+    return np.minimum(gap, 2 * np.pi - gap)
+
+
+def ordered_at(phases, n: int) -> list[int]:
+    """The shifts ``a_j`` at which a node's columns are in the solver's order.
+
+    That is ``eigh``'s order of the Hermitian part of ``exp(-1j a_j) U``, ascending
+    ``cos(psi - a_j)`` (to rounding), with every pair of adjacent columns in one
+    eigenspace or ``|sin(mean - a_j)| >= 5e-3`` from the collision point of a_j.
+    """
+    gap = wrapped_gaps(phases[None])[0]
+    mean = 0.5 * (phases[1:] + phases[:-1])
+    found = []
+    for j in range(n * (n - 1) // 2 + 1):
+        ascending = np.all(np.diff(np.cos(phases - shift(j, n))) >= -1e-12)
+        apart = (gap <= DEGENERACY_TOL) | (np.abs(np.sin(mean - shift(j, n))) >= 5e-3)
+        if ascending and apart.all():
+            found.append(j)
+    return found
+
+
 class TestColumnOrder:
     """The quadrature's solver keeps ``eigh``'s columns and finds the sorted route's eigenspaces."""
 
@@ -454,10 +507,11 @@ class TestColumnOrder:
         phases, vectors, labels = _eig_unitary_stack(stack)
         sorted_phases, sorted_vectors, sorted_labels = eig_unitary_batch(stack)
         m, n = labels.shape
-        # eigh's order: phases ascend, and the labels count the gaps, with no wrap
-        assert np.all(np.diff(phases, axis=1) >= 0)
+        # eigh's order at some shift, and the labels count the wrapped gaps to the column before
+        assert np.all(np.abs(phases) <= np.pi)
+        assert all(ordered_at(w, n) for w in phases)
         assert np.all(labels[:, 0] == 0)
-        assert np.array_equal(np.diff(labels, axis=1), np.diff(phases, axis=1) > DEGENERACY_TOL)
+        assert np.array_equal(np.diff(labels, axis=1), wrapped_gaps(phases) > DEGENERACY_TOL)
         # the public route: ascending in (-pi, pi], joined across the wrap
         assert np.all((sorted_phases > -np.pi) & (sorted_phases <= np.pi))
         assert np.all(np.diff(sorted_phases, axis=1) >= 0)
@@ -476,20 +530,37 @@ class TestColumnOrder:
         assert np.array_equal(labels.max(axis=1) < n - 1, pairs)
         return phases, vectors, labels
 
+    @staticmethod
+    def assert_bases_kept(spectra, bases, phases, vectors, labels, factor):
+        """Each eigenspace is within ``factor * eps / gap`` of the basis vectors it was put in with.
+
+        The gap is the distance on the circle from the eigenspace's phases to the nearest
+        phase put in outside it.
+        """
+        for v, spectrum, w, x, group in zip(bases, spectra, phases, vectors, labels):
+            spectrum = np.exp(1j * np.array(spectrum))
+            for g in np.unique(group):
+                members = np.abs(spectrum - np.exp(1j * w[group == g][0])) < 1e-6
+                want = v[:, members] @ v[:, members].conj().T
+                chord = np.abs(spectrum[members][:, None] - spectrum[~members][None, :])
+                gap = 2 * np.arcsin(np.min(chord, initial=2.0) / 2)
+                error = np.max(np.abs(projector(x, np.flatnonzero(group == g)) - want))
+                assert error <= factor * np.finfo(float).eps / gap
+
     @given(spectra=clustered_spectra(), seed=st.integers(0, 2**32 - 1))
     # exact degenerate pairs next to +-pi, one across the wrap
     @example(spectra=[[np.pi, -np.pi + 1e-12, 0.5, -0.8], [np.pi, np.pi, 1.0, 1.0]], seed=0)
-    # eigenphases on the first pole, and on the first two: retried with the next shifts
+    # pairs on the collision point of a_0, and of a_0 and a_1: retried with the next shifts
     @example(
         spectra=[
-            [cayley_pole(0, 4), cayley_pole(0, 4), 0.3, 2.5],
-            [cayley_pole(0, 4), cayley_pole(1, 4), 0.3, 0.3],
+            [*collision_pair(0, 4, 0.5), 2.9, 2.9],
+            [*collision_pair(0, 4, 0.5), *collision_pair(1, 4, 1.3)],
             [0.1, 0.9, 1.6, -0.6],
         ],
         seed=1,
     )
-    # two eigenspaces 0.03 rad either side of the first pole, inside the pole bound
-    @example(spectra=[[cayley_pole(0, 4) - 0.03, cayley_pole(0, 4) + 0.03, 0.3, 1.2]], seed=2)
+    # a pair 6e-3 rad from the collision point of a_0, just outside the separation bound
+    @example(spectra=[[*(p + 6e-3 for p in collision_pair(0, 4, 0.4)), 0.3, 1.2]], seed=2)
     def test_eigh_order_gives_the_sorted_eigenspaces(self, spectra, seed):
         rng = np.random.default_rng(seed)
         bases = [random_unitary(rng, len(spectra[0])) for _ in spectra]
@@ -517,6 +588,92 @@ class TestColumnOrder:
         _, _, labels = self.assert_same_eigenspaces(build_uk(spec, grid.nodes))
         shared = np.sum(labels.max(axis=1) < spec.coin_dim - 1)
         assert shared == {"grover-2d": 2, "rank-2": 64, "rank-3": 64, "merged-2": 2}[walk]
+
+
+#: per coin dimension n, integers m_i for eigenphases a_0 + pi m_i / P (P = n (n - 1) / 2 + 1)
+#: whose pairs sit on the collision points of as many of the first P - 1 shifts as pairs
+#: allow: pair (i, j) collides at shift (m_i + m_j) / 2 mod P. For n = 3, 4 and 5 that is
+#: every one of them, so the node is solved in round P; for n = 6 in round 15 of 16, and
+#: for n = 8 (shifts 0-21 and 25-26 blocked) in round 23 of 29
+WORST_CASE = {
+    3: (1, 3, 7),
+    4: (1, 3, 7, 13),
+    5: (0, 2, 4, 8, 14),
+    6: (0, 2, 4, 6, 12, 20),
+    8: (5, 7, 13, 17, 19, 21, 45, 55),
+}
+WORST_CASE_ROUNDS = {3: 4, 4: 7, 5: 11, 6: 15, 8: 23}
+
+
+@st.composite
+def colliding_spectra(draw, sizes=(3, 4, 5, 6)) -> list[list[float]]:
+    """Eigenphases of 1-3 nodes whose pairs sit on or near the collision points of many shifts.
+
+    Each phase is the ``WORST_CASE`` phase of its column moved by up to 2e-3 rad (so each
+    pair stays within the separation bound of its collision point), or, after the first,
+    a member of an earlier such phase's cluster, 0, 1e-12 or 5e-10 rad from it: within
+    ``DEGENERACY_TOL``, so the cluster is one eigenspace.
+    """
+    n = draw(st.sampled_from(sizes))
+    rounds = n * (n - 1) // 2 + 1
+    offsets = st.sampled_from([0.0, 1e-6, -1e-5, 1e-4, -2e-3])
+    spectra = []
+    for _ in range(draw(st.integers(1, 3))):
+        centres = []
+        spectrum = []
+        for m in WORST_CASE[n]:
+            if centres and draw(st.integers(0, 3)) == 0:
+                cluster = draw(st.sampled_from([0.0, 1e-12, 5e-10]))
+                spectrum.append(wrap(draw(st.sampled_from(centres)) + cluster))
+            else:
+                centres.append(wrap(_FIRST_SHIFT + np.pi * m / rounds + draw(offsets)))
+                spectrum.append(centres[-1])
+        spectra.append(spectrum)
+    return spectra
+
+
+class TestCollisions:
+    """Spectra that put the Hermitian part's eigenvalues on a collision at shift after shift."""
+
+    @staticmethod
+    def solve(spectra, seed):
+        """The solver on these spectra: its output, the rounds it took, the bases."""
+        rng = np.random.default_rng(seed)
+        bases = [random_unitary(rng, len(spectra[0])) for _ in spectra]
+        rounds = []
+        eigh = np.linalg.eigh
+
+        def counted(h):
+            rounds.append(len(h))
+            return eigh(h)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted)
+            solved = TestColumnOrder.assert_same_eigenspaces(with_spectra(bases, spectra))
+        return solved, len(rounds) // 2, bases  # assert_same_eigenspaces solves twice
+
+    @given(spectra=colliding_spectra(), seed=st.integers(0, 2**32 - 1))
+    # near collisions at 1e-6 and 1e-4 rad: eigh resolves them, and the fit accepts the
+    # columns, with an eigenvector error of eps / (1e-6 gap) that only the separation test refuses
+    @example(spectra=[[wrap(_FIRST_SHIFT + np.pi * m / 7 + 1e-6) for m in WORST_CASE[4]]], seed=3)
+    @example(
+        spectra=[[wrap(_FIRST_SHIFT + np.pi * m / 11 + 1e-4 * (m == 0)) for m in WORST_CASE[5]]],
+        seed=4,
+    )
+    def test_worst_case_spectra_are_solved_within_p_rounds(self, spectra, seed):
+        n = len(spectra[0])
+        (phases, vectors, labels), rounds, bases = self.solve(spectra, seed)
+        assert rounds <= n * (n - 1) // 2 + 1
+        TestColumnOrder.assert_bases_kept(spectra, bases, phases, vectors, labels, 200)
+
+    @pytest.mark.parametrize("n", sorted(WORST_CASE))
+    def test_the_worst_case_takes_its_rounds(self, n):
+        rounds = n * (n - 1) // 2 + 1
+        spectra = [[wrap(_FIRST_SHIFT + np.pi * m / rounds) for m in WORST_CASE[n]]]
+        (phases, vectors, labels), taken, bases = self.solve(spectra, n)
+        assert taken == WORST_CASE_ROUNDS[n]
+        assert [ordered_at(w, n)[0] for w in phases] == [WORST_CASE_ROUNDS[n] - 1]
+        TestColumnOrder.assert_bases_kept(spectra, bases, phases, vectors, labels, 200)
 
 
 class TestPartialTrace:

@@ -24,7 +24,7 @@ from coinwalk import (
     walk,
 )
 from coinwalk.characteristic import characteristic_stack
-from coinwalk.linalg import eig_unitary
+from coinwalk.linalg import _FIRST_SHIFT, eig_unitary
 from coinwalk.walk import _shift_phases
 from conftest import random_unitary, same_bits, unitarity_error
 
@@ -321,13 +321,20 @@ def test_dispersion_examples():
 
 
 @given(theta=interior_theta, alpha=phase, beta=phase, k=phase)
-# theta = 0.7, alpha = -pi, k = 0 puts an eigenphase exactly on the first Cayley pole
+# theta = 0.7, alpha = -pi, k = 0 gives the phases +-(pi - 0.7): times exp(1j a_0), 2 a_0 - pi
+# and pi, which sum to 2 a_0 exactly
 @example(theta=0.7, alpha=-PI, beta=1.0, k=0.0)
 def test_eigenphases_match_dispersion(theta, alpha, beta, k):
     p = U2Params(theta, alpha, beta)
     gamma = dispersion_gamma(p, k)
     phases, _, _ = eig_unitary(build_uk(line_walk(p), k))
     assert np.allclose(np.sort(phases), [-gamma, gamma], atol=1e-10)
+    # +-gamma sum to 0, the collision point of no shift; times exp(1j a_0) they are symmetric
+    # about the first shift a_0, on its collision point, and are solved at the next shift
+    phases, _, _ = eig_unitary(np.exp(1j * _FIRST_SHIFT) * build_uk(line_walk(p), k))
+    want = np.exp(1j * (_FIRST_SHIFT + np.array([-gamma, gamma])))
+    chord = np.abs(np.exp(1j * phases)[:, None] - want[None, :])
+    assert max(np.min(chord, axis=0).max(), np.min(chord, axis=1).max()) <= 1e-10
 
 
 def test_global_coin_phase_shifts_phases_but_not_projectors(rng):
