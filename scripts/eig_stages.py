@@ -6,7 +6,7 @@ each grid (20^2, 24^2 and 96^2, as in ``perfbench``'s lattice workload) the
 block is the first block of nodes the quadrature walks: the half zone of a
 bipartite walk on an even grid, at most 1024 nodes for n = 4. The stages
 are those of the solver's first round, at the first shift, which solves
-nearly every node, then the assembly of C and the block's ``c_local`` sum:
+nearly every node, then the block's ``c_local`` sum:
 
 - ``build``: the coin's Newton-Schulz step and the ``U_k`` stack (the shift
   phases come from their memo, as in a quadrature that repeats its grid);
@@ -17,12 +17,18 @@ nearly every node, then the assembly of C and the block's ``c_local`` sum:
 - ``separation``: the phases, the wrapped gaps of adjacent columns and the
   collision test;
 - ``gram_check``: the 1e-12 orthonormality check;
-- ``z_zdag``: ``Z = [v_j (x) v_j]_j`` and the Gram product ``Z Z^dag``;
-- ``c_local_sum``: the block's sum of C over its nodes.
+- ``gram_sum``: the (n^2, M n) factor ``Z_f``, whose column (k, j) is
+  ``v_j(k) (x) v_j(k)``, from one transposed copy of the eigenvectors, and
+  its Gram product ``Z_f Z_f^dag``, the block's sum of C (a Haar coin has no
+  shared eigenspace, so the shared pairs' term is not timed).
 
-``characteristic_stack`` is the whole call, for comparison with
-``stages_sum``, the sum of the stages it runs (all but ``c_local_sum``).
-Times are in microseconds. Run it from the root of a checkout::
+``characteristic_stack_summed`` is the whole call ``c_local`` makes for the
+block, ``characteristic_stack(spec, ks, True)``, for comparison with
+``stages_sum``, the sum of the stages it runs; ``characteristic_stack`` is
+the per-node (M, n^2, n^2) stack that multi-site states contract, and
+``stack_then_sum`` that stack summed over its nodes, the block sum as it was
+formed before the summed call. Times are in microseconds. Run it from the
+root of a checkout::
 
     python3 scripts/eig_stages.py --repeats 50
 """
@@ -44,7 +50,7 @@ import numpy as np  # noqa: E402
 
 from coinwalk import QuadratureGrid, WalkSpec  # noqa: E402
 from coinwalk.characteristic import _BLOCK_BYTES, characteristic_stack  # noqa: E402
-from coinwalk.linalg import _FIRST_SHIFT, _SEPARATION, DEGENERACY_TOL  # noqa: E402
+from coinwalk.linalg import _FIRST_SHIFT, _SEPARATION, DEGENERACY_TOL, _newton_schulz  # noqa: E402
 from coinwalk.walk import _shift_phases  # noqa: E402
 
 SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
@@ -64,8 +70,7 @@ def stages(spec: WalkSpec, ks: np.ndarray) -> dict:
     bound = min(_SEPARATION, np.sin(np.pi / (2 * rounds)))
 
     def build():
-        c = spec.coin
-        coin = c @ (1.5 * np.eye(n) - 0.5 * (c.conj().T @ c))
+        coin = _newton_schulz(spec.coin)
         return np.multiply(_shift_phases(spec.shifts, ks).T[:, :, None], coin, order="C")
 
     def transform():
@@ -84,14 +89,14 @@ def stages(spec: WalkSpec, ks: np.ndarray) -> dict:
         mean = 0.5 * (psi[:, 1:] + psi[:, :-1]) - _FIRST_SHIFT
         return ((gap <= DEGENERACY_TOL) | (np.abs(np.sin(mean)) >= bound)).all(axis=1)
 
-    def z_zdag():
-        z = (x[:, :, None, :] * x[:, None, :, :]).reshape(len(ks), n * n, n)
-        return z @ z.conj().swapaxes(1, 2)
+    def gram_sum():
+        w = np.ascontiguousarray(x.transpose(1, 0, 2))
+        z = (w[:, None] * w[None]).reshape(n * n, -1)
+        return z @ z.conj().T
 
     u = build()
     _, x = np.linalg.eigh(transform())
     lam, _ = rayleigh_fit()
-    c = characteristic_stack(spec, ks)
     h = transform()
     return {
         "build": build,
@@ -100,9 +105,10 @@ def stages(spec: WalkSpec, ks: np.ndarray) -> dict:
         "rayleigh_fit": rayleigh_fit,
         "separation": separation,
         "gram_check": lambda: np.max(np.abs(x.conj().swapaxes(1, 2) @ x - np.eye(n)), initial=0.0),
-        "z_zdag": z_zdag,
-        "c_local_sum": lambda: c.sum(axis=0),
+        "gram_sum": gram_sum,
+        "characteristic_stack_summed": lambda: characteristic_stack(spec, ks, True),
         "characteristic_stack": lambda: characteristic_stack(spec, ks),
+        "stack_then_sum": lambda: characteristic_stack(spec, ks).sum(axis=0),
     }
 
 
@@ -129,9 +135,9 @@ def main(argv=None) -> None:
         grid = QuadratureGrid(points, 2)
         ks = grid._first_nodes(grid.node_count // 2)[:size]
         timed = {name: best_us(fn, args.repeats) for name, fn in stages(spec, ks).items()}
-        # the stages inside characteristic_stack, against the whole call
+        # the stages inside the summed characteristic_stack, against the whole call
         inside = (
-            "build", "transform", "eigh", "rayleigh_fit", "separation", "gram_check", "z_zdag"
+            "build", "transform", "eigh", "rayleigh_fit", "separation", "gram_check", "gram_sum"
         )
         timed["stages_sum"] = sum(timed[name] for name in inside)
         blocks[f"{points}^2"] = {"nodes": len(ks), "us": {k: round(t, 1) for k, t in timed.items()}}

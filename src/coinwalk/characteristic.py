@@ -14,6 +14,8 @@ With orthonormal eigenvectors ``v_j``,
 ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` where ``z_ij = v_i (x) v_j`` is
 indexed by ``(a, c)``; so C is the Gram product ``Z Z^dag`` of
 ``Z = [v_j (x) v_j]_j`` plus the pairs ``i != j`` that share an eigenspace.
+A sum of C over nodes is then one Gram product too, of the nodes' Z side by
+side: :func:`c_local` sums each block of nodes so, with no per-node C.
 For a 2x2 coin, ``D = P_1 - P_2`` fixes both projectors, so
 ``C = (I (x) I + D (x) D) / 2``; the 2x2 integrands of :func:`c_local` and
 :func:`~coinwalk.asymptotics.rho_asymptotic` read D and build no C.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDispersion, InvalidArgument, as_int
-from .linalg import DEGENERACY_TOL, Array, _eig_unitary_stack, eig_unitary
+from .linalg import DEGENERACY_TOL, Array, _eig_unitary_stack, _newton_schulz, eig_unitary
 from .states import to_origin
 from .walk import U2Params, WalkSpec, _fold_theta, _shift_phases, build_uk, dispersion_gamma
 
@@ -105,7 +107,8 @@ def _require_nondegenerate_coin(spec: WalkSpec) -> None:
 
 
 #: bytes of the C(k) stack a block of grid nodes would take, 16 n^4 per node:
-#: blocks of 16384 nodes for n = 2 (which builds no C), 1024 for n = 4, 202 for n = 6
+#: blocks of 16384 nodes for n = 2 (which builds no C), 1024 for n = 4, 202 for n = 6.
+#: Only multi-site n > 2 states build that stack; c_local's block sum takes 16 n^3 per node
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -268,36 +271,50 @@ def characteristic_at_k(spec: WalkSpec, k) -> Array:
     return c
 
 
-def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
-    """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2).
+def characteristic_stack(spec: WalkSpec, ks: Array, summed: bool = False) -> Array:
+    """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2), or their sum.
 
     One batched eigensolve for every coin dimension:
     ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` with ``z_ij = v_i (x) v_j``, whose rows
     already run over ``(a, c)``, so C is one batched ``Z Z^dag`` over the pairs i = j,
-    ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n), plus the pairs i != j of one eigenspace
-    at the nodes that have any (flat bands, crossings, merged eigenvalues). Eigenvalues
-    closer than ``DEGENERACY_TOL`` are merged. The eigenvectors stay in the order the
-    solver gives them (``linalg._eig_unitary_stack``): C depends on the eigenspaces, not
-    on the order of their columns, and a node whose labels stop below ``n - 1`` has
-    fewer than n eigenspaces. The solver takes the Hermitian part of each ``U_k``, which
-    would carry the coin's deviation from unitarity (up to 1e-10, as WalkSpec admits it)
-    into the eigenvectors at first order, so ``U_k`` is built from the coin after one
-    Newton-Schulz step ``c (3 I - c^dag c) / 2``: its polar factor up to the square of
-    that deviation, for two n x n products per call.
+    ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n), plus ``Y Y^dag`` over the pairs i != j of
+    one eigenspace at the nodes that have any (flat bands, crossings, merged eigenvalues).
+    Eigenvalues closer than ``DEGENERACY_TOL`` are merged. The eigenvectors stay in the
+    order the solver gives them (``linalg._eig_unitary_stack``): C depends on the
+    eigenspaces, not on the order of their columns, and a node whose labels stop below
+    ``n - 1`` has fewer than n eigenspaces. The solver takes the Hermitian part of each
+    ``U_k``, which would carry the coin's deviation from unitarity (up to 1e-10, as
+    WalkSpec admits it) into the eigenvectors at first order, so ``U_k`` is built from the
+    coin's Newton-Schulz step (``linalg._newton_schulz``): its polar factor up to the
+    square of that deviation, for two n x n products per call.
 
-    The stack takes 16 n^4 bytes per row of ``ks``; the grid averages call
-    this one fixed-size block of nodes at a time.
+    With ``summed``, the result is ``sum_k C(k)`` over the rows of ``ks``, (n^2, n^2), and
+    no per-node C is formed: the nodes' Z sit side by side as one (n^2, M n) matrix, and
+    the sum is its Gram product with one GEMM, plus one more for the Y of the nodes with
+    a shared eigenspace. The stack takes 16 n^4 bytes per row of ``ks``, the summed route
+    16 n^3; the grid averages call this one fixed-size block of nodes at a time.
     """
-    c, n = spec.coin, spec.coin_dim
-    coin = c @ (1.5 * np.eye(n) - 0.5 * (c.conj().T @ c))  # one Newton-Schulz step
+    n = spec.coin_dim
+    coin = _newton_schulz(spec.coin)
     u = np.multiply(_shift_phases(spec.shifts, ks).T[:, :, None], coin, order="C")  # U_k
     _, v, labels = _eig_unitary_stack(u)
+    shared = np.flatnonzero(labels.max(axis=1) < n - 1)  # fewer than n eigenspaces
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    if summed:  # rows (a, c), columns (node, j); v is copied once, to (a, node, j)
+        w = np.ascontiguousarray(v.transpose(1, 0, 2))
+        z = (w[:, None] * w[None]).reshape(n * n, -1)  # column (k, j): v_j(k) (x) v_j(k)
+        c = z @ z.conj().T
+        if shared.size:  # columns (node, pair) of the shared nodes, as below
+            ws, ls = w[:, shared], labels[shared]
+            y = ws[:, None, :, i] * ws[None, :, :, j]
+            y *= ls[:, i] == ls[:, j]
+            y = y.reshape(n * n, -1)
+            c += y @ y.conj().T
+        return c
     m = len(labels)
     z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
     c = z @ z.conj().swapaxes(1, 2)
-    shared = np.flatnonzero(labels.max(axis=1) < n - 1)  # fewer than n eigenspaces
     if shared.size:  # at those nodes every pair i != j, weighted 1 where they share an eigenspace
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
         vs, ls = v[shared], labels[shared]
         y = (vs[:, :, None, i] * vs[:, None, :, j]).reshape(len(shared), n * n, -1)
         y *= (ls[:, i] == ls[:, j])[:, None, :]
@@ -373,9 +390,11 @@ def c_of_k_u2(p: U2Params, k: float) -> Array:
 def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     """Uniform k-integral of C(k): the constant (n^2, n^2) matrix for local states.
 
-    C(k) is built one fixed-size block of nodes at a time, so the working
-    memory is that of one block (about 4 MiB of C) whatever the grid; on a
-    bipartite walk and an even grid only half the nodes (:func:`_grid_mean`).
+    C(k) is summed one fixed-size block of nodes at a time, so the working
+    memory is that of one block whatever the grid; on a bipartite walk and an
+    even grid only half the nodes (:func:`_grid_mean`). For n > 2 a block's sum
+    is one Gram product (:func:`characteristic_stack` with ``summed``), whose
+    factor takes 16 n^3 bytes per node (1 MiB at n = 4), and no C is formed.
     A 2x2 coin builds no C: a block of M nodes sums to ``(M I + S) / 2`` with
     ``S_(a,c),(b,d) = sum_k D_ab D_cd``, one Gram product ``X^T X`` of the
     (M, 4) entries X of :func:`_involution_2` with its indices reordered.
@@ -389,8 +408,8 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     """
 
     def block_sum(kb: Array, _) -> Array:
-        if spec.coin_dim != 2:  # perfbench/layers.py divides by this call's time
-            return characteristic_stack(spec, kb).sum(axis=0)
+        if spec.coin_dim != 2:  # perfbench/layers.py divides by this call's time: keep its name
+            return characteristic_stack(spec, kb, True)
         x = _involution_2(spec, kb).reshape(4, -1)  # X^T, rows (a, b)
         # (X^T X)_(a,b),(c,d) = sum_k D_ab D_cd, reordered to C's (a, c), (b, d)
         s = (x @ x.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

@@ -87,11 +87,12 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     ``n (n - 1) / 2`` pairs comes within ``pi / 2P`` of at most one shift, so
     some shift leaves every pair at least that far from its collision point
     and every node is done within P rounds. The Hermitian part keeps a
-    deviation from unitarity at first order: a solved node's residual is
-    rounding for a unitary input, and about the deviation over the
-    separation for one unitary only within 1e-10, which may take a later
-    shift. (The quadrature solves the ``U_k`` of the coin's Newton-Schulz
-    step instead, see :func:`~coinwalk.characteristic.characteristic_stack`.)
+    deviation from unitarity at first order, so each matrix first takes one
+    Newton-Schulz step ``u (3 I - u^dag u) / 2`` after the unitarity check: the
+    solve is that of its polar factor, unitary to rounding also for an input
+    unitary only within 1e-10, whose eigenphases are the input's within that
+    deviation. (The quadrature takes the same step once, on the coin, see
+    :func:`~coinwalk.characteristic.characteristic_stack`.)
 
     Raises
     ------
@@ -109,7 +110,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
         raise InvalidArgument(f"expected a non-empty stack of matrices, got shape {a.shape}")
     if a.ndim != 3 or not is_unitary(a):
         raise InvalidArgument(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
-    phases, vectors, _ = _eig_unitary_stack(a)
+    phases, vectors, _ = _eig_unitary_stack(_newton_schulz(a))
     phases = np.where(phases == -np.pi, np.pi, phases)  # into (-pi, pi]
     order = np.argsort(phases, axis=1, kind="stable")
     phases = np.take_along_axis(phases, order, axis=1)
@@ -118,6 +119,16 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
     labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
     return phases, vectors, labels
+
+
+def _newton_schulz(a: Array) -> Array:
+    """One Newton-Schulz step ``a (3 I - a^dag a) / 2`` of a matrix or of each in a stack.
+
+    For ``a`` unitary within ``e`` the result is its polar factor (the nearest
+    unitary) within about ``e^2``, for two n x n products per matrix.
+    """
+    eye = np.eye(a.shape[-1])
+    return a @ (1.5 * eye - 0.5 * (a.conj().swapaxes(-1, -2) @ a))
 
 
 def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:

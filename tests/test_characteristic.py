@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,44 @@ class TestPointwise:
             assert np.trace(c).real == pytest.approx(2.0, abs=1e-8)
 
 
+SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+
+def summed_walk(kind: str, n: int, d: int, shifts, seed: int, points: int):
+    """A walk and the nodes of a grid for the summed ``characteristic_stack``.
+
+    ``grover-2d`` has flat bands at +-1 and merged eigenspaces at some nodes, ``rank-2``
+    (two coin states share the shift +1) one 2-d eigenspace at every node; ``pair`` is a
+    Haar basis with an exactly degenerate pair of eigenphases, which U_k keeps wherever
+    every shift phase is equal (k = 0, on even grids); ``haar`` is a Haar coin. The last
+    two take n, d and the shifts as drawn.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "grover-2d":
+        spec = WalkSpec(2, 4, SQUARE, np.full((4, 4), 0.5) - np.eye(4))
+    elif kind == "rank-2":
+        spec = WalkSpec(1, 3, [[1], [1], [-1]], np.eye(3))
+    else:
+        coin = random_unitary(rng, n)
+        if kind == "pair":
+            w = rng.uniform(-PI, PI, n)
+            w[1] = w[0]
+            coin = coin @ np.diag(np.exp(1j * w)) @ coin.conj().T
+        spec = WalkSpec(d, n, shifts, coin)
+    return spec, QuadratureGrid(points, spec.lattice_dim).nodes
+
+
+@st.composite
+def summed_walks(draw):
+    """``summed_walk`` of any kind, n = 3-6, d <= 3, shifts in [-2, 2]^d, a grid of any size."""
+    kind = draw(st.sampled_from(["haar", "pair", "grover-2d", "rank-2"]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, 6))
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=n, max_size=n))
+    points = draw(st.integers(1, {1: 64, 2: 16, 3: 6}[2 if kind == "grover-2d" else d]))
+    return summed_walk(kind, n, d, shifts, draw(st.integers(0, 2**32 - 1)), points)
+
+
 class TestBatchedStack:
     @pytest.mark.parametrize(
         "walk",
@@ -184,6 +223,18 @@ class TestBatchedStack:
             ks = QuadratureGrid(64, 1).nodes
         want = np.stack([characteristic_at_k(spec, k) for k in ks])
         assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
+
+    @given(walk=summed_walks())
+    @example(walk=summed_walk("grover-2d", 4, 2, SQUARE, 0, 8))
+    @example(walk=summed_walk("rank-2", 3, 1, None, 0, 64))
+    @example(walk=summed_walk("pair", 5, 2, [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], 1, 6))
+    def test_the_summed_call_is_the_sum_of_the_stack(self, walk):
+        # one Gram product of the nodes' Z side by side, plus one of the shared pairs' Y
+        spec, ks = walk
+        got = characteristic_stack(spec, ks, True)
+        want = characteristic_stack(spec, ks).sum(axis=0)
+        assert got.shape == (spec.coin_dim**2,) * 2
+        assert np.max(np.abs(got - want)) <= 1e-14 * len(ks)
 
     @pytest.mark.parametrize(
         "walk",
@@ -320,6 +371,18 @@ class TestIntegratedLocal:
         ]
         for coarse, fine in zip(residuals, residuals[1:]):
             assert fine <= coarse * 1.01 + 1e-12
+
+    def test_an_n_above_2_block_sums_with_no_c_stack(self, rng):
+        # 96^2 / 2 nodes in blocks of 1024 at n = 4, whose C(k) stack alone would take
+        # 4 MiB; a block's sum keeps one (16, 4096) factor of 1 MiB instead
+        spec = WalkSpec(2, 4, SQUARE, random_unitary(rng, 4))
+        tracemalloc.start()
+        try:
+            c_local(spec, QuadratureGrid(96, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_degenerate_coin_rejected(self):
         # theta = 0: a diagonal coin, whose bands cross wherever U_k is scalar

@@ -20,11 +20,12 @@ from coinwalk.linalg import (
     _FIRST_SHIFT,
     DEGENERACY_TOL,
     _eig_unitary_stack,
+    _newton_schulz,
     eig_unitary,
     eig_unitary_batch,
     is_unitary,
 )
-from conftest import boundary_coin, partial_trace, random_unitary, unit_vector
+from conftest import boundary_coin, partial_trace, random_unitary, unit_vector, unitarity_error
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
 # hand: L = 1/2, F = 0, G = -1/2
@@ -504,7 +505,8 @@ class TestColumnOrder:
 
     @staticmethod
     def assert_same_eigenspaces(stack):
-        phases, vectors, labels = _eig_unitary_stack(stack)
+        # the public route solves each matrix's Newton-Schulz step; compare on that stack
+        phases, vectors, labels = _eig_unitary_stack(_newton_schulz(stack))
         sorted_phases, sorted_vectors, sorted_labels = eig_unitary_batch(stack)
         m, n = labels.shape
         # eigh's order at some shift, and the labels count the wrapped gaps to the column before
@@ -664,6 +666,40 @@ class TestCollisions:
         n = len(spectra[0])
         (phases, vectors, labels), rounds, bases = self.solve(spectra, seed)
         assert rounds <= n * (n - 1) // 2 + 1
+        TestColumnOrder.assert_bases_kept(spectra, bases, phases, vectors, labels, 200)
+
+    @given(
+        n=st.sampled_from([8, 12]),
+        past=st.sampled_from([6e-3, 1e-2, 3e-2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_unitary_within_1e_10_is_solved_as_its_polar_factor(self, n, past, seed):
+        # each node has a pair `past` rad beyond the collision point of a_0, which passes the
+        # separation test there; the Hermitian part would keep a deviation from unitarity
+        # just under 1e-10 at first order, and the fit residual near deviation / past
+        rng = np.random.default_rng(seed)
+        spectra = [
+            [wrap(_FIRST_SHIFT + past + half), wrap(_FIRST_SHIFT + past - half)]
+            + rng.uniform(-np.pi, np.pi, n - 2).tolist()
+            for half in rng.uniform(0.2, 1.4, size=3)
+        ]
+        bases = [random_unitary(rng, n) for _ in spectra]
+        exact = with_spectra(bases, spectra)
+        h = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+        h += h.conj().swapaxes(1, 2)
+        # (I + e h) u^dag u (I + e h) - I = 2 e h + O(e^2): the polar factor of each node is u
+        e = 9.9e-11 / (2 * np.max(np.abs(h), axis=(1, 2)))
+        near = exact @ (np.eye(n) + e[:, None, None] * h)
+        assert is_unitary(near) and min(unitarity_error(u) for u in near) >= 0.98e-10
+        taken = {}
+        eigh = np.linalg.eigh
+        for name, stack in (("exact", exact), ("near", near)):
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+                phases, vectors, labels = eig_unitary_batch(stack)
+            taken[name] = calls
+        assert taken["near"] == taken["exact"]
         TestColumnOrder.assert_bases_kept(spectra, bases, phases, vectors, labels, 200)
 
     @pytest.mark.parametrize("n", sorted(WORST_CASE))
