@@ -22,13 +22,10 @@ nearly every node, then the block's ``c_local`` sum:
   its Gram product ``Z_f Z_f^dag``, the block's sum of C (a Haar coin has no
   shared eigenspace, so the shared pairs' term is not timed).
 
-``characteristic_stack_summed`` is the whole call ``c_local`` makes for the
-block, ``characteristic_stack(spec, ks, True)``, for comparison with
-``stages_sum``, the sum of the stages it runs; ``characteristic_stack`` is
-the per-node (M, n^2, n^2) stack that multi-site states contract, and
-``stack_then_sum`` that stack summed over its nodes, the block sum as it was
-formed before the summed call. Times are in microseconds. Run it from the
-root of a checkout::
+``characteristic_stack`` is the whole call ``c_local`` makes for the block,
+``characteristic_stack(spec, ks)``, for comparison with ``stages_sum``, the
+sum of the stages it runs. Times are in microseconds. Run it from the root
+of a checkout::
 
     python3 scripts/eig_stages.py --repeats 50
 """
@@ -106,9 +103,7 @@ def stages(spec: WalkSpec, ks: np.ndarray) -> dict:
         "separation": separation,
         "gram_check": lambda: np.max(np.abs(x.conj().swapaxes(1, 2) @ x - np.eye(n)), initial=0.0),
         "gram_sum": gram_sum,
-        "characteristic_stack_summed": lambda: characteristic_stack(spec, ks, True),
         "characteristic_stack": lambda: characteristic_stack(spec, ks),
-        "stack_then_sum": lambda: characteristic_stack(spec, ks).sum(axis=0),
     }
 
 
@@ -135,7 +130,7 @@ def main(argv=None) -> None:
         grid = QuadratureGrid(points, 2)
         ks = grid._first_nodes(grid.node_count // 2)[:size]
         timed = {name: best_us(fn, args.repeats) for name, fn in stages(spec, ks).items()}
-        # the stages inside the summed characteristic_stack, against the whole call
+        # the stages inside characteristic_stack, against the whole call
         inside = (
             "build", "transform", "eigh", "rayleigh_fit", "separation", "gram_check", "gram_sum"
         )

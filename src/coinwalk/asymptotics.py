@@ -9,10 +9,11 @@ one contraction of the constant ``C_bar = <C(k)>_k`` (:func:`c_local`) with it:
 the paper's formula for local states. For other states and a 2x2 coin the
 node's term is ``(P0 + D P0 D) / 2`` with ``D = P_1 - P_2``, and no C, so
 ``rho_ad = [rho_c(0) + <D P0 D>_k] / 2``: by Parseval the k-mean of P0 is the
-initial reduced coin state ``rho_c(0) = sum_x c_x c_x^dag``, exactly.
-This module evaluates it by Brillouin-zone quadrature for any walk/state and
-provides the U(2) line walk's closed forms: the local-state density matrix,
-the general local eigenvalue pair and the two worked non-local examples."""
+initial reduced coin state ``rho_c(0) = sum_x c_x c_x^dag``, exactly; other
+coins dephase ``P0(k)`` in each node's eigenbasis. This module evaluates it
+by Brillouin-zone quadrature for any walk/state and provides the U(2) line
+walk's closed forms: the local-state density matrix, the general local
+eigenvalue pair and the two worked non-local examples."""
 
 from __future__ import annotations
 
@@ -22,11 +23,12 @@ import numpy as np
 
 from .characteristic import (
     QuadratureGrid,
+    _eigenspaces,
     _grid_mean,
     _involution_2,
     c_local,
     c_local_u2,
-    characteristic_stack,
+    characteristic_stack,  # noqa: F401  (unused: perfbench's tracer patches this name here too)
 )
 from .errors import InvalidArgument
 from .linalg import Array, DensityMatrix, von_neumann_entropy
@@ -85,8 +87,10 @@ def rho_asymptotic(
     spans, which ``_grid_mean`` enforces), so it is added once from the site
     table, and a block of M nodes sums only ``y y^dag`` with ``y = D psi`` of
     shape (2, gM) over the g columns of psi that share each ``D``. Other coins
-    contract ``C(k)`` (:func:`characteristic_stack`) with ``P0(k)`` summed
-    over g. A state whose coin or lattice dimension differs from the walk's
+    sum ``V (S o sum_g a a^dag) V^dag`` with ``a = V^dag psi`` over each node's
+    eigenvectors V (:func:`~coinwalk.characteristic._eigenspaces`), where
+    ``S_ij = 1`` if columns i and j share an eigenspace, else 0: n^3 work per
+    node and no C. A state whose coin or lattice dimension differs from the walk's
     raises :class:`InvalidArgument`; the grid's refusals are those of
     ``_grid_mean``.
     """
@@ -100,15 +104,16 @@ def rho_asymptotic(
         return y @ y.conj().T
 
     def dephased_sum(kb: Array, psi: Array) -> Array:
-        # states of more than one site; perfbench's one-site 2-d n=4 probe reaches
-        # characteristic_stack through c_local
-        p0 = (psi[..., :, None] * psi.conj()[..., None, :]).sum(axis=0)
-        return _dephase(characteristic_stack(spec, kb), p0).sum(axis=0)
+        v, labels = _eigenspaces(spec, kb)
+        a = v.conj().swapaxes(1, 2) @ psi.transpose(1, 2, 0)  # (M, n, g): V^dag psi
+        b = a @ a.conj().swapaxes(1, 2)  # sum_g a a^dag, in the eigenbasis
+        b *= labels[:, :, None] == labels[:, None, :]  # S: the pairs of one eigenspace
+        return (v @ b @ v.conj().swapaxes(1, 2)).sum(axis=0)
 
     table = checked_site_table(spec, state)
     coeffs = table[1]
     if len(coeffs) == 1:  # P0(k) = c c^dag at every node
-        rho = _dephase(c_local(spec, grid), np.outer(coeffs[0], coeffs[0].conj())[None])[0]
+        rho = _dephase(c_local(spec, grid), np.outer(coeffs[0], coeffs[0].conj()))
     elif spec.coin_dim == 2:  # the grid mean of P0, by Parseval: sum_r c_r c_r^dag
         rho = 0.5 * (coeffs.T @ coeffs.conj() + _grid_mean(spec, grid, d_p0_d_sum, table))
     else:
@@ -117,14 +122,13 @@ def rho_asymptotic(
 
 
 def _dephase(c: Array, p0: Array) -> Array:
-    """``rho_ad = sum_bc C_(a,c),(b,d) P0_bc`` over stacks (M, n^2, n^2) and (M, n, n).
+    """``rho_ad = sum_bc C_(a,c),(b,d) P0_bc`` for C (n^2, n^2) and P0 (n, n).
 
-    Viewed as (M, n, n^2, n), C holds for each row a an (n^2, n) matrix over
+    Viewed as (n, n^2, n), C holds for each row a an (n^2, n) matrix over
     the index pairs (c, b); row a of rho is ``vec(P0^T)`` times that matrix.
     """
-    m, n, _ = p0.shape
-    v = p0.swapaxes(1, 2).reshape(m, 1, 1, n * n)
-    return (v @ c.reshape(m, n, n * n, n)).reshape(m, n, n)
+    n = len(p0)
+    return (p0.T.reshape(1, 1, n * n) @ c.reshape(n, n * n, n)).reshape(n, n)
 
 
 def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResult:
@@ -134,7 +138,7 @@ def rho_from_characteristic(chi: Array, c: Array, method: str) -> AsymptoticResu
     if np.shape(c) != (chi.size**2, chi.size**2):
         raise InvalidArgument(f"c has shape {np.shape(c)}, expected {(chi.size**2,) * 2}")
     p0 = np.outer(chi, chi.conj())
-    return _result(_dephase(c, p0[None])[0], method)
+    return _result(_dephase(c, p0), method)
 
 
 def rho_local_closed(p: U2Params, chi) -> AsymptoticResult:

@@ -15,9 +15,11 @@ With orthonormal eigenvectors ``v_j``,
 indexed by ``(a, c)``; so C is the Gram product ``Z Z^dag`` of
 ``Z = [v_j (x) v_j]_j`` plus the pairs ``i != j`` that share an eigenspace.
 A sum of C over nodes is then one Gram product too, of the nodes' Z side by
-side: :func:`c_local` sums each block of nodes so, with no per-node C.
-For a 2x2 coin, ``D = P_1 - P_2`` fixes both projectors, so
-``C = (I (x) I + D (x) D) / 2``; the 2x2 integrands of :func:`c_local` and
+side: :func:`characteristic_stack` sums each block of nodes so. A ``P0(k)``
+that differs per node is dephased in each node's eigenbasis
+(:func:`_eigenspaces`), so no route forms a per-node C. For a 2x2 coin,
+``D = P_1 - P_2`` fixes both projectors, so ``C = (I (x) I + D (x) D) / 2``;
+the 2x2 integrands of :func:`c_local` and
 :func:`~coinwalk.asymptotics.rho_asymptotic` read D and build no C.
 """
 
@@ -106,9 +108,9 @@ def _require_nondegenerate_coin(spec: WalkSpec) -> None:
         )
 
 
-#: bytes of the C(k) stack a block of grid nodes would take, 16 n^4 per node:
-#: blocks of 16384 nodes for n = 2 (which builds no C), 1024 for n = 4, 202 for n = 6.
-#: Only multi-site n > 2 states build that stack; c_local's block sum takes 16 n^3 per node
+#: a block holds _BLOCK_BYTES // (16 n^4) grid nodes: 16384 for n = 2, 1024 for n = 4, 202
+#: for n = 6. No route builds that C(k) stack; another partition would group the sums
+#: otherwise and move the last bits of c_local for n != 4
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -146,9 +148,9 @@ def _grid_mean(spec: WalkSpec, grid: QuadratureGrid | None, block_sum, table=Non
     walks walk every node.
 
     Only the walked nodes are built, as one array (a view of
-    :attr:`QuadratureGrid.axis` in 1-d). A block holds as many nodes as fit a
-    C(k) stack of ``_BLOCK_BYTES``, so the working memory does not grow with
-    the grid; only the array of walked nodes does, at 8 d bytes per node.
+    :attr:`QuadratureGrid.axis` in 1-d). A block holds a fixed number of nodes
+    (``_BLOCK_BYTES``), so the working memory does not grow with the grid;
+    only the array of walked nodes does, at 8 d bytes per node.
     Blocks are summed in node order, so results are bit-stable across runs.
 
     Raises
@@ -259,7 +261,7 @@ def characteristic_at_k(spec: WalkSpec, k) -> Array:
     """Pointwise ``C(k) = sum_w P_w (x) P_w`` (n^2, n^2) from the spectrum of U_k.
 
     One ``kron`` per eigenspace: the independent per-node reference for
-    :func:`characteristic_stack`.
+    :func:`characteristic_stack`, which sums C over a block of nodes.
     """
     _, vectors, labels = eig_unitary(build_uk(spec, k))
     n = spec.coin_dim
@@ -271,54 +273,46 @@ def characteristic_at_k(spec: WalkSpec, k) -> Array:
     return c
 
 
-def characteristic_stack(spec: WalkSpec, ks: Array, summed: bool = False) -> Array:
-    """C(k) for every row of a (M, d) k-array, returned as (M, n^2, n^2), or their sum.
+def _eigenspaces(spec: WalkSpec, ks: Array) -> tuple[Array, Array]:
+    """Eigenvectors (M, n, n) and eigenspace labels (M, n) of ``U_k`` at each row of ``ks``.
 
-    One batched eigensolve for every coin dimension:
-    ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` with ``z_ij = v_i (x) v_j``, whose rows
-    already run over ``(a, c)``, so C is one batched ``Z Z^dag`` over the pairs i = j,
-    ``Z = [v_j (x) v_j]_j`` of shape (M, n^2, n), plus ``Y Y^dag`` over the pairs i != j of
-    one eigenspace at the nodes that have any (flat bands, crossings, merged eigenvalues).
-    Eigenvalues closer than ``DEGENERACY_TOL`` are merged. The eigenvectors stay in the
-    order the solver gives them (``linalg._eig_unitary_stack``): C depends on the
-    eigenspaces, not on the order of their columns, and a node whose labels stop below
-    ``n - 1`` has fewer than n eigenspaces. The solver takes the Hermitian part of each
-    ``U_k``, which would carry the coin's deviation from unitarity (up to 1e-10, as
+    One batched solve (``linalg._eig_unitary_stack``), with its checks; eigenvalues closer
+    than ``DEGENERACY_TOL`` share a label, and the columns keep the solver's order, so a
+    node whose labels stop below ``n - 1`` has fewer than n eigenspaces. The solver's
+    Hermitian part would carry the coin's deviation from unitarity (up to 1e-10, as
     WalkSpec admits it) into the eigenvectors at first order, so ``U_k`` is built from the
     coin's Newton-Schulz step (``linalg._newton_schulz``): its polar factor up to the
-    square of that deviation, for two n x n products per call.
-
-    With ``summed``, the result is ``sum_k C(k)`` over the rows of ``ks``, (n^2, n^2), and
-    no per-node C is formed: the nodes' Z sit side by side as one (n^2, M n) matrix, and
-    the sum is its Gram product with one GEMM, plus one more for the Y of the nodes with
-    a shared eigenspace. The stack takes 16 n^4 bytes per row of ``ks``, the summed route
-    16 n^3; the grid averages call this one fixed-size block of nodes at a time.
+    square of that deviation.
     """
-    n = spec.coin_dim
     coin = _newton_schulz(spec.coin)
     u = np.multiply(_shift_phases(spec.shifts, ks).T[:, :, None], coin, order="C")  # U_k
     _, v, labels = _eig_unitary_stack(u)
+    return v, labels
+
+
+def characteristic_stack(spec: WalkSpec, ks: Array) -> Array:
+    """``sum_k C(k)`` over the rows of a (M, d) k-array, (n^2, n^2), with no per-node C.
+
+    ``P_w (x) P_w = sum_(i,j in w) z_ij z_ij^dag`` with ``z_ij = v_i (x) v_j`` over the
+    eigenvectors of :func:`_eigenspaces`. The pairs i = j of every node sit side by side
+    as one (n^2, M n) matrix ``Z_f``, and the sum is its Gram product ``Z_f Z_f^dag``, one
+    GEMM; the pairs i != j of one eigenspace, at the nodes that have any (flat bands,
+    crossings, merged eigenvalues), add ``Y_f Y_f^dag``. The factor takes 16 n^3 bytes
+    per row of ``ks``; the grid averages call this one fixed-size block of nodes at a time.
+    """
+    n = spec.coin_dim
+    v, labels = _eigenspaces(spec, ks)
     shared = np.flatnonzero(labels.max(axis=1) < n - 1)  # fewer than n eigenspaces
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    if summed:  # rows (a, c), columns (node, j); v is copied once, to (a, node, j)
-        w = np.ascontiguousarray(v.transpose(1, 0, 2))
-        z = (w[:, None] * w[None]).reshape(n * n, -1)  # column (k, j): v_j(k) (x) v_j(k)
-        c = z @ z.conj().T
-        if shared.size:  # columns (node, pair) of the shared nodes, as below
-            ws, ls = w[:, shared], labels[shared]
-            y = ws[:, None, :, i] * ws[None, :, :, j]
-            y *= ls[:, i] == ls[:, j]
-            y = y.reshape(n * n, -1)
-            c += y @ y.conj().T
-        return c
-    m = len(labels)
-    z = (v[:, :, None, :] * v[:, None, :, :]).reshape(m, n * n, n)  # column j: v_j (x) v_j
-    c = z @ z.conj().swapaxes(1, 2)
-    if shared.size:  # at those nodes every pair i != j, weighted 1 where they share an eigenspace
-        vs, ls = v[shared], labels[shared]
-        y = (vs[:, :, None, i] * vs[:, None, :, j]).reshape(len(shared), n * n, -1)
-        y *= (ls[:, i] == ls[:, j])[:, None, :]
-        c[shared] += y @ y.conj().swapaxes(1, 2)
+    w = np.ascontiguousarray(v.transpose(1, 0, 2))  # v copied once, to (a, node, j)
+    z = (w[:, None] * w[None]).reshape(n * n, -1)  # row (a, c), column (k, j): v_j(k) (x) v_j(k)
+    c = z @ z.conj().T
+    if shared.size:  # columns (node, pair i != j), weighted 1 where the pair shares an eigenspace
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        ws, ls = w[:, shared], labels[shared]
+        y = ws[:, None, :, i] * ws[None, :, :, j]
+        y *= ls[:, i] == ls[:, j]
+        y = y.reshape(n * n, -1)
+        c += y @ y.conj().T
     return c
 
 
@@ -393,8 +387,8 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
     C(k) is summed one fixed-size block of nodes at a time, so the working
     memory is that of one block whatever the grid; on a bipartite walk and an
     even grid only half the nodes (:func:`_grid_mean`). For n > 2 a block's sum
-    is one Gram product (:func:`characteristic_stack` with ``summed``), whose
-    factor takes 16 n^3 bytes per node (1 MiB at n = 4), and no C is formed.
+    is one Gram product (:func:`characteristic_stack`), whose factor takes
+    16 n^3 bytes per node (1 MiB at n = 4), and no C is formed.
     A 2x2 coin builds no C: a block of M nodes sums to ``(M I + S) / 2`` with
     ``S_(a,c),(b,d) = sum_k D_ab D_cd``, one Gram product ``X^T X`` of the
     (M, 4) entries X of :func:`_involution_2` with its indices reordered.
@@ -409,7 +403,7 @@ def c_local(spec: WalkSpec, grid: QuadratureGrid | None = None) -> Array:
 
     def block_sum(kb: Array, _) -> Array:
         if spec.coin_dim != 2:  # perfbench/layers.py divides by this call's time: keep its name
-            return characteristic_stack(spec, kb, True)
+            return characteristic_stack(spec, kb)
         x = _involution_2(spec, kb).reshape(4, -1)  # X^T, rows (a, b)
         # (X^T X)_(a,b),(c,d) = sum_k D_ab D_cd, reordered to C's (a, c), (b, d)
         s = (x @ x.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

@@ -92,7 +92,7 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     solve is that of its polar factor, unitary to rounding also for an input
     unitary only within 1e-10, whose eigenphases are the input's within that
     deviation. (The quadrature takes the same step once, on the coin, see
-    :func:`~coinwalk.characteristic.characteristic_stack`.)
+    :func:`~coinwalk.characteristic._eigenspaces`.)
 
     Raises
     ------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from coinwalk import U2Params
-from coinwalk.linalg import is_unitary
+from coinwalk import U2Params, WalkSpec
+from coinwalk.linalg import eig_unitary_batch, is_unitary
+from coinwalk.walk import build_uk
 
 settings.register_profile(
     "coinwalk",
@@ -19,6 +20,7 @@ settings.register_profile("ci", settings.get_profile("coinwalk"), max_examples=2
 settings.load_profile("coinwalk")
 
 PI = np.pi
+SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -26,6 +28,27 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def coin_kind_walk(kind: str, n: int, d: int, shifts, rng: np.random.Generator) -> WalkSpec:
+    """A walk whose eigenspaces are of one kind.
+
+    ``grover-2d`` has flat bands at +-1 and merged eigenspaces at some nodes, ``rank-2``
+    (two coin states share the shift +1) one 2-d eigenspace at every node; ``pair`` is a
+    Haar basis with an exactly degenerate pair of eigenphases, which U_k keeps wherever
+    every shift phase is equal (k = 0, on even grids); ``haar`` is a Haar coin. The last
+    two take n, d and the shifts as given.
+    """
+    if kind == "grover-2d":
+        return WalkSpec(2, 4, SQUARE, np.full((4, 4), 0.5) - np.eye(4))
+    if kind == "rank-2":
+        return WalkSpec(1, 3, [[1], [1], [-1]], np.eye(3))
+    coin = random_unitary(rng, n)
+    if kind == "pair":
+        w = rng.uniform(-PI, PI, n)
+        w[1] = w[0]
+        coin = coin @ np.diag(np.exp(1j * w)) @ coin.conj().T
+    return WalkSpec(d, n, shifts, coin)
 
 
 def boundary_coin(q: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -66,6 +89,20 @@ def c_from_involution(d) -> np.ndarray:
     c += np.eye(4)
     c *= 0.5
     return c
+
+
+def c_stack(spec, ks) -> np.ndarray:
+    """``C(k) = sum_w P_w (x) P_w`` per row of ``ks``, (M, n^2, n^2), from one batched solve.
+
+    The per-node reference that no route of the package forms: with the columns
+    ``z_ij = v_i (x) v_j`` masked to the pairs of one eigenspace, C is their Gram product.
+    """
+    _, v, labels = eig_unitary_batch(build_uk(spec, ks))
+    m, n, _ = v.shape
+    z = v[:, :, None, :, None] * v[:, None, :, None, :]  # (node, a, c, i, j)
+    z *= labels[:, None, None, :, None] == labels[:, None, None, None, :]
+    z = z.reshape(m, n * n, n * n)
+    return z @ z.conj().swapaxes(1, 2)
 
 
 def swap_matrix(n: int) -> np.ndarray:

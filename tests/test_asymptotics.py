@@ -33,7 +33,14 @@ from coinwalk import (
 from coinwalk import asymptotics, characteristic, states
 from coinwalk.characteristic import _BLOCK_BYTES, _involution_2, characteristic_stack
 from coinwalk.states import psi_k_many
-from conftest import c_from_involution, random_interior_params, random_unitary, unit_vector
+from conftest import (
+    c_from_involution,
+    c_stack,
+    coin_kind_walk,
+    random_interior_params,
+    random_unitary,
+    unit_vector,
+)
 
 PI = np.pi
 INV2 = 1 / np.sqrt(2)
@@ -304,7 +311,7 @@ class TestOneSiteRoute:
         got = rho_asymptotic(spec, state, grid).rho.matrix
         assert calls == []
         c = states.site_table(state)[1][0]
-        rho = asymptotics._dephase(c_local(spec, grid), np.outer(c, c.conj())[None])[0]
+        rho = asymptotics._dephase(c_local(spec, grid), np.outer(c, c.conj()))
         assert np.array_equal(got, asymptotics._result(rho, "numeric_quadrature").rho.matrix)
 
 
@@ -489,7 +496,7 @@ class TestBlockedQuadrature:
         spec = WalkSpec(d, n, self.SHIFTS[n, d], random_unitary(rng, n))
         walked = self.walked_nodes(spec, grid)
         assert walked > block and walked % block  # the last block is partial
-        c = characteristic_stack(spec, grid.nodes)
+        c = c_stack(spec, grid.nodes)
         assert np.max(np.abs(c_local(spec, grid) - c.mean(axis=0))) <= 1e-13
         for state in self.states(rng, n, d):
             self.assert_matches_the_einsum_of_c(spec, state, grid, c)
@@ -589,13 +596,17 @@ class TestBlockedQuadrature:
     @given(data=st.data())
     def test_any_coin_matches_the_per_node_sum_over_every_node(self, data):
         # bipartite walks on even grids walk half the nodes; the reference takes
-        # characteristic_at_k and psi_k_many at each of the N^d nodes
+        # characteristic_at_k and psi_k_many at each of the N^d nodes. The kinds with
+        # eigenspaces of rank 2 or more (coin_kind_walk) check that the dephasing keeps
+        # every pair of columns of one eigenspace, not only the diagonal
+        kind = data.draw(st.sampled_from(["haar", "pair", "grover-2d", "rank-2"]), label="kind")
         n = data.draw(st.sampled_from([3, 4]), label="n")
         d = data.draw(st.sampled_from([1, 2]), label="d")
         bipartite = data.draw(st.booleans(), label="bipartite")
         shifts = self.shift_tables(data.draw, n, d, bipartite)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        spec = WalkSpec(d, n, shifts, random_unitary(rng, n))
+        spec = coin_kind_walk(kind, n, d, shifts, rng)
+        n, d = spec.coin_dim, spec.lattice_dim
         sites = data.draw(
             st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=4, unique=True),
             label="sites",
@@ -677,10 +688,18 @@ class TestBlockedQuadrature:
         rho_asymptotic(spec, self.packet(rng, 128))
         assert len(calls) == 1
 
-    def test_working_memory_does_not_grow_with_the_grid(self):
+    @pytest.mark.parametrize(
+        # a one-site state sums C over each block; a two-site one dephases psi_k in each
+        # node's eigenbasis, with no C: (M, n, n) arrays of 256 KiB per block of 1024 nodes
+        "sites, bound",
+        [(1, 24e6), (2, 4 * 2**20)],
+        ids=["one-site", "two-site"],
+    )
+    def test_working_memory_does_not_grow_with_the_grid(self, sites, bound):
         rng = np.random.default_rng(96)
         spec = WalkSpec(2, 4, self.SHIFTS[4, 2], random_unitary(rng, 4))
-        state = LocalState((0, 0), unit_vector(rng, 4))
+        coeffs = unit_vector(rng, 4 * sites).reshape(sites, 4)
+        state = GeneralState(dict(zip([(0, 0), (1, 0)], coeffs)))
         # one 96^2 stack of C(k) alone would take 9216 * 16 * 4^4 B = 37.7 MB
         tracemalloc.start()
         try:
@@ -688,11 +707,11 @@ class TestBlockedQuadrature:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < bound
 
     def test_characteristic_stack_peak_memory(self):
-        # C of 1024 n=4 nodes is 4 MiB: room for C and temporaries smaller than
-        # it, not for a second C-sized copy beside the n^3 stacks
+        # the block sum of 1024 n=4 nodes: room for its (n^2, M n) factor Z_f (1 MiB)
+        # beside the eigensolve's n^3 stacks, not for a per-node C stack (4 MiB alone)
         rng = np.random.default_rng(97)
         spec = WalkSpec(2, 4, self.SHIFTS[4, 2], random_unitary(rng, 4))
         ks = QuadratureGrid(32, 2).nodes
@@ -702,7 +721,7 @@ class TestBlockedQuadrature:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 4 * 2**20
 
     def test_wavepacket_peak_memory(self, rng):
         # the direct sum over sites took a (4096, 128) phase matrix, 16 MiB at its peak

@@ -30,7 +30,9 @@ from coinwalk import characteristic
 from coinwalk.characteristic import _involution_2, build_uk, characteristic_stack
 from coinwalk.linalg import _FIRST_SHIFT, DEGENERACY_TOL
 from conftest import (
+    SQUARE,
     c_from_involution,
+    coin_kind_walk,
     partial_trace,
     random_interior_params,
     random_unitary,
@@ -150,42 +152,21 @@ class TestPointwise:
             assert np.trace(c).real == pytest.approx(2.0, abs=1e-8)
 
 
-SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
-
-
-def summed_walk(kind: str, n: int, d: int, shifts, seed: int, points: int):
-    """A walk and the nodes of a grid for the summed ``characteristic_stack``.
-
-    ``grover-2d`` has flat bands at +-1 and merged eigenspaces at some nodes, ``rank-2``
-    (two coin states share the shift +1) one 2-d eigenspace at every node; ``pair`` is a
-    Haar basis with an exactly degenerate pair of eigenphases, which U_k keeps wherever
-    every shift phase is equal (k = 0, on even grids); ``haar`` is a Haar coin. The last
-    two take n, d and the shifts as drawn.
-    """
-    rng = np.random.default_rng(seed)
-    if kind == "grover-2d":
-        spec = WalkSpec(2, 4, SQUARE, np.full((4, 4), 0.5) - np.eye(4))
-    elif kind == "rank-2":
-        spec = WalkSpec(1, 3, [[1], [1], [-1]], np.eye(3))
-    else:
-        coin = random_unitary(rng, n)
-        if kind == "pair":
-            w = rng.uniform(-PI, PI, n)
-            w[1] = w[0]
-            coin = coin @ np.diag(np.exp(1j * w)) @ coin.conj().T
-        spec = WalkSpec(d, n, shifts, coin)
+def block_walk(kind: str, n: int, d: int, shifts, seed: int, points: int):
+    """A walk of a coin kind (``conftest.coin_kind_walk``) and the nodes of a grid: one block."""
+    spec = coin_kind_walk(kind, n, d, shifts, np.random.default_rng(seed))
     return spec, QuadratureGrid(points, spec.lattice_dim).nodes
 
 
 @st.composite
-def summed_walks(draw):
-    """``summed_walk`` of any kind, n = 3-6, d <= 3, shifts in [-2, 2]^d, a grid of any size."""
+def block_walks(draw):
+    """``block_walk`` of any kind, n = 3-6, d <= 3, shifts in [-2, 2]^d, a grid of any size."""
     kind = draw(st.sampled_from(["haar", "pair", "grover-2d", "rank-2"]))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(3, 6))
     shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=n, max_size=n))
     points = draw(st.integers(1, {1: 64, 2: 16, 3: 6}[2 if kind == "grover-2d" else d]))
-    return summed_walk(kind, n, d, shifts, draw(st.integers(0, 2**32 - 1)), points)
+    return block_walk(kind, n, d, shifts, draw(st.integers(0, 2**32 - 1)), points)
 
 
 class TestBatchedStack:
@@ -221,18 +202,19 @@ class TestBatchedStack:
         else:  # rank 3 at every node, and rank 4 at k = 0 and k = -pi
             spec = WalkSpec(1, 4, [[1], [1], [1], [-1]], np.eye(4))
             ks = QuadratureGrid(64, 1).nodes
-        want = np.stack([characteristic_at_k(spec, k) for k in ks])
-        assert np.max(np.abs(characteristic_stack(spec, ks) - want)) <= 1e-12
+        for k in ks:  # a one-row block is that node's C
+            got = characteristic_stack(spec, k[None])
+            assert np.max(np.abs(got - characteristic_at_k(spec, k))) <= 1e-12
 
-    @given(walk=summed_walks())
-    @example(walk=summed_walk("grover-2d", 4, 2, SQUARE, 0, 8))
-    @example(walk=summed_walk("rank-2", 3, 1, None, 0, 64))
-    @example(walk=summed_walk("pair", 5, 2, [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], 1, 6))
-    def test_the_summed_call_is_the_sum_of_the_stack(self, walk):
+    @given(walk=block_walks())
+    @example(walk=block_walk("grover-2d", 4, 2, SQUARE, 0, 8))
+    @example(walk=block_walk("rank-2", 3, 1, None, 0, 64))
+    @example(walk=block_walk("pair", 5, 2, [[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], 1, 6))
+    def test_the_block_call_is_the_sum_of_its_one_row_calls(self, walk):
         # one Gram product of the nodes' Z side by side, plus one of the shared pairs' Y
         spec, ks = walk
-        got = characteristic_stack(spec, ks, True)
-        want = characteristic_stack(spec, ks).sum(axis=0)
+        got = characteristic_stack(spec, ks)
+        want = sum(characteristic_stack(spec, k[None]) for k in ks)
         assert got.shape == (spec.coin_dim**2,) * 2
         assert np.max(np.abs(got - want)) <= 1e-14 * len(ks)
 
