@@ -12,8 +12,8 @@ significant digits and every reduction runs in a fixed order, so identical
 configurations produce byte-identical output files.
 
 Exit codes: 0 ok, 1 verify failure, 2 bad input (parse error, argument out
-of range, unreadable or unwritable file), 3 the bands cross, 4 numeric
-failure.
+of range, unreadable or unwritable file, a run too large for memory), 3 the
+bands cross, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -136,28 +136,28 @@ def cmd_fig(args) -> int:
     entangled = args.which == "cpe-entangled"
     points = args.theta_points or (399 if entangled else 99)
     span = np.pi if entangled else np.pi / 2
-    thetas = [i * span / (points + 1) for i in range(1, points + 1)]
+    thetas = (i * span / (points + 1) for i in range(1, points + 1))
     cfg = f"fig {args.which} theta_points={points}"
     if args.which == "cpe-compare":
         chi0 = BlochCoin(xi=0.0, eta=0.0)
         alphas = [0.0, np.pi / 4, np.pi / 2]
         header = ["theta", "cpe_local", "cpe_dist_alpha0", "cpe_dist_alphaPi4", "cpe_dist_alphaPi2"]
-        rows = [
+        rows = (
             (
                 th,
                 entropy_of_pair(*eigenvalues_local_general(U2Params(th, 0.0, 0.0), chi0)),
                 *(dist_cpe(th, a) for a in alphas),
             )
             for th in thetas
-        ]
+        )
     elif args.which == "cpe-3d":
         cfg += f" alpha_points={args.alpha_points}"
         alphas = [j * (np.pi / 2) / (args.alpha_points - 1) for j in range(args.alpha_points)]
         header = ["theta", "alpha", "cpe"]
-        rows = [(th, a, dist_cpe(th, a)) for th in thetas for a in alphas]
+        rows = ((th, a, dist_cpe(th, a)) for th in thetas for a in alphas)
     else:
         header = ["theta", "cpe"]
-        rows = [(th, entropy_of_pair(*eigenvalues_entangled_example(th))) for th in thetas]
+        rows = ((th, entropy_of_pair(*eigenvalues_entangled_example(th))) for th in thetas)
     _write_csv(args.output, cfg, header, rows)
     return 0
 
@@ -215,14 +215,10 @@ def cmd_simulate(args) -> int:
     header = ["t"]
     header += [f"rho_re_{i}_{j}" for i in range(n) for j in range(n)]
     header += [f"rho_im_{i}_{j}" for i in range(n) for j in range(n)]
-    rows = []
-    for t in range(0, args.t_max + 1, args.stride):
-        r = rhos[t]
-        rows.append(
-            [t]
-            + [r[i, j].real for i in range(n) for j in range(n)]
-            + [r[i, j].imag for i in range(n) for j in range(n)]
-        )
+    rows = (
+        (t, *r.real.ravel().tolist(), *r.imag.ravel().tolist())
+        for t, r in zip(range(0, args.t_max + 1, args.stride), rhos[:: args.stride])
+    )
     cfg = f"simulate state={args.state!r} t_max={args.t_max} stride={args.stride}"
     _write_csv(args.output, cfg, header, rows)
     return 0
@@ -303,6 +299,9 @@ def main(argv=None) -> int:
     except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print(f"error: this {args.command} run does not fit in memory", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:

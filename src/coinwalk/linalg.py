@@ -7,16 +7,9 @@ of each shifted unitary has its eigenvectors, one batched ``numpy.linalg.eigh``
 solves them all, the Rayleigh quotients give the phases, and phase grouping
 by vectorised gap tests labels the eigenspaces, with the residual, the
 separation of the Hermitian part's eigenvalues and orthonormality checked at
-every node. Its output has one shape, ``(phases, vectors, labels)``; a single
-matrix is a stack of one.
-
-The public :func:`eig_unitary_batch` (and :func:`eig_unitary`) returns each
-node's phases wrapped into ``(-pi, pi]`` and sorted, its eigenvector columns
-in that order, and labels that join an eigenspace across the wrap at +/-pi.
-The private solver behind it, which the quadrature calls for every block of
-nodes, keeps the columns in the order ``eigh`` gives them and labels them by
-gaps alone; only the eigenspaces, not the order of their columns, enter
-``C(k)``.
+every node. Its output has one shape, ``(phases, vectors, labels)``, and one
+column order, that of ``eigh``; the checked entry :func:`eig_unitary` solves
+a single matrix as a stack of one.
 """
 
 from __future__ import annotations
@@ -60,14 +53,28 @@ def is_unitary(m) -> bool:
     return bool(np.max(residual, initial=0.0) <= 1e-10)
 
 
-def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
+def _newton_schulz(a: Array) -> Array:
+    """One Newton-Schulz step ``a (3 I - a^dag a) / 2`` of a matrix or of each in a stack.
+
+    For ``a`` unitary within ``e`` the result is its polar factor (the nearest
+    unitary) within about ``e^2``, for two n x n products per matrix.
+    """
+    eye = np.eye(a.shape[-1])
+    return a @ (1.5 * eye - 0.5 * (a.conj().swapaxes(-1, -2) @ a))
+
+
+def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
     """Eigendecompose a stack of unitary matrices (M, n, n) with one batched solve.
 
-    Returns ``(phases, vectors, labels)``: eigenphases (M, n) in ``(-pi, pi]``,
-    ascending per node; orthonormal eigenvectors (M, n, n), column ``j``
-    paired with ``phases[:, j]``; and int labels (M, n), shared by the columns
-    of one eigenspace. Ascending phases whose gaps are within
-    ``DEGENERACY_TOL`` form one eigenspace, also across the wrap at +/-pi.
+    For the ``U_k`` of a walk :class:`~coinwalk.walk.WalkSpec` admitted, and for the
+    Newton-Schulz step of a matrix :func:`eig_unitary` admitted: no input is checked.
+    Returns ``(phases, vectors, labels)``: eigenphases (M, n) in ``[-pi, pi]``;
+    orthonormal eigenvectors (M, n, n), column ``j`` paired with ``phases[:, j]``; and
+    int labels (M, n), shared by the columns of one eigenspace. The columns stay in the
+    order ``eigh`` gives them: ascending ``cos(psi - a)`` for the shift ``a`` that solved
+    the node. A column starts a new label when its wrapped phase gap to the column
+    before it exceeds ``DEGENERACY_TOL``; the separation test below keeps the columns
+    of one eigenspace next to each other, also across the wrap at +/-pi.
 
     The solve takes no inverse: with ``V = exp(-1j a) U``, the Hermitian part
     ``(V + V^dag) / 2`` has U's eigenvectors and the eigenvalues
@@ -87,61 +94,18 @@ def eig_unitary_batch(u) -> tuple[Array, Array, Array]:
     ``n (n - 1) / 2`` pairs comes within ``pi / 2P`` of at most one shift, so
     some shift leaves every pair at least that far from its collision point
     and every node is done within P rounds. The Hermitian part keeps a
-    deviation from unitarity at first order, so each matrix first takes one
-    Newton-Schulz step ``u (3 I - u^dag u) / 2`` after the unitarity check: the
-    solve is that of its polar factor, unitary to rounding also for an input
-    unitary only within 1e-10, whose eigenphases are the input's within that
-    deviation. (The quadrature takes the same step once, on the coin, see
-    :func:`~coinwalk.characteristic._eigenspaces`.)
+    deviation from unitarity at first order, so the input should be unitary
+    to rounding: its callers take one Newton-Schulz step first (see
+    :func:`_newton_schulz`).
 
     Raises
     ------
-    InvalidArgument
-        If the stack is empty or some matrix is not unitary within 1e-10.
     NumericalFailure
         If the solver fails, if at every shift some node's eigenvector residual
         exceeds 1e-9 or two of its eigenphases are near a collision point, or
         if the eigenvectors' Gram matrix
         ``vectors^dag vectors`` deviates from the identity by more than 1e-12
         at some node.
-    """
-    a = np.asarray(u, dtype=np.complex128)
-    if a.size == 0:
-        raise InvalidArgument(f"expected a non-empty stack of matrices, got shape {a.shape}")
-    if a.ndim != 3 or not is_unitary(a):
-        raise InvalidArgument(f"not a stack of matrices unitary within 1e-10, shape {a.shape}")
-    phases, vectors, _ = _eig_unitary_stack(_newton_schulz(a))
-    phases = np.where(phases == -np.pi, np.pi, phases)  # into (-pi, pi]
-    order = np.argsort(phases, axis=1, kind="stable")
-    phases = np.take_along_axis(phases, order, axis=1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
-    labels = _gap_labels(np.diff(phases, axis=1))
-    wrap = phases[:, 0] + 2 * np.pi - phases[:, -1] <= DEGENERACY_TOL
-    labels = np.where(wrap[:, None] & (labels == labels[:, -1:]), 0, labels)
-    return phases, vectors, labels
-
-
-def _newton_schulz(a: Array) -> Array:
-    """One Newton-Schulz step ``a (3 I - a^dag a) / 2`` of a matrix or of each in a stack.
-
-    For ``a`` unitary within ``e`` the result is its polar factor (the nearest
-    unitary) within about ``e^2``, for two n x n products per matrix.
-    """
-    eye = np.eye(a.shape[-1])
-    return a @ (1.5 * eye - 0.5 * (a.conj().swapaxes(-1, -2) @ a))
-
-
-def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
-    """The solver of :func:`eig_unitary_batch`, which checks no input and keeps ``eigh``'s order.
-
-    For the ``U_k`` of a walk :class:`~coinwalk.walk.WalkSpec` admitted, unitary within 1e-10.
-    Returns ``(phases, vectors, labels)`` as :func:`eig_unitary_batch` does, with the same
-    checks, but the columns stay in the order ``eigh`` gives them: ascending
-    ``cos(psi - a)`` for the shift ``a`` that solved the node, with phases in ``[-pi, pi]``.
-    A column starts a new label when its wrapped phase gap to the column before it exceeds
-    ``DEGENERACY_TOL``. The separation test keeps the columns of one eigenspace next to each
-    other, so the eigenspaces are those of :func:`eig_unitary_batch`; the order of their
-    columns and their labels may differ.
     """
     n = a.shape[1]
     rounds = n * (n - 1) // 2 + 1
@@ -184,28 +148,35 @@ def _eig_unitary_stack(a: Array) -> tuple[Array, Array, Array]:
     gram = np.max(np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(n)), initial=0.0)
     if not gram <= 1e-12:
         raise NumericalFailure(f"eigenvector orthonormality error {gram:.3e} exceeds 1e-12")
-    return phases, vectors, _gap_labels(gaps)
-
-
-def _gap_labels(gaps: Array) -> Array:
-    """Int labels (M, n) from the (M, n - 1) gaps between adjacent columns.
-
-    A gap above ``DEGENERACY_TOL`` starts a new label.
-    """
-    labels = np.zeros((len(gaps), gaps.shape[1] + 1), dtype=np.int64)
+    labels = np.zeros(phases.shape, dtype=np.int64)
     labels[:, 1:] = np.cumsum(gaps > DEGENERACY_TOL, axis=1)
-    return labels
+    return phases, vectors, labels
 
 
 def eig_unitary(u) -> tuple[Array, Array, Array]:
-    """Eigendecompose one unitary matrix: :func:`eig_unitary_batch` at M = 1.
+    """Eigendecompose one unitary matrix: :func:`_eig_unitary_stack` at M = 1.
 
-    Returns ``(phases, vectors, labels)`` of shapes (n,), (n, n) and (n,),
-    the one node of the batch. The columns ``vectors[:, labels == w]`` span
-    eigenspace ``w``, so its projector is basis-independent. Raises as
-    :func:`eig_unitary_batch` does.
+    Returns ``(phases, vectors, labels)`` of shapes (n,), (n, n) and (n,), in
+    the solver's column order, with phases in ``[-pi, pi]``. The columns
+    ``vectors[:, labels == w]`` span eigenspace ``w``, so its projector is
+    basis-independent. The matrix first takes one Newton-Schulz step
+    ``u (3 I - u^dag u) / 2`` after the unitarity check: the solve is that of
+    its polar factor, unitary to rounding also for an input unitary only
+    within 1e-10, whose eigenphases are the input's within that deviation.
+    (The quadrature takes the same step once, on the coin, see
+    :func:`~coinwalk.characteristic._eigenspaces`.)
+
+    Raises
+    ------
+    InvalidArgument
+        If ``u`` is not a non-empty matrix unitary within 1e-10.
+    NumericalFailure
+        As :func:`_eig_unitary_stack` does.
     """
-    phases, vectors, labels = eig_unitary_batch(as_matrix(u)[None])
+    a = as_matrix(u)
+    if a.size == 0 or not is_unitary(a):
+        raise InvalidArgument(f"not a non-empty matrix unitary within 1e-10, shape {a.shape}")
+    phases, vectors, labels = _eig_unitary_stack(_newton_schulz(a[None]))
     return phases[0], vectors[0], labels[0]
 
 

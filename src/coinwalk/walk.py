@@ -187,9 +187,9 @@ def build_uk(spec: WalkSpec, k) -> Array:
     """Momentum-space step operator ``diag_j(exp(-1j k.s_j)) @ coin``.
 
     ``k`` is a scalar (1-d walks only), one (d,) point or a (M, d) stack of
-    points; the result is (n, n) or a C-ordered (M, n, n), the layout
-    :func:`~coinwalk.linalg.eig_unitary_batch` reads. The phases come from
-    :func:`_shift_phases`. Raises :class:`InvalidArgument` for a ``k`` that
+    points; the result is (n, n) or a C-ordered (M, n, n), the layout the
+    eigensolver :func:`~coinwalk.linalg._eig_unitary_stack` reads. The phases
+    come from :func:`_shift_phases`. Raises :class:`InvalidArgument` for a ``k`` that
     does not match the lattice dimension or (in :func:`_shift_phases`) is not finite.
     """
     kv = np.atleast_1d(np.asarray(k, dtype=np.float64))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from coinwalk import U2Params, WalkSpec
-from coinwalk.linalg import eig_unitary_batch, is_unitary
+from coinwalk.linalg import _eig_unitary_stack, _newton_schulz, is_unitary
 from coinwalk.walk import build_uk
 
 settings.register_profile(
@@ -97,7 +97,7 @@ def c_stack(spec, ks) -> np.ndarray:
     The per-node reference that no route of the package forms: with the columns
     ``z_ij = v_i (x) v_j`` masked to the pairs of one eigenspace, C is their Gram product.
     """
-    _, v, labels = eig_unitary_batch(build_uk(spec, ks))
+    _, v, labels = _eig_unitary_stack(_newton_schulz(build_uk(spec, ks)))
     m, n, _ = v.shape
     z = v[:, :, None, :, None] * v[:, None, :, None, :]  # (node, a, c, i, j)
     z *= labels[:, None, None, :, None] == labels[:, None, None, None, :]

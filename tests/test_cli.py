@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -94,6 +95,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(*argv) -> int:
+    """The tracemalloc peak, in bytes, of ``main(argv)``, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRho:
@@ -401,6 +412,15 @@ class TestFig:
         capsys.readouterr()
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["cpe-entangled", "--theta-points", "100000"], ["cpe-3d", "--theta-points", "3000"]],
+        ids=["entangled", "3d"],
+    )
+    def test_rows_are_streamed_to_the_output(self, argv, tmp_path):
+        # 100000 and 99000 rows: a list of them takes about 10 MiB
+        assert traced_peak("fig", *argv, "--output", str(tmp_path / "fig.csv")) < 2**20
+
 
 class TestSimulate:
     def test_first_steps(self, capsys):
@@ -464,6 +484,15 @@ class TestSimulate:
             f"error: the light cone of {amplitudes} amplitudes and the series of 3 coin states"
             " up to t_max=2 do not fit in memory\n"
         )
+
+    def test_rows_are_streamed_to_the_output(self, tmp_path):
+        # both shifts 0: the light cone stays two amplitudes, so the series of coin states is
+        # all the run must hold, besides the stepper's ring of at most 512 KiB
+        (tmp_path / "still.cfg").write_text("dim 1\ncoin 0, 1\ncoin 1, 0\nshift 0\nshift 0\n")
+        t_max, n = 20000, 2
+        peak = traced_peak("simulate", "--walk-file", str(tmp_path / "still.cfg"), "--state", LOCAL,
+                           "--t-max", str(t_max), "--output", str(tmp_path / "series.csv"))
+        assert peak <= (t_max + 1) * n * n * 16 + 2**20
 
     def test_shifts_2_62_apart_step_on_their_sublattice(self, capsys, tmp_path):
         # shifts +-2**62 reach only sites 2**63 apart: the box widens by 1 a step
@@ -638,6 +667,23 @@ class TestBadInput:
         got, out, err = run(capsys, "rho", "--theta", "pi/4", "--state", LOCAL)
         assert got == code and out == ""
         assert err.startswith("error: ") and err.endswith("refused\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "patched, argv",
+        [("entropy_of_pair", ["fig", "cpe-entangled"]),
+         ("rho_series", ["simulate", "--theta", "pi/4", "--state", LOCAL, "--t-max", "2"])],
+        ids=["fig", "simulate"],
+    )
+    def test_a_run_out_of_memory_exits_2_with_one_error_line(
+        self, capsys, monkeypatch, patched, argv
+    ):
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(coinwalk.cli, patched, exhaust)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: this {argv[0]} run does not fit in memory\n"
 
     def test_eigensolver_failure_exits_4(self, capsys, monkeypatch, tmp_path):
         # an eigh that returns the unit vectors fails the fit at every shift

@@ -16,16 +16,24 @@ from coinwalk import (
     rho_asymptotic,
     von_neumann_entropy,
 )
+from coinwalk.characteristic import _eigenspaces
 from coinwalk.linalg import (
     _FIRST_SHIFT,
     DEGENERACY_TOL,
     _eig_unitary_stack,
     _newton_schulz,
     eig_unitary,
-    eig_unitary_batch,
     is_unitary,
 )
-from conftest import boundary_coin, partial_trace, random_unitary, unit_vector, unitarity_error
+from conftest import (
+    SQUARE,
+    boundary_coin,
+    coin_kind_walk,
+    partial_trace,
+    random_unitary,
+    unit_vector,
+    unitarity_error,
+)
 
 # C(pi/2) of the Hadamard-coin line walk, from the closed form evaluated by
 # hand: L = 1/2, F = 0, G = -1/2
@@ -60,7 +68,7 @@ class TestPredicates:
         stack[1, 0, 0] = bad
         assert not is_unitary(stack)
         assert not is_unitary(stack[1])
-        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
+        with pytest.raises(InvalidArgument, match="not a non-empty matrix unitary within 1e-10"):
             eig_unitary([[bad, 0], [0, 1]])
 
 
@@ -85,15 +93,16 @@ class TestEigUnitary:
     def test_diagonal(self):
         u = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
         phases, vectors, _ = eig_unitary(u)
-        assert np.allclose(phases, [-np.pi / 4, np.pi / 4])
-        assert np.allclose(np.abs(vectors), [[0, 1], [1, 0]])
+        assert np.allclose(np.sort(phases), [-np.pi / 4, np.pi / 4])
+        for phase, column in zip(phases, vectors.T):
+            assert np.allclose(np.abs(column), [1, 0] if phase > 0 else [0, 1])
 
-    def test_is_the_batch_at_one_node(self, rng):
+    def test_is_the_solver_at_one_node(self, rng):
         u = random_unitary(rng, 3)
         single = eig_unitary(u)
-        batch = eig_unitary_batch(u[None])
+        stack = _eig_unitary_stack(_newton_schulz(u[None]))
         assert [a.shape for a in single] == [(3,), (3, 3), (3,)]
-        for a, b in zip(single, batch):
+        for a, b in zip(single, stack):
             assert np.array_equal(a, b[0])
 
     def test_hadamard_walk_operator_at_half_pi(self):
@@ -103,11 +112,15 @@ class TestEigUnitary:
 
         uk = build_uk(line_walk(U2Params(np.pi / 4, np.pi / 2, np.pi / 2)), np.pi / 2)
         phases, _, _ = eig_unitary(uk)
-        assert np.allclose(phases, [-np.pi / 4, np.pi / 4], atol=1e-12)
+        assert np.allclose(np.sort(phases), [-np.pi / 4, np.pi / 4], atol=1e-12)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
+        with pytest.raises(InvalidArgument, match="not a non-empty matrix unitary within 1e-10"):
             eig_unitary([[1, 0], [0, 2]])
+
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(InvalidArgument, match="not a non-empty matrix unitary within 1e-10"):
+            eig_unitary(np.zeros((0, 0)))
 
     def test_roundtrip_random_unitaries(self, rng):
         for i in range(100):
@@ -131,12 +144,28 @@ class TestEigUnitary:
         assert np.max(np.abs(projector(vectors, big) - expected)) <= 1e-10
 
     def test_phase_branch(self):
+        # each phase is the angle of a Rayleigh quotient, in [-pi, pi]: -1 sits at either end
         phases, _, _ = eig_unitary(np.diag([-1.0 + 0j, 1.0]))
-        assert np.pi in phases  # principal value maps -pi to +pi
-        assert all(-np.pi < w <= np.pi for w in phases)
+        assert sorted(np.abs(phases)) == [0.0, np.pi]
+
+    @pytest.mark.parametrize("kind", ["grover-2d", "rank-2", "haar"])
+    def test_gives_the_quadrature_eigenspaces(self, kind, rng):
+        # per node, U_k's own Newton-Schulz step against U_k built from the coin's
+        spec = coin_kind_walk(kind, 4, 2, SQUARE, rng)
+        grid = QuadratureGrid(64 if spec.lattice_dim == 1 else 16, spec.lattice_dim)
+        vectors, labels = _eigenspaces(spec, grid.nodes)
+        want = eigenspace_projectors(vectors, labels)
+        for node, k in enumerate(grid.nodes):
+            _, v, group = eig_unitary(build_uk(spec, k))
+            got = eigenspace_projectors(v[None], group[None])[0]
+            assert sorted(np.bincount(group)) == sorted(np.bincount(labels[node]))
+            # every column's eigenspace projector is one of the other route's
+            apart = np.max(np.abs(got[:, None] - want[node][None, :]), axis=(2, 3))
+            assert np.max(np.min(apart, axis=1)) <= 1e-13
+            assert np.max(np.min(apart, axis=0)) <= 1e-13
 
 
-class TestEigUnitaryBatch:
+class TestStackSolve:
     def test_mixed_stack_matches_per_node_solves(self, rng):
         delta = 1e-11
         spectra = [
@@ -149,7 +178,7 @@ class TestEigUnitaryBatch:
         stack = np.stack(
             [v @ np.diag(np.exp(1j * np.array(w))) @ v.conj().T for v, w in zip(bases, spectra)]
         )
-        phases, vectors, labels = eig_unitary_batch(stack)
+        phases, vectors, labels = _eig_unitary_stack(_newton_schulz(stack))
         sizes = []
         for m, (v, w) in enumerate(zip(bases, spectra)):
             single_phases, single_vectors, single_labels = eig_unitary(stack[m])
@@ -166,15 +195,6 @@ class TestEigUnitaryBatch:
                 assert np.max(np.abs(projector(single_vectors, g) - want)) <= 1e-10
         assert sizes == [[1, 1, 1, 1], [1, 1, 2], [1, 1, 2], [1, 3]]
 
-    def test_rejects_non_unitary_node(self, rng):
-        stack = np.stack([random_unitary(rng, 3), np.diag([1.0, 1.0, 2.0])])
-        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
-            eig_unitary_batch(stack)
-
-    def test_rejects_an_empty_stack(self):
-        with pytest.raises(InvalidArgument, match="expected a non-empty stack of matrices"):
-            eig_unitary_batch(np.zeros((0, 2, 2)))
-
 
 def with_spectra(bases, spectra) -> np.ndarray:
     """The stack of ``v diag(exp(1j w)) v^dag`` over paired bases and eigenphases."""
@@ -183,7 +203,7 @@ def with_spectra(bases, spectra) -> np.ndarray:
     )
 
 
-def eigenspace_projectors(phases, vectors, labels) -> np.ndarray:
+def eigenspace_projectors(vectors, labels) -> np.ndarray:
     """(M, n, n, n): at [m, j] the projector onto the eigenspace of column j.
 
     Built as ``V E V^-1`` for the mask E of the column's eigenspace, which is
@@ -240,23 +260,25 @@ def collision_pair(j: int, n: int, half: float) -> list[float]:
 
 
 class TestHermitianPartSolve:
-    """``eig_unitary_batch`` against ``np.linalg.eig``, compared through eigenspace projectors."""
+    """The stack solver against ``np.linalg.eig``, compared through eigenspace projectors.
+
+    Each stack is solved as the quadrature solves its ``U_k``: after one Newton-Schulz step.
+    """
 
     def assert_matches_eig(self, stack, tol):
-        phases, vectors, labels = eig_unitary_batch(stack)
+        phases, vectors, labels = _eig_unitary_stack(_newton_schulz(stack))
         ref_phases, ref_vectors, ref_labels = eig_reference(stack)
-        assert np.all((phases > -np.pi) & (phases <= np.pi))
-        assert np.all(np.diff(phases, axis=1) >= 0)
-        # an eigenvalue on -1 may sort first in one route and last in the
-        # other, so columns are paired by the nearest eigenvalue
+        assert np.all(np.abs(phases) <= np.pi)
+        # the solver keeps eigh's order and the reference sorts, so columns are paired
+        # by the nearest eigenvalue
         chord = np.abs(np.exp(1j * phases)[:, :, None] - np.exp(1j * ref_phases)[:, None, :])
         pair = np.argmin(chord, axis=2)
         assert np.max(np.min(chord, axis=2)) <= 1e-12
         for got_labels, want_labels in zip(labels, ref_labels):
             sizes = [np.unique(x, return_counts=True)[1].tolist() for x in (got_labels, want_labels)]
             assert sorted(sizes[0]) == sorted(sizes[1])
-        got = eigenspace_projectors(phases, vectors, labels)
-        want = eigenspace_projectors(ref_phases, ref_vectors, ref_labels)
+        got = eigenspace_projectors(vectors, labels)
+        want = eigenspace_projectors(ref_vectors, ref_labels)
         want = np.take_along_axis(want, pair[:, :, None, None], axis=1)
         assert np.max(np.abs(got - want)) <= tol
         return phases, vectors, labels
@@ -292,13 +314,16 @@ class TestHermitianPartSolve:
         bases = [random_unitary(rng, 4) for _ in range(20)]
         spectra = [[0.3, 0.3 + gap, -1.0, 2.0]] * len(bases)
         stack = with_spectra(bases, spectra)
-        phases, vectors, labels = eig_unitary_batch(stack)
+        phases, vectors, labels = _eig_unitary_stack(_newton_schulz(stack))
         assert np.all(labels.max(axis=1) == 3)  # the pair stays apart above DEGENERACY_TOL
         bound = 200 * np.finfo(float).eps / gap
-        got = eigenspace_projectors(phases, vectors, labels)
+        got = eigenspace_projectors(vectors, labels)
+        spectrum = np.exp(1j * np.array(spectra[0]))
         for m, v in enumerate(bases):
-            # the input's own eigenvectors, in ascending phase order
-            want = np.einsum("ij,kj->jik", v[:, [2, 0, 1, 3]], v[:, [2, 0, 1, 3]].conj())
+            # the input's own eigenvectors, each at the column of its nearest phase
+            put_in = np.argmin(np.abs(np.exp(1j * phases[m])[:, None] - spectrum), axis=1)
+            assert sorted(put_in) == [0, 1, 2, 3]
+            want = np.einsum("ij,kj->jik", v[:, put_in], v[:, put_in].conj())
             assert np.max(np.abs(got[m] - want)) <= bound
         self.assert_matches_eig(stack, 2 * bound)
 
@@ -337,8 +362,10 @@ class TestHermitianPartSolve:
         monkeypatch.setattr(np.linalg, "eigh", lambda h: rounds.append(len(h)) or eigh(h))
         phases, vectors, _ = self.assert_matches_eig(stack, 1e-12)
         assert rounds == [3, 1]
-        assert np.max(np.abs(phases[1] - np.sort(spectrum))) <= 1e-15
-        assert np.max(np.abs(np.abs(vectors[1]) - np.eye(4)[:, np.argsort(spectrum)])) <= 1e-15
+        # solved at a_1: eigh's order is ascending cos(psi - a_1)
+        order = np.argsort(np.cos(spectrum - shift(1, 4)))
+        assert np.max(np.abs(phases[1] - spectrum[order])) <= 1e-15
+        assert np.max(np.abs(np.abs(vectors[1]) - np.eye(4)[:, order])) <= 1e-15
 
     def test_mixed_columns_on_a_collision_are_left_for_the_next_shift(self, rng):
         # in a general basis eigh mixes the two eigenvectors of the double eigenvalue,
@@ -350,12 +377,6 @@ class TestHermitianPartSolve:
         lam = np.einsum("mij,mij->mj", x.conj(), node @ x)
         assert np.max(np.abs(node @ x - x * lam[:, None, :])) > 1e-9
         self.assert_matches_eig(node, 1e-12)
-
-    def test_non_unitary_node_raises(self, rng):
-        stack = np.stack([random_unitary(rng, 5) for _ in range(3)])
-        stack[1] *= 1 + 1e-9
-        with pytest.raises(InvalidArgument, match="not a stack of matrices unitary within 1e-10"):
-            eig_unitary_batch(stack)
 
     @pytest.mark.parametrize(
         "shifts, points",
@@ -400,7 +421,7 @@ class TestHermitianPartSolve:
             match="^5 nodes keep an eigenpair residual above 1e-9 or two eigenphases near a"
             " collision point at each of the 4 shifts$",
         ):
-            eig_unitary_batch(stack)
+            _eig_unitary_stack(_newton_schulz(stack))
 
     def test_a_failed_eigh_is_a_numerical_failure(self, rng, monkeypatch):
         def unconverged(h):
@@ -409,7 +430,7 @@ class TestHermitianPartSolve:
         monkeypatch.setattr(np.linalg, "eigh", unconverged)
         stack = np.stack([random_unitary(rng, 3) for _ in range(2)])
         with pytest.raises(NumericalFailure, match="^eigensolver failed: Eigenvalues did not converge$"):
-            eig_unitary_batch(stack)
+            _eig_unitary_stack(_newton_schulz(stack))
 
     def test_eigenvectors_that_fit_but_are_not_orthonormal_are_a_numerical_failure(
         self, rng, monkeypatch
@@ -428,7 +449,7 @@ class TestHermitianPartSolve:
         with pytest.raises(
             NumericalFailure, match="^eigenvector orthonormality error 4.000e-10 exceeds 1e-12$"
         ):
-            eig_unitary_batch(stack)
+            _eig_unitary_stack(_newton_schulz(stack))
 
 
 @st.composite
@@ -471,11 +492,6 @@ def clustered_spectra(draw) -> list[list[float]]:
     return spectra
 
 
-def partition(labels, columns) -> set[frozenset]:
-    """The eigenspaces of one node as sets of ``columns``, grouped by ``labels``."""
-    return {frozenset(np.asarray(columns)[labels == g].tolist()) for g in np.unique(labels)}
-
-
 def wrapped_gaps(phases) -> np.ndarray:
     """(M, n - 1): the distance on the circle from each column's phase to the one before."""
     gap = np.abs(np.diff(phases, axis=1))
@@ -501,35 +517,18 @@ def ordered_at(phases, n: int) -> list[int]:
 
 
 class TestColumnOrder:
-    """The quadrature's solver keeps ``eigh``'s columns and finds the sorted route's eigenspaces."""
+    """The stack solver keeps ``eigh``'s columns, and its gap labels find the eigenspaces."""
 
     @staticmethod
-    def assert_same_eigenspaces(stack):
-        # the public route solves each matrix's Newton-Schulz step; compare on that stack
+    def assert_solver_order(stack):
+        """Solve ``stack`` as the quadrature does, and check the column order and the labels."""
         phases, vectors, labels = _eig_unitary_stack(_newton_schulz(stack))
-        sorted_phases, sorted_vectors, sorted_labels = eig_unitary_batch(stack)
-        m, n = labels.shape
+        n = labels.shape[1]
         # eigh's order at some shift, and the labels count the wrapped gaps to the column before
         assert np.all(np.abs(phases) <= np.pi)
         assert all(ordered_at(w, n) for w in phases)
         assert np.all(labels[:, 0] == 0)
         assert np.array_equal(np.diff(labels, axis=1), wrapped_gaps(phases) > DEGENERACY_TOL)
-        # the public route: ascending in (-pi, pi], joined across the wrap
-        assert np.all((sorted_phases > -np.pi) & (sorted_phases <= np.pi))
-        assert np.all(np.diff(sorted_phases, axis=1) >= 0)
-        assert np.array_equal(sorted_labels, wrapped_labels(sorted_phases))
-        for node in range(m):
-            # every sorted column is one of eigh's columns, to the bit
-            match = [
-                next(i for i in range(n) if np.array_equal(vectors[node, :, i], column))
-                for column in sorted_vectors[node].T
-            ]
-            assert sorted(match) == list(range(n))
-            assert partition(labels[node], range(n)) == partition(sorted_labels[node], match)
-        # the label test for shared eigenspaces selects the nodes of the sorted pair mask
-        off = ~np.eye(n, dtype=bool)
-        pairs = ((sorted_labels[:, :, None] == sorted_labels[:, None, :]) & off).any(axis=(1, 2))
-        assert np.array_equal(labels.max(axis=1) < n - 1, pairs)
         return phases, vectors, labels
 
     @staticmethod
@@ -563,11 +562,11 @@ class TestColumnOrder:
     )
     # a pair 6e-3 rad from the collision point of a_0, just outside the separation bound
     @example(spectra=[[*(p + 6e-3 for p in collision_pair(0, 4, 0.4)), 0.3, 1.2]], seed=2)
-    def test_eigh_order_gives_the_sorted_eigenspaces(self, spectra, seed):
+    def test_eigh_order_gives_the_eigenspaces_put_in(self, spectra, seed):
         rng = np.random.default_rng(seed)
         bases = [random_unitary(rng, len(spectra[0])) for _ in spectra]
         stack = with_spectra(bases, spectra)
-        phases, vectors, labels = self.assert_same_eigenspaces(stack)
+        phases, vectors, labels = self.assert_solver_order(stack)
         # each eigenspace is the span of the basis vectors its phases were put in with
         for v, spectrum, w, x, group in zip(bases, spectra, phases, vectors, labels):
             for g in np.unique(group):
@@ -587,7 +586,7 @@ class TestColumnOrder:
             spec, grid = WalkSpec(1, 4, [[1], [1], [1], [-1]], np.eye(4)), QuadratureGrid(64)
         else:  # a band gap of ~2e-11 at k = 0 and k = -pi: one eigenspace there
             spec, grid = line_walk(U2Params(1e-11, 0.0, 0.0)), QuadratureGrid(64)
-        _, _, labels = self.assert_same_eigenspaces(build_uk(spec, grid.nodes))
+        _, _, labels = self.assert_solver_order(build_uk(spec, grid.nodes))
         shared = np.sum(labels.max(axis=1) < spec.coin_dim - 1)
         assert shared == {"grover-2d": 2, "rank-2": 64, "rank-3": 64, "merged-2": 2}[walk]
 
@@ -651,8 +650,8 @@ class TestCollisions:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "eigh", counted)
-            solved = TestColumnOrder.assert_same_eigenspaces(with_spectra(bases, spectra))
-        return solved, len(rounds) // 2, bases  # assert_same_eigenspaces solves twice
+            solved = TestColumnOrder.assert_solver_order(with_spectra(bases, spectra))
+        return solved, len(rounds), bases
 
     @given(spectra=colliding_spectra(), seed=st.integers(0, 2**32 - 1))
     # near collisions at 1e-6 and 1e-4 rad: eigh resolves them, and the fit accepts the
@@ -673,8 +672,8 @@ class TestCollisions:
         past=st.sampled_from([6e-3, 1e-2, 3e-2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_stack_unitary_within_1e_10_is_solved_as_its_polar_factor(self, n, past, seed):
-        # each node has a pair `past` rad beyond the collision point of a_0, which passes the
+    def test_a_matrix_unitary_within_1e_10_is_solved_as_its_polar_factor(self, n, past, seed):
+        # each matrix has a pair `past` rad beyond the collision point of a_0, which passes the
         # separation test there; the Hermitian part would keep a deviation from unitarity
         # just under 1e-10 at first order, and the fit residual near deviation / past
         rng = np.random.default_rng(seed)
@@ -687,7 +686,7 @@ class TestCollisions:
         exact = with_spectra(bases, spectra)
         h = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
         h += h.conj().swapaxes(1, 2)
-        # (I + e h) u^dag u (I + e h) - I = 2 e h + O(e^2): the polar factor of each node is u
+        # (I + e h) u^dag u (I + e h) - I = 2 e h + O(e^2): the polar factor of each matrix is u
         e = 9.9e-11 / (2 * np.max(np.abs(h), axis=(1, 2)))
         near = exact @ (np.eye(n) + e[:, None, None] * h)
         assert is_unitary(near) and min(unitarity_error(u) for u in near) >= 0.98e-10
@@ -697,8 +696,9 @@ class TestCollisions:
             calls = []
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
-                phases, vectors, labels = eig_unitary_batch(stack)
+                solved = [eig_unitary(u) for u in stack]
             taken[name] = calls
+        phases, vectors, labels = (np.stack(parts) for parts in zip(*solved))
         assert taken["near"] == taken["exact"]
         TestColumnOrder.assert_bases_kept(spectra, bases, phases, vectors, labels, 200)
 
