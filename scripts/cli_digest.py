@@ -37,6 +37,23 @@ WALK_FILES = {
     ),
     # two coin states share the shift +1: a 2-d eigenspace at every k
     "repro.walk": "dim 1\ncoin 1, 0, 0\ncoin 0, 1, 0\ncoin 0, 0, 1\nshift 1\nshift 1\nshift -1\n",
+    # the triangular lattice: the simulator steps on a (t + 1)^2 box in a basis of
+    # the lattice its shift differences span, not on the plain (2t + 1)^2 box
+    "triangular.walk": (
+        "dim 2\n"
+        "coin -0.3333333333333333, 0.6666666666666666, 0.6666666666666666\n"
+        "coin 0.6666666666666666, -0.3333333333333333, 0.6666666666666666\n"
+        "coin 0.6666666666666666, 0.6666666666666666, -0.3333333333333333\n"
+        "shift 1 0\nshift 0 1\nshift -1 -1\n"
+    ),
+    # a 2-state walk in 2-d: its shift differences span a line, so the simulator
+    # steps on one axis of t + 1 sites
+    "diagonal.walk": (
+        "dim 2\n"
+        "coin 0.7071067811865476, 0.7071067811865476\n"
+        "coin 0.7071067811865476, -0.7071067811865476\n"
+        "shift 1 0\nshift 0 1\n"
+    ),
 }
 
 LINE = ["--theta", "pi/4", "--alpha", "pi/2", "--beta", "pi/2"]
@@ -46,6 +63,8 @@ STATES = [
     "general {0:(0.6,0), 1:(0,0.8i)}",
 ]
 GROVER_GENERAL = "general {0;0:(0.6,0,0,0), 1;0:(0,0.48,0,0), 0;-1:(0,0,0.64i,0)}"
+TRIANGULAR_DIST = "dist {0;0:0.6, 1;0:0.8i} chi=(0.6,0,0.8i)"
+DIAGONAL_GENERAL = "general {0;0:(0.6,0), 1;0:(0,0.8i)}"
 
 #: (expected exit code, argv)
 COMMANDS = [
@@ -60,6 +79,9 @@ COMMANDS = [
     (0, ["fig", "cpe-entangled"]),
     (0, ["simulate", *LINE, "--state", STATES[0], "--t-max", "200", "--stride", "7"]),
     (0, ["simulate", "--walk-file", "grover.walk", "--state", GROVER_GENERAL, "--t-max", "40"]),
+    # both take two sites on two cosets of the lattice the shift differences span
+    (0, ["simulate", "--walk-file", "triangular.walk", "--state", TRIANGULAR_DIST, "--t-max", "200"]),
+    (0, ["simulate", "--walk-file", "diagonal.walk", "--state", DIAGONAL_GENERAL, "--t-max", "200"]),
     (0, ["verify"]),
     (0, ["verify", "--seed", "7", "--draws", "50", "--t-max", "500"]),
     (1, ["verify", "--draws", "5", "--t-max", "200", "--inject-f-sign-error"]),

@@ -62,6 +62,12 @@ shift -1
 """
 # two sites at the ends of int64, and a line walk whose shifts are 2**63 apart
 INT64_ENDS = "dist {-9223372036854775808:0.7071067811865476, 9223372036854775807:0.7071067811865476} chi=(1,0)"
+# two sites an even distance apart at the ends of int64: one coset of the +-1
+# line's lattice 2Z, so the simulator's box spans 2**63 sites between them
+INT64_ENDS_ONE_COSET = (
+    "dist {-9223372036854775808:0.7071067811865476, 9223372036854775806:0.7071067811865476}"
+    " chi=(1,0)"
+)
 SHIFTS_62_CFG = f"dim 1\ncoin 0, 1\ncoin 1, 0\nshift {2**62}\nshift {-(2**62)}\n"
 # the same shifts and a third one of 1: their differences have gcd 1, so no
 # sublattice shrinks the light cone, which widens by 2**63 a step
@@ -468,8 +474,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "walk, state, amplitudes",
         [
-            # two coin components over 2**64 sites widened by 2 per step
-            (["--theta", "pi/4"], INT64_ENDS, 2 * (2**64 + 2 * 2)),
+            # two coin components over 2**63 sites of one coset widened by 1 per step
+            (["--theta", "pi/4"], INT64_ENDS_ONE_COSET, 2 * (2**63 + 2)),
             # three coin components at one site widened by 2**63 per step
             (["--walk-file", "{tmp}/shifts62and1.cfg"], "local v=0 chi=(1,0,0)", 3 * (1 + 2**63 * 2)),
         ],
@@ -602,7 +608,7 @@ class TestBadInput:
             ["rho", "--walk-file", "{tmp}/far.cfg", "--state", "local v=0 chi=(1,0)"],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**60)],
             ["rho", "--theta", "pi/4", "--state", LOCAL, "--grid-n", str(2**70)],
-            ["simulate", "--theta", "pi/4", "--state", INT64_ENDS, "--t-max", "2"],
+            ["simulate", "--theta", "pi/4", "--state", INT64_ENDS_ONE_COSET, "--t-max", "2"],
             ["simulate", "--walk-file", "{tmp}/shifts62and1.cfg", "--state", "local v=0 chi=(1,0,0)",
              "--t-max", "2"],
             ["rho", "--theta", "pi/4", "--state", INT64_ENDS],

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ PI = np.pi
 INV2 = 1 / np.sqrt(2)
 HADAMARD_PARAMS = U2Params(PI / 4, PI / 2, PI / 2)
 E2 = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+CUBIC = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
 
 
 def local_zero() -> LocalState:
@@ -211,13 +214,49 @@ class TestDenseSeries:
             assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
 
     def test_a_slab_beyond_the_ring_budget_steps_in_one_slot(self, rng):
-        # a 2-d 4-state walk at t = 40 has an 81 x 81 box, 420 KB a slab
+        # the square lattice at t = 100 steps on a 101 x 101 box in the
+        # coordinates (1, -1), (1, 1), 653 KB a slab
         spec = WalkSpec(2, 4, E2, random_unitary(rng, 4))
         state = LocalState((0, 0), unit_vector(rng, 4))
-        assert 16 * 4 * 81**2 > simulate._RING_BYTES
-        stack = rho_series(spec, state, 40)
+        assert 16 * 4 * 101**2 > simulate._RING_BYTES
+        stack = rho_series(spec, state, 100)
+        for t, reference in enumerate(sparse_series(spec, state, 100)):
+            assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
+
+    # the slab at t_max: t_max + 1 sites on the +-1 line, 2 t_max + 1 on the lazy one
+    @pytest.mark.parametrize("case, t_max, slab", [("line", 3000, 3001), ("1d-lazy", 1000, 2001)])
+    def test_a_one_axis_ring_of_two_slots_matches_the_reference(self, case, t_max, slab, rng):
+        # two slabs fit the ring: each step writes its coin rows straight into the
+        # other slot, but the first slot of each wider block overlaps the last
+        # block's last walker, so that step goes through the scratch
+        if case == "line":
+            spec, state = line_walk(U2Params(0.7, 0.4, -0.2)), LocalState(0, unit_vector(rng, 2))
+        else:
+            spec, state = walk_case(case, rng)
+        assert simulate._RING_BYTES // (16 * spec.coin_dim * slab) == 2
+        stack = rho_series(spec, state, t_max)
         for t, reference in enumerate(sparse_series(spec, state, 40)):
             assert np.max(np.abs(stack[t] - reference)) <= 1e-12, t
+
+    def test_a_one_axis_slab_beyond_the_ring_budget_steps_in_one_slot(self, rng):
+        # at t_max = 9000 the +-1 line's slab is 9001 sites, 288 KB: the ring
+        # has one slot, so every step takes the coin through the scratch
+        t_max, slab = 9000, 16 * 2 * 9001
+        assert slab > simulate._RING_BYTES
+        spec, state = line_walk(U2Params(0.7, 0.4, -0.2)), LocalState(0, unit_vector(rng, 2))
+        stack = rho_series(spec, state, t_max)
+        reference = sparse_series(spec, state, 300)
+        for t in (0, 1, 2, 7, 8, 9, 150, 299, 300):
+            assert np.max(np.abs(stack[t] - reference[t])) <= 1e-12, t
+        assert np.max(np.abs(np.einsum("tii->t", stack).real - 1.0)) <= 1e-10
+        # the call above also filled the interpreter's and numpy's caches
+        tracemalloc.start()
+        try:
+            rho_series(spec, state, t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (t_max + 1) * 4 * 16 + 2 * slab + 64 * 2**10
 
     def test_ring_bounds_the_memory_of_a_long_series(self):
         # at t = 4000 the +-1 line's slab is 4001 sites, 128 KB: two fit the
@@ -248,6 +287,40 @@ class TestDenseSeries:
             tracemalloc.stop()
         assert peak < 40e6
 
+    def test_a_collinear_walk_in_three_dimensions_is_the_line_walk(self, rng):
+        # the shifts +-(1, 1, 1) span a lattice of rank 1: the walk steps on one
+        # axis of t + 1 sites, as the +-1 line does, not on a (t + 1)^3 box
+        coin = random_unitary(rng, 2)
+        chi = unit_vector(rng, 2)
+        spec = WalkSpec(3, 2, [[1, 1, 1], [-1, -1, -1]], coin)
+        line = WalkSpec(1, 2, [[1], [-1]], coin)
+        got = rho_series(spec, LocalState((0, 0, 0), chi), 20000)
+        assert np.array_equal(got, rho_series(line, LocalState(0, chi), 20000))
+
+    @pytest.mark.parametrize(
+        "shifts, t_max, bound",
+        [
+            # a rank-1 lattice: one axis of t + 1 sites, within the ring's budget
+            ([[1, 0], [0, 1]], 400, 2 * simulate._RING_BYTES + 64 * 2**10),
+            # the square lattice: two slabs of 201 x 201 sites, 2.6 MB each,
+            # where the plain box would take 401 x 401
+            (E2, 200, 6e6),
+        ],
+        ids=["2x2-rank-1", "square"],
+    )
+    def test_memory_of_a_walk_on_its_lattice(self, shifts, t_max, bound, rng):
+        n = len(shifts)
+        spec = WalkSpec(2, n, shifts, random_unitary(rng, n))
+        state = LocalState((0, 0), unit_vector(rng, n))
+        rho_series(spec, state, t_max)
+        tracemalloc.start()
+        try:
+            stack = rho_series(spec, state, t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes + bound
+
     def test_sites_at_the_ends_of_int64_on_a_coarse_sublattice(self, rng):
         # shifts +-2**62 meet sites 2**63 apart: the two ends of int64 lie on
         # two residue classes of one 2-site box, and no difference wraps
@@ -267,11 +340,113 @@ class TestDenseSeries:
         "t_max", [-1, 10**7, 2.5], ids=["negative", "box-too-large", "non-integer"]
     )
     def test_rejects_horizon(self, t_max):
-        # at 10**7 steps the 3-d box holds ~2e21 amplitudes: numpy refuses
-        # the size before it allocates anything
-        spec = WalkSpec(3, 2, [[1, 1, 1], [-1, -1, -1]], np.eye(2))
+        # at 10**7 steps the 3-d box of the cubic lattice, whose shifts span a
+        # lattice of rank 3, holds ~6e21 amplitudes: numpy refuses the size
+        # before it allocates anything
+        spec = WalkSpec(3, 6, CUBIC, np.eye(6))
         with pytest.raises(InvalidArgument):
-            rho_series(spec, LocalState((0, 0, 0), [1, 0]), t_max)
+            rho_series(spec, LocalState((0, 0, 0), [1, 0, 0, 0, 0, 0]), t_max)
+
+
+def minors_gcd(rows: np.ndarray, r: int) -> int:
+    """gcd of the r x r minors of an integer matrix: the index of the lattice its rows span in
+    the integer points of their real span, for r its rank."""
+    return math.gcd(*(
+        round(np.linalg.det(rows[np.ix_(i, j)]))
+        for i in itertools.combinations(range(rows.shape[0]), r)
+        for j in itertools.combinations(range(rows.shape[1]), r)
+    ))
+
+
+def box_growth(coords: list[list[int]]) -> int:
+    """prod_a reach_a of a shift table's coordinates: how fast the stepper's box grows."""
+    return math.prod(max(col) - min(col) for col in zip(*coords))
+
+
+class TestLatticeCoordinates:
+    """The stepper counts sites in coordinates of a basis of the lattice L that the shift
+    differences s_j - s_0 span, one axis per basis vector."""
+
+    @given(data=st.data())
+    def test_the_basis_spans_the_lattice_and_the_stepper_matches_the_reference(self, data):
+        d, n = data.draw(st.integers(1, 3), label="d"), data.draw(st.integers(1, 4), label="n")
+        axis = st.tuples(*[st.integers(-2, 2)] * d)
+        # repeated and collinear shifts are drawn often from entries in -2..2
+        shifts = data.draw(st.lists(axis, min_size=n, max_size=n), label="shifts")
+        site = st.tuples(*[st.integers(-3, 3)] * d)
+        sites = data.draw(st.lists(site, min_size=1, max_size=3, unique=True), label="sites")
+        t = data.draw(st.integers(0, 12), label="t")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spec, state = WalkSpec(d, n, shifts, random_unitary(rng, n)), general_state(rng, sites, n)
+
+        basis, coords, pivots = simulate._lattice(spec.shifts)
+        r = len(basis)
+        diffs = spec.shifts - spec.shifts[0]
+        b, c = np.array(basis, dtype=np.int64).reshape(r, d), np.array(coords, dtype=np.int64)
+        # every s_j - s_0 has integer coordinates in the basis, so L lies in its span;
+        # the coordinates generate Z^r, so the basis vectors lie in L
+        assert c.shape == (n, r)
+        assert np.array_equal(c @ b, diffs)
+        assert np.linalg.matrix_rank(b) == r == np.linalg.matrix_rank(diffs)
+        if r:
+            assert minors_gcd(c, r) == 1
+            assert np.linalg.matrix_rank(b[:, pivots]) == r
+        if r == d:
+            assert abs(round(np.linalg.det(b))) == minors_gcd(diffs, d)
+        if r == 2:
+            # no other basis among those within -3..3 of this one grows a smaller box
+            for m in itertools.product(range(-3, 4), repeat=4):
+                f = np.array(m).reshape(2, 2)
+                if abs(round(np.linalg.det(f))) == 1:
+                    assert box_growth((c @ f.T).tolist()) >= box_growth(coords)
+
+        stack = rho_series(spec, state, t)
+        for step, reference in enumerate(sparse_series(spec, state, t)):
+            assert np.max(np.abs(stack[step] - reference)) <= 1e-12, step
+
+    @pytest.mark.parametrize(
+        "shifts, shape, reach",
+        [
+            ([[1], [-1]], (1,), [1]),
+            ([[1], [0], [-1]], (1,), [2]),
+            (E2, (1, 1), [1, 1]),
+            ([[1, 0], [0, 1], [-1, -1]], (1, 1), [1, 1]),
+            ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], (1, 1), [2, 2]),
+            ([[1, 0], [0, 1]], (1,), [1]),
+            ([[1, 2, 3], [-2, -4, -6], [3, 6, 9]], (1,), [5]),
+            (CUBIC, (1, 1, 1), [1, 1, 1]),
+            ([[2, -1], [2, -1]], (1,), [0]),
+        ],
+        ids=[
+            "line", "lazy", "square", "triangular", "hexagonal", "2x2", "collinear", "cubic",
+            "one-shift",
+        ],
+    )
+    def test_a_local_state_takes_the_smallest_box(self, shifts, shape, reach):
+        # the square and triangular lattices step on (t + 1)^2 sites, not (2t + 1)^2, and a
+        # walk whose shifts are collinear on one axis; equal shifts never widen the box
+        origin = np.zeros((1, len(shifts[0])), dtype=np.int64)
+        _, got_shape, offsets = simulate._sublattice(np.array(shifts), origin)
+        assert got_shape == shape
+        assert [max(col) for col in zip(*offsets)] == reach
+
+    def test_sites_on_two_cosets_cost_no_distance(self):
+        # the ends of int64 are an odd distance apart, so on the +-1 line each site walks
+        # on its own coset and the box holds one site of each: the state is two local
+        # states of half the weight, whose coin states are those of one
+        spec = line_walk(HADAMARD_PARAMS)
+        state = DistributedState({(-(2**63),): INV2, (2**63 - 1,): INV2}, [1, 0])
+        assert simulate._sublattice(spec.shifts, np.array([[-(2**63)], [2**63 - 1]]))[1] == (2, 1)
+        want = rho_series(spec, local_zero(), 50)
+        assert np.max(np.abs(rho_series(spec, state, 50) - want)) <= 1e-15
+
+    def test_sites_on_two_cosets_share_one_box(self):
+        # (0, 0) and (1, 0) differ by no vector of the square lattice's L, which holds the
+        # sites of even x + y: two cosets on a leading axis, each at the box's origin
+        index, shape, offsets = simulate._sublattice(np.array(E2), np.array([[0, 0], [1, 0]]))
+        assert shape == (2, 1, 1)
+        assert [list(axis) for axis in index] == [[0, 1], [0, 0], [0, 0]]
+        assert [row[0] for row in offsets] == [0, 0, 0, 0]
 
 
 def k_space_rho(spec: WalkSpec, state, t: int, size: int) -> np.ndarray:
